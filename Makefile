@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-stats-gate profile-smoke gobench fuzz chaos trace-smoke loadgen-smoke dist-smoke cover serve ci
+.PHONY: all build vet lint test race bench bench-test bench-stats-gate profile-smoke gobench fuzz chaos trace-smoke loadgen-smoke dist-smoke cover serve ci
 
 all: build
 
@@ -29,6 +29,13 @@ race:
 #   go run ./cmd/chop bench -compare BENCH_1.json BENCH_2.json -tolerance 10
 bench:
 	$(GO) run ./cmd/chop bench -short -json
+
+# bench-test runs the benchmark module's golden tests: the paper's Tables
+# 3-6 rows, the Figure 7 points sha256 and the stress6 digest, pinned in
+# bench/testdata. bench/ is a module of its own, so `go test ./...` from
+# the root never reaches it.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # bench-stats-gate bounds the telemetry plane's overhead: the search/stats
 # workloads must stay within STATS_GATE percent of their search/stress
@@ -109,4 +116,4 @@ serve:
 	$(GO) run ./cmd/chop serve -addr :8080 -log-level debug
 
 # ci is what .github/workflows/ci.yml runs.
-ci: lint build race
+ci: lint build race bench-test

@@ -15,8 +15,8 @@ import (
 	"chop/internal/stats"
 )
 
-// runSerialAndParallel predicts once, then runs the same search serially
-// and at the given worker count and returns both results.
+// runSerialAndParallel predicts once, then runs the serial oracle and the
+// engine at the given worker count and returns both results.
 func runSerialAndParallel(t *testing.T, p *Partitioning, cfg Config, h Heuristic, workers int) (serial, parallel SearchResult) {
 	t.Helper()
 	preds, err := PredictPartitions(p, cfg)
@@ -26,20 +26,16 @@ func runSerialAndParallel(t *testing.T, p *Partitioning, cfg Config, h Heuristic
 	return searchSerialAndParallel(t, p, cfg, preds, h, workers)
 }
 
-// searchSerialAndParallel compares the two engines over precomputed
-// predictions, so matrix tests pay for BAD only once per problem.
+// searchSerialAndParallel compares the engine with the serial oracle over
+// precomputed predictions, so matrix tests pay for BAD only once per
+// problem.
 func searchSerialAndParallel(t *testing.T, p *Partitioning, cfg Config,
 	preds []bad.Result, h Heuristic, workers int) (serial, parallel SearchResult) {
 	t.Helper()
-	scfg := cfg
-	scfg.Workers = 1
-	serial, err := Search(p, scfg, preds, h)
-	if err != nil {
-		t.Fatalf("serial search: %v", err)
-	}
+	serial = mustOracle(t, p, cfg, preds, h)
 	pcfg := cfg
 	pcfg.Workers = workers
-	parallel, err = Search(p, pcfg, preds, h)
+	parallel, err := Search(p, pcfg, preds, h)
 	if err != nil {
 		t.Fatalf("parallel search (%d workers): %v", workers, err)
 	}
@@ -218,8 +214,10 @@ func randomProblem(t *testing.T, seed int64) (*Partitioning, Config, error) {
 }
 
 // TestParallelMatchesSerialRandomized is the equivalence property test of
-// the tentpole: randomized DFGs, partitionings and configurations must
-// produce byte-identical serial and parallel results for both heuristics.
+// the engine: on randomized DFGs, partitionings and configurations, both
+// heuristics must reproduce the serial oracle byte for byte three ways —
+// Search at one worker, Search at several, and SearchShards over a seeded
+// random split of the shard indices merged by MergeShardResults.
 func TestParallelMatchesSerialRandomized(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -230,13 +228,58 @@ func TestParallelMatchesSerialRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: invalid problem: %v", seed, err)
 		}
+		preds, err := PredictPartitions(p, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: predict: %v", seed, err)
+		}
+		rng := rand.New(rand.NewSource(seed))
 		workers := 2 + int(seed%7)
 		for _, h := range []Heuristic{Enumeration, Iterative} {
-			serial, parallel := runSerialAndParallel(t, p, cfg, h, workers)
-			requireIdentical(t, serial, parallel,
-				fmt.Sprintf("seed=%d h=%s w=%d", seed, h, workers))
+			serial := mustOracle(t, p, cfg, preds, h)
+			for _, w := range []int{1, workers} {
+				wcfg := cfg
+				wcfg.Workers = w
+				parallel, err := Search(p, wcfg, preds, h)
+				if err != nil {
+					t.Fatalf("seed %d: search (%d workers): %v", seed, w, err)
+				}
+				requireIdentical(t, serial, parallel,
+					fmt.Sprintf("seed=%d h=%s w=%d", seed, h, w))
+			}
+			requireIdentical(t, serial, searchShardsSplit(t, p, cfg, preds, h, rng),
+				fmt.Sprintf("seed=%d h=%s split", seed, h))
 		}
 	}
+}
+
+// searchShardsSplit plans a random shard count, runs the plan's shards as
+// a seeded random split over separate SearchShards calls (the way a fleet
+// of workers would), and merges the union with MergeShardResults.
+func searchShardsSplit(t *testing.T, p *Partitioning, cfg Config, preds []bad.Result,
+	h Heuristic, rng *rand.Rand) SearchResult {
+	t.Helper()
+	plan, err := PlanShards(p, cfg, preds, h, 1+rng.Intn(16))
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	pending := rng.Perm(plan.Shards)
+	done := make(map[int]*SearchResult, plan.Shards)
+	for len(pending) > 0 {
+		n := 1 + rng.Intn(len(pending))
+		part, err := SearchShards(p, cfg, preds, h, plan.Shards, pending[:n])
+		if err != nil {
+			t.Fatalf("SearchShards(%v): %v", pending[:n], err)
+		}
+		for si, r := range part {
+			done[si] = r
+		}
+		pending = pending[n:]
+	}
+	merged, err := MergeShardResults(h, plan.Shards, done)
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	return merged
 }
 
 // TestParallelSearchRaceStress drives the sharded merger hard under the

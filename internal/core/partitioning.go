@@ -208,12 +208,13 @@ type Config struct {
 	// default — runs to completion. The check is a single atomic load per
 	// trial, invisible next to the integration work a trial performs.
 	Ctx context.Context
-	// Workers selects the search parallelism: 0 or 1 — the default — runs
-	// the single-threaded search, N > 1 evaluates combination shards on N
-	// worker goroutines, and any negative value uses GOMAXPROCS. The
-	// parallel search is deterministic: its SearchResult (Best ordering,
-	// Trials, FeasibleTrials, and Space when KeepAll is set) is identical
-	// to the serial result. See DESIGN.md, "Concurrency model".
+	// Workers sizes the search's worker pool: 0 or 1 — the default — runs
+	// the shards on the calling goroutine alone, N > 1 on N worker
+	// goroutines, and any negative value uses GOMAXPROCS. Every count runs
+	// the same shard engine and is deterministic: the SearchResult (Best
+	// ordering, Trials, FeasibleTrials, and Space when KeepAll is set) is
+	// identical at every worker count, and identical to the serial walk of
+	// the paper's heuristics. See DESIGN.md, "Concurrency model".
 	Workers int
 	// PredictCache, when non-nil, memoizes bad.Predict results across runs
 	// under their content key (partition structure + library + style +
@@ -226,9 +227,9 @@ type Config struct {
 	// completed, with their partial results — into a versioned JSON
 	// checkpoint at this path, written atomically (tmp + rename). An
 	// interrupted run (cancellation, deadline, crash after the last save)
-	// restarts from the snapshot when Resume is set. Checkpointing routes
-	// the search through the sharded engine even at Workers <= 1; the
-	// result is identical either way (see DESIGN.md, "Concurrency model").
+	// restarts from the snapshot when Resume is set. The shards are the
+	// engine's own at every worker count, so checkpointing changes nothing
+	// about the result (see DESIGN.md, "Concurrency model").
 	CheckpointPath string
 	// CheckpointEvery is the snapshot cadence in completed shards
 	// (default 1: every shard completion). Raising it trades durability
@@ -240,9 +241,10 @@ type Config struct {
 	// geometry changed) silently falls back to a fresh search — a
 	// checkpoint can only ever be replayed against the exact search that
 	// wrote it, so resumed results are byte-identical to uninterrupted
-	// ones. Enumeration shard geometry derives from Workers, so an
-	// enumeration checkpoint only resumes at the worker count that wrote
-	// it; iterative shards are worker-independent and resume at any count.
+	// ones. Enumeration shard geometry derives from Workers (Workers × 4
+	// shards, one worker included), so an enumeration checkpoint only
+	// resumes at the worker count that wrote it; iterative shards are
+	// worker-independent and resume at any count.
 	Resume bool
 	// Inject is the fault-injection hook (chaos testing): when non-nil,
 	// the instrumented sites — bad.predict, core.trial, checkpoint.save —
@@ -360,15 +362,12 @@ func predictPartitions(p *Partitioning, cfg Config, parent *obs.Span) ([]bad.Res
 		var r bad.Result
 		var err error
 		obs.DoLabeled(cfg.Ctx, func(context.Context) {
-			err = resilience.Guard("bad.predict", func() error {
+			err = guard(cfg.Metrics, "bad.predict", func() error {
 				var perr error
 				r, perr = bad.Predict(sub, bc)
 				return perr
 			})
 		}, "phase", "predict")
-		if _, panicked := resilience.IsPanic(err); panicked {
-			cfg.Metrics.Inc("resilience.panic_recovered")
-		}
 		if err != nil {
 			psp.End(obs.F("error", err.Error()))
 			sp.End()

@@ -7,7 +7,6 @@ import (
 
 	"chop/internal/bad"
 	"chop/internal/obs"
-	"chop/internal/resilience"
 )
 
 // Heuristic selects the combination-search strategy (paper section 2.4:
@@ -82,11 +81,6 @@ func search(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, parent
 	if err != nil {
 		return SearchResult{}, err
 	}
-	lists := make([][]bad.Design, len(preds))
-	for i, r := range preds {
-		lists[i] = r.Designs
-	}
-	workers := cfg.searchWorkers()
 	// Link the phase accounter into the live stats so run snapshots carry
 	// the per-phase breakdown (first attachment wins).
 	cfg.Stats.AttachPhases(cfg.Phases)
@@ -100,45 +94,23 @@ func search(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, parent
 		})
 	}
 	sp := obs.SpanUnder(cfg.Trace, parent, "Search",
-		obs.F("heuristic", h.String()), obs.F("workers", workers))
+		obs.F("heuristic", h.String()), obs.F("workers", cfg.searchWorkers()))
 	defer cfg.Metrics.Timer("core.search_us")()
-	if h != Enumeration && h != Iterative {
-		sp.End(obs.F("error", "unknown heuristic"))
-		return SearchResult{}, fmt.Errorf("core: unknown heuristic %d", h)
-	}
-	// Checkpointing rides on the sharded engine: shards are the unit of
-	// durability, and the engine's merge order makes a one-worker sharded
-	// run byte-identical to the serial walk (see parallel.go), so routing
-	// a checkpointed serial request through it changes nothing else.
-	sharded := workers > 1 || cfg.CheckpointPath != ""
 	var res SearchResult
 	var gerr error
 	// The engine runs under run/phase pprof labels, so a CPU profile
-	// sampled during the search slices by run and stage; workers inherit
-	// the labels through cfg.Ctx. The serial engines run on the caller's
-	// goroutine; the guard converts a panicking trial into an error here
-	// the same way runShard does for pool workers, so Search never takes
-	// down the process either way.
+	// sampled during the search slices by run and stage; pool workers
+	// inherit the labels through cfg.Ctx. Every shard has its own panic
+	// guard; this one catches a panic outside any shard (planning,
+	// checkpoint restore, merge), so Search never takes down the process.
 	obs.DoLabeled(cfg.Ctx, func(ctx context.Context) {
 		cfg.Ctx = ctx
-		gerr = resilience.Guard("core.search", func() error {
+		gerr = guard(cfg.Metrics, "core.search", func() error {
 			var serr error
-			switch {
-			case h == Enumeration && sharded:
-				res, serr = enumerateParallel(it, cfg, lists, sp)
-			case h == Enumeration:
-				res, serr = enumerate(it, cfg, lists, sp)
-			case sharded:
-				res, serr = iterativeParallel(it, cfg, lists, sp)
-			default:
-				res, serr = iterative(it, cfg, lists, sp)
-			}
+			res, serr = runSearch(it, cfg, preds, h, sp)
 			return serr
 		})
 	}, "run", cfg.Stats.Label(), "phase", "search", "trace", cfg.Trace.TraceID())
-	if _, panicked := resilience.IsPanic(gerr); panicked {
-		cfg.Metrics.Inc("resilience.panic_recovered")
-	}
 	emitPhases(cfg, sp)
 	sp.End(obs.F("trials", res.Trials), obs.F("feasible", res.FeasibleTrials),
 		obs.F("best", len(res.Best)))
@@ -210,41 +182,6 @@ func enumSpaceSize(cfg Config, lists [][]bad.Design) (int, error) {
 	return total, nil
 }
 
-func enumerate(it *integrator, cfg Config, lists [][]bad.Design, sp *obs.Span) (SearchResult, error) {
-	res := SearchResult{Heuristic: Enumeration}
-	total, err := enumSpaceSize(cfg, lists)
-	if err != nil || total == 0 {
-		return res, err
-	}
-	if sp != nil {
-		// Announce the enumeration-space size so live consumers (the
-		// -progress sink) can report trials as a fraction of the whole.
-		sp.Point("space", obs.F("combinations", total))
-	}
-	// The serial walk is one shard to the live stats and phase accounter.
-	cfg.Stats.StartSearch(1, int64(total))
-	cfg.Phases.StartSearch(1)
-	ss := cfg.Stats.ShardStats(0)
-	ss.Start(int64(total))
-	ph := cfg.Phases.Shard(0)
-	idx := make([]int, len(lists))
-	choice := make([]bad.Design, len(lists))
-	for {
-		if err := cfg.canceled(); err != nil {
-			return res, err
-		}
-		if err := enumTrial(it, cfg, &res, lists, idx, choice, sp, ss, ph); err != nil {
-			return res, err
-		}
-		if !advanceOdometer(idx, lists) {
-			break
-		}
-	}
-	ss.Done()
-	finishSearch(&res)
-	return res, nil
-}
-
 // enumTrial evaluates the combination named by idx and books it into res.
 // idx and choice are caller-owned scratch (one combination decode per
 // trial, no allocation); the evaluated choice itself is cloned before it
@@ -286,35 +223,6 @@ func advanceOdometer(idx []int, lists [][]bad.Design) bool {
 	return false
 }
 
-// iterative implements the paper's Figure 5 algorithm.
-func iterative(it *integrator, cfg Config, lists [][]bad.Design, sp *obs.Span) (SearchResult, error) {
-	res := SearchResult{Heuristic: Iterative}
-	for _, l := range lists {
-		if len(l) == 0 {
-			return res, nil // see enumerate: no viable combination exists
-		}
-	}
-	intervals := iterativeIntervals(cfg, lists)
-	if sp != nil {
-		sp.Point("space", obs.F("intervals", len(intervals)))
-	}
-	// One stats shard per candidate interval, matching the parallel
-	// engine's shard geometry; serialization walks have no a-priori trial
-	// count, so shard totals stay unknown.
-	cfg.Stats.StartSearch(len(intervals), 0)
-	cfg.Phases.StartSearch(len(intervals))
-	for i, l := range intervals {
-		ss := cfg.Stats.ShardStats(i)
-		ss.Start(0)
-		if err := iterativeInterval(it, cfg, lists, l, &res, sp, ss, cfg.Phases.Shard(i)); err != nil {
-			return res, err
-		}
-		ss.Done()
-	}
-	finishSearch(&res)
-	return res, nil
-}
-
 // iterativeIntervals computes the candidate system initiation intervals:
 // every distinct II offered by any partition that is not below the floor
 // imposed by the slowest partition's fastest design, bounded by the
@@ -352,11 +260,11 @@ func iterativeIntervals(cfg Config, lists [][]bad.Design) []int {
 	return intervals
 }
 
-// iterativeInterval runs the Figure-5 serialization loop for one candidate
-// system interval, booking every examined trial into res. The loop for one
-// interval is independent of every other interval's, which is what lets
-// iterativeParallel fan intervals out across workers and merge the
-// per-interval results back in interval order.
+// iterativeInterval runs the paper's Figure-5 serialization loop for one
+// candidate system interval, booking every examined trial into res. The
+// loop for one interval is independent of every other interval's, which is
+// what makes each interval one shard of the engine, merged back in
+// interval order.
 func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 	res *SearchResult, sp *obs.Span, ss *obs.ShardStats, ph *obs.PhaseHandle) error {
 
@@ -469,10 +377,9 @@ func cloneChoice(c []bad.Design) []bad.Design {
 // infeasible global predictions are discarded immediately unless KeepAll.
 // The pruning decision is emitted as a trace event when tracing is on.
 //
-// record always appends to a single-goroutine result: the serial search's
-// one SearchResult, or a parallel shard's private buffer (see mergeShard).
-// KeepAll runs therefore never interleave Space appends across shards, and
-// no mutex guards the result.
+// record always appends to a single-goroutine result, a shard's private
+// buffer (see mergeShards). KeepAll runs therefore never interleave Space
+// appends across shards, and no mutex guards the result.
 func record(res *SearchResult, cfg Config, g GlobalDesign, sp *obs.Span) {
 	if g.Feasible {
 		res.FeasibleTrials++

@@ -3,21 +3,18 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"chop/internal/bad"
 )
 
-// This file exports the shard decomposition that parallel.go uses
-// internally, so a search can be split across processes: a coordinator
-// (internal/dist) plans the shard geometry, farms shard index sets out to
-// chop serve workers (the "shard" job kind), and merges the per-shard
-// results in shard order. Because shard content depends only on the
-// problem, the search knobs and the geometry — all hashed into the plan
-// signature — any fleet executing the same plan produces the same
-// per-shard results, and MergeShardResults reduces them exactly like the
-// in-process engines do: byte-identical to a Workers=1 serial run.
+// This file exports the engine's shard decomposition, so a search can be
+// split across processes: a coordinator (internal/dist) plans the shard
+// geometry, farms shard index sets out to chop serve workers (the "shard"
+// job kind), and merges the per-shard results in shard order. Because
+// shard content depends only on the problem, the search knobs and the
+// geometry — all hashed into the plan signature — any fleet executing the
+// same plan produces the same per-shard results, and MergeShardResults
+// reduces them exactly like Search does: byte-identical to a local search.
 
 // ShardPlan fixes the deterministic decomposition of one search.
 type ShardPlan struct {
@@ -31,7 +28,7 @@ type ShardPlan struct {
 	// heuristic it equals Shards (one candidate interval per shard).
 	Total int `json:"total"`
 	// Signature fingerprints the problem content, search knobs and shard
-	// geometry (see searchSignature). Executors must refuse a plan whose
+	// geometry (see planSignature). Executors must refuse a plan whose
 	// locally recomputed signature differs: it would merge shards from a
 	// different search.
 	Signature string `json:"signature"`
@@ -46,178 +43,72 @@ type ShardPlan struct {
 // requested shard count, while enumeration plans only match at the shard
 // count they were planned with.
 func PlanShards(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, shards int) (ShardPlan, error) {
-	if h != Enumeration && h != Iterative {
-		return ShardPlan{}, fmt.Errorf("core: unknown heuristic %d", h)
-	}
-	lists := make([][]bad.Design, len(preds))
-	for i, r := range preds {
-		lists[i] = r.Designs
-	}
-	plan := ShardPlan{Heuristic: h}
-	switch h {
-	case Enumeration:
-		total, err := enumSpaceSize(cfg, lists)
-		if err != nil {
-			return ShardPlan{}, err
-		}
-		if shards <= 0 {
-			shards = cfg.searchWorkers() * shardsPerWorker
-		}
-		if shards > total {
-			shards = total
-		}
-		plan.Shards, plan.Total = shards, total
-	case Iterative:
-		for _, l := range lists {
-			if len(l) == 0 {
-				sig, err := searchSignature(p, cfg, h, lists, 0, 0)
-				if err != nil {
-					return ShardPlan{}, err
-				}
-				plan.Signature = sig
-				return plan, nil
-			}
-		}
-		n := len(iterativeIntervals(cfg, lists))
-		plan.Shards, plan.Total = n, n
-	}
-	sig, err := searchSignature(p, cfg, h, lists, plan.Shards, plan.Total)
+	pl, err := planSearch(cfg, preds, h, shards)
 	if err != nil {
 		return ShardPlan{}, err
 	}
-	plan.Signature = sig
-	return plan, nil
+	sig, err := planSignature(p, cfg, &pl)
+	if err != nil {
+		return ShardPlan{}, err
+	}
+	return ShardPlan{Heuristic: h, Shards: pl.shards, Total: pl.total, Signature: sig}, nil
 }
 
 // SearchShards executes the named shard indices of the plan (p, cfg, preds,
 // h, shards) and returns each shard's private result, keyed by shard index.
 // The caller supplies the plan's shard count — PlanShards with the same
 // inputs must have produced it — and any subset of [0, shards) to run.
-// Execution uses a local pool of cfg.searchWorkers() goroutines with the
-// same panic isolation and cancellation behavior as the in-process engines;
-// the first shard error (in shard order) aborts the remaining work.
+// Execution is Search's engine without a checkpointer: a pool of
+// cfg.searchWorkers() workers with the same panic isolation and
+// cancellation; the first shard error (in shard order) aborts the
+// remaining work.
 func SearchShards(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic,
 	shards int, indices []int) (map[int]*SearchResult, error) {
 
-	plan, err := PlanShards(p, cfg, preds, h, shards)
+	pl, err := planSearch(cfg, preds, h, shards)
 	if err != nil {
 		return nil, err
 	}
-	if plan.Shards != shards {
-		return nil, fmt.Errorf("core: shard plan mismatch: requested %d shards, plan has %d", shards, plan.Shards)
+	if pl.shards != shards {
+		return nil, fmt.Errorf("core: shard plan mismatch: requested %d shards, plan has %d", shards, pl.shards)
 	}
-	seen := make(map[int]bool, len(indices))
-	for _, si := range indices {
+	// Deterministic work order regardless of the caller's index order.
+	order := append([]int(nil), indices...)
+	sort.Ints(order)
+	for i, si := range order {
 		if si < 0 || si >= shards {
 			return nil, fmt.Errorf("core: shard index %d out of range [0,%d)", si, shards)
 		}
-		if seen[si] {
+		if i > 0 && order[i-1] == si {
 			return nil, fmt.Errorf("core: duplicate shard index %d", si)
 		}
-		seen[si] = true
 	}
 	it, err := newIntegrator(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	lists := make([][]bad.Design, len(preds))
-	for i, r := range preds {
-		lists[i] = r.Designs
-	}
-	var intervals []int
-	if h == Iterative {
-		intervals = iterativeIntervals(cfg, lists)
-	}
-	// Deterministic work order regardless of the caller's index order.
-	order := append([]int(nil), indices...)
-	sort.Ints(order)
-
 	// Size the live-stats table to the full plan so shard indices line up
 	// with what other executors of the same plan report; only the shards
 	// this call runs get populated.
-	cfg.Stats.StartSearch(shards, int64(plan.Total))
+	cfg.Stats.StartSearch(shards, pl.trialTotal())
 	cfg.Phases.StartSearch(shards)
-
-	outs := make([]shardOut, len(order))
-	workers := cfg.searchWorkers()
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var cursor atomic.Int64
-	var aborted atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			idx := make([]int, len(lists))
-			choice := make([]bad.Design, len(lists))
-			for {
-				oi := int(cursor.Add(1)) - 1
-				if oi >= len(order) || aborted.Load() {
-					return
-				}
-				si := order[oi]
-				out := &outs[oi]
-				ss := cfg.Stats.ShardStats(si)
-				ph := cfg.Phases.Shard(si)
-				stop := runShard(cfg, out, &aborted, nil, ss, si, func() error {
-					if h == Iterative {
-						ss.Start(0)
-						return iterativeInterval(it, cfg, lists, intervals[si], &out.res, nil, ss, ph)
-					}
-					lo, hi := shardRange(plan.Total, shards, si)
-					ss.Start(int64(hi - lo))
-					decodeCombination(lo, lists, idx)
-					for k := lo; k < hi; k++ {
-						if err := cfg.canceled(); err != nil {
-							return err
-						}
-						if aborted.Load() {
-							return errShardInterrupted
-						}
-						if err := enumTrial(it, cfg, &out.res, lists, idx, choice, nil, ss, ph); err != nil {
-							return err
-						}
-						advanceOdometer(idx, lists)
-					}
-					return nil
-				})
-				if stop {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	var first error
+	outs := make([]shardOut, shards)
+	runShards(it, cfg, &pl, order, outs, nil, nil)
 	done := make(map[int]*SearchResult, len(order))
-	for oi, si := range order {
-		if outs[oi].err != nil {
-			if first == nil {
-				first = outs[oi].err
-			}
-			continue
+	for _, si := range order {
+		if err := outs[si].err; err != nil {
+			return nil, err
 		}
-		if first == nil {
-			r := outs[oi].res
-			done[si] = &r
-		}
-	}
-	if first != nil {
-		return nil, first
+		done[si] = &outs[si].res
 	}
 	return done, nil
 }
 
 // MergeShardResults folds a complete done-set into the final result,
 // merging in shard-index order (the serial visit order) and applying the
-// same finishSearch reduction as the in-process engines. Every shard in
-// [0, shards) must be present; a missing one is an error, because a partial
-// merge would silently diverge from the serial result.
+// same finishSearch reduction as Search. Every shard in [0, shards) must be
+// present; a missing one is an error, because a partial merge would
+// silently diverge from the serial result.
 func MergeShardResults(h Heuristic, shards int, done map[int]*SearchResult) (SearchResult, error) {
 	res := SearchResult{Heuristic: h}
 	for si := 0; si < shards; si++ {

@@ -35,8 +35,8 @@ func planAndRunAll(t *testing.T, p *Partitioning, cfg Config, h Heuristic, shard
 
 // TestSearchShardsMergeMatchesSerial is the distributed substrate's core
 // promise: executing the planned shards (in any split) and merging the
-// done-set is byte-identical to a Workers=1 serial search, for both
-// heuristics and several shard counts.
+// done-set is byte-identical to the serial oracle, for both heuristics and
+// several shard counts.
 func TestSearchShardsMergeMatchesSerial(t *testing.T) {
 	p := arPartitioning(t, 2, 1)
 	for _, h := range []Heuristic{Enumeration, Iterative} {
@@ -46,12 +46,7 @@ func TestSearchShardsMergeMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("predict: %v", err)
 		}
-		scfg := cfg
-		scfg.Workers = 1
-		serial, err := Search(p, scfg, preds, h)
-		if err != nil {
-			t.Fatalf("serial: %v", err)
-		}
+		serial := mustOracle(t, p, cfg, preds, h)
 		want, err := json.Marshal(serial)
 		if err != nil {
 			t.Fatalf("marshal serial: %v", err)
@@ -109,12 +104,7 @@ func TestSearchShardsSubsetsCompose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	scfg := cfg
-	scfg.Workers = 1
-	serial, err := Search(p, scfg, preds, Enumeration)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
+	serial := mustOracle(t, p, cfg, preds, Enumeration)
 	want, _ := json.Marshal(serial)
 	got, _ := json.Marshal(merged)
 	if string(got) != string(want) {

@@ -1,29 +1,21 @@
 package dist
 
 import (
+	"context"
+	"errors"
 	"os"
-	"time"
 
 	"chop/internal/core"
 	"chop/internal/obs"
-	"chop/internal/resilience"
 )
 
-// The coordinator's checkpoint mirrors the in-process engine's: the unit
-// of durability is the shard, the envelope is the versioned chop-ckpt/1
-// format (resilience.SaveCheckpoint: atomic temp+rename), and the payload
-// is signed with the plan signature so a restarted coordinator refuses to
-// resume a snapshot from a different search.
-
-// checkpointKind tags the coordinator snapshot inside the envelope.
-const checkpointKind = "chop/dist-shards"
-
-// distCheckpoint is the persisted payload.
-type distCheckpoint struct {
-	Signature string                     `json:"signature"`
-	Shards    int                        `json:"shards"`
-	Done      map[int]*core.SearchResult `json:"done"`
-}
+// The coordinator checkpoints like the in-process engine: the unit of
+// durability is the shard, and the payload is core's ShardSnapshot (plan
+// signature + shard count + done-set) in the versioned chop-ckpt/1
+// envelope, loaded and saved through the same core helpers — so a
+// restarted coordinator refuses to resume a snapshot from a different
+// search. Only the save cadence and the dist.checkpoint.* metrics are the
+// coordinator's own.
 
 // restoreCheckpoint loads a matching snapshot into the done-set when
 // Resume is set. Load problems are not errors — the search starts fresh
@@ -32,27 +24,22 @@ func (c *Coordinator) restoreCheckpoint() {
 	if c.o.CheckpointPath == "" || !c.o.Resume {
 		return
 	}
-	var snap distCheckpoint
-	if err := resilience.LoadCheckpoint(c.o.CheckpointPath, checkpointKind, &snap); err != nil {
-		c.o.Metrics.Inc("dist.checkpoint.load_skipped")
-		return
-	}
-	if snap.Signature != c.plan.Signature || snap.Shards != c.plan.Shards {
+	done, err := core.LoadShardSnapshot(c.o.CheckpointPath, c.plan.Signature, c.plan.Shards)
+	switch {
+	case errors.Is(err, core.ErrSnapshotMismatch):
 		c.o.Metrics.Inc("dist.checkpoint.mismatch")
 		c.root.Point("checkpoint", obs.F("resumed", false), obs.F("reason", "signature-mismatch"))
 		return
+	case err != nil:
+		c.o.Metrics.Inc("dist.checkpoint.load_skipped")
+		return
 	}
-	restored := 0
-	for si, res := range snap.Done {
-		if si < 0 || si >= c.plan.Shards || res == nil {
-			continue
-		}
+	for si, res := range done {
 		c.done[si] = res
-		restored++
 	}
-	c.o.Metrics.Add("dist.shards.resumed", int64(restored))
+	c.o.Metrics.Add("dist.shards.resumed", int64(len(done)))
 	c.o.Log.Info("resumed from coordinator checkpoint",
-		"path", c.o.CheckpointPath, "shards", restored)
+		"path", c.o.CheckpointPath, "shards", len(done))
 }
 
 // maybeCheckpoint saves when the accepted-shard cadence is due.
@@ -60,11 +47,7 @@ func (c *Coordinator) maybeCheckpoint() {
 	if c.o.CheckpointPath == "" || c.ckptDue == 0 {
 		return
 	}
-	every := c.o.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	if c.ckptDue < every {
+	if c.ckptDue < max(c.o.CheckpointEvery, 1) {
 		return
 	}
 	c.saveCheckpoint()
@@ -79,24 +62,18 @@ func (c *Coordinator) flushCheckpoint() {
 	c.saveCheckpoint()
 }
 
-// saveCheckpoint writes one snapshot with a short retry, absorbing
-// transient I/O failures and injected "checkpoint.save" faults. A save
-// that still fails is recorded but does not kill the search — durability
-// is best-effort, exactly like the in-process checkpointer.
+// saveCheckpoint writes one snapshot. A save that still fails after
+// core.SaveShardSnapshot's retries is recorded but does not kill the
+// search — durability is best-effort, exactly like the in-process
+// checkpointer.
 func (c *Coordinator) saveCheckpoint() {
 	c.ckptDue = 0
-	snap := distCheckpoint{
+	// Not bound to the search context: the flush on the way out of a
+	// cancelled search must still write.
+	err := core.SaveShardSnapshot(context.Background(), c.o.CheckpointPath, c.o.Inject, core.ShardSnapshot{
 		Signature: c.plan.Signature,
 		Shards:    c.plan.Shards,
 		Done:      c.done,
-	}
-	err := resilience.Retry(nil, resilience.RetryPolicy{
-		Attempts: 3, BaseDelay: 5 * time.Millisecond, Seed: 1,
-	}, func() error {
-		if err := c.o.Inject.Fire("checkpoint.save"); err != nil {
-			return err
-		}
-		return resilience.SaveCheckpoint(c.o.CheckpointPath, checkpointKind, snap)
 	})
 	if err != nil {
 		c.o.Metrics.Inc("dist.checkpoint.save_failed")

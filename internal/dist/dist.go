@@ -2,8 +2,8 @@
 // coordinator that farms contiguous shard ranges of one planned search
 // (core.PlanShards) out to a fleet of chop serve workers over the REST API
 // and merges the per-shard results in visit order, so the answer is
-// byte-identical to a Workers=1 serial run at any fleet size and through
-// any worker failure.
+// byte-identical to a local core.Search at any fleet size and through any
+// worker failure.
 //
 // Every assignment is a lease with a deadline and a fencing epoch:
 //

@@ -356,7 +356,7 @@ func TestDistCoordinatorKillResume(t *testing.T) {
 func TestDistResumeRefusesForeignCheckpoint(t *testing.T) {
 	w1 := startWorker(t, serve.Options{})
 	path := t.TempDir() + "/dist.ckpt"
-	if err := resilience.SaveCheckpoint(path, checkpointKind, distCheckpoint{
+	if err := resilience.SaveCheckpoint(path, core.ShardSnapshotKind, core.ShardSnapshot{
 		Signature: "0000", Shards: 6,
 		Done: map[int]*core.SearchResult{0: {Trials: 999}},
 	}); err != nil {

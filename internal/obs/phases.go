@@ -136,6 +136,15 @@ func copyPhaseCell(dst, src *phaseCell) {
 // meaningful for single-goroutine (Workers=1) runs: the underlying
 // counters are process-wide, so concurrent allocators would cross-charge
 // each other's phases. `chop profile` is the intended caller.
+//
+// The counts are exact only in aggregate. The runtime books small-object
+// allocations per span, when a P's cached span is swapped out on refill
+// (runtime/mcache.go), not per object. A bracket's delta therefore lacks
+// the objects still sitting in the cached span at its end — up to one
+// span's worth per size class it allocated from, e.g. 8 objects (8 KiB)
+// for 1 KiB objects in 8 KiB spans — and may include objects allocated
+// just before it opened. Over many brackets the two errors cancel;
+// assert on a single small bracket only within that bound.
 func (a *PhaseAccounter) EnableAllocCounting() {
 	if a == nil {
 		return

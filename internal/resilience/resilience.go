@@ -38,10 +38,21 @@ func (e *PanicError) Error() string {
 // it unwind: the offending unit of work fails, the process survives. Use it
 // around every isolated work item — a search shard, a serve job — so one
 // poisoned input cannot take down a long sweep or the service plane.
-func Guard(site string, fn func() error) (err error) {
+func Guard(site string, fn func() error) error {
+	return GuardNotify(site, fn, nil)
+}
+
+// GuardNotify is Guard that also calls recovered (when non-nil) if, and
+// only if, this guard itself recovered a panic. An error that merely wraps
+// a panic some nested guard already recovered passes through without the
+// call, so a panic crossing several guards is counted exactly once.
+func GuardNotify(site string, fn func() error, recovered func()) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Site: site, Value: v, Stack: debug.Stack()}
+			if recovered != nil {
+				recovered()
+			}
 		}
 	}()
 	return fn()

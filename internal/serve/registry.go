@@ -839,8 +839,12 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 	// CPU profile of a busy server slices per run.
 	var result any
 	var err error
+	// Only a panic this guard recovers counts here: a search panic that
+	// core already recovered (and counted into perRun) comes back as a
+	// plain error and must not count twice.
+	countPanic := func() { r.metrics.Inc("resilience.panic_recovered") }
 	obs.DoLabeled(ctx, func(ctx context.Context) {
-		err = resilience.Guard("serve.job", func() error {
+		err = resilience.GuardNotify("serve.job", func() error {
 			if ierr := r.inject.FireCtx(ctx, "serve.job"); ierr != nil {
 				return ierr
 			}
@@ -868,7 +872,7 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 				Inject:     r.inject,
 			})
 			return jerr
-		})
+		}, countPanic)
 	}, "run", run.id, "kind", run.kind, "trace", run.trace.TraceID)
 
 	r.metrics.Merge(perRun)
@@ -904,8 +908,6 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 		return true
 	}
 
-	run.ring.Close()
-
 	run.mu.Lock()
 	run.finished = time.Now()
 	dur := run.finished.Sub(run.started)
@@ -927,6 +929,10 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 	}
 	state := run.state
 	run.mu.Unlock()
+	// End the event stream only after the terminal state is published: a
+	// client that waits for the SSE done event must never GET a run that
+	// still reads running.
+	run.ring.Close()
 
 	if timedOut {
 		r.metrics.Inc("serve.runs.timeout")
@@ -935,7 +941,6 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 		log.Warn("run timed out", "timeout", run.timeout)
 	}
 	if panicked {
-		r.metrics.Inc("resilience.panic_recovered")
 		log.Error("run panicked", "site", pe.Site, "value", fmt.Sprint(pe.Value))
 	}
 

@@ -15,6 +15,7 @@ import (
 
 	"chop/internal/obs"
 	"chop/internal/resilience"
+	"chop/internal/spec"
 )
 
 // chaosJobs is a job table exercising every failure shape the registry must
@@ -150,6 +151,34 @@ func TestJobPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, next, StateDone)
+}
+
+// TestEvalTrialPanicCountedOnce: a trial panic inside an eval job is
+// recovered (and counted) by core's shard guard; the job returns it as a
+// plain error, so the registry's job guard must not count it again.
+func TestEvalTrialPanicCountedOnce(t *testing.T) {
+	leakCheck(t)
+	m := obs.NewMetrics()
+	r := NewRegistry(RegistryOptions{
+		MaxConcurrent: 1, Jobs: DefaultJobs(), Metrics: m,
+		Inject: resilience.MustParse("core.trial=panic:@1"),
+	})
+	defer r.Shutdown(context.Background())
+	raw, err := json.Marshal(spec.Example())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := r.Submit("eval", raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, run, StateFailed)
+	if st := run.Status(false); !strings.Contains(st.Error, "panic recovered at core.search") {
+		t.Errorf("trial panic not surfaced structurally: %q", st.Error)
+	}
+	if n := m.Counter("resilience.panic_recovered"); n != 1 {
+		t.Errorf("resilience.panic_recovered = %d, want 1", n)
+	}
 }
 
 // TestInjectedJobFaults: the registry-level injector makes runs fail, panic

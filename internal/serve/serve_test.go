@@ -192,6 +192,49 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTerminalStateBeforeSSEDone: the registry publishes a run's terminal
+// state before it ends the event stream, so neither the SSE done event nor
+// a GET issued right after it ever reads a non-terminal state.
+func TestTerminalStateBeforeSSEDone(t *testing.T) {
+	_, ts := newTestServer(t, Options{MaxConcurrent: 2})
+	body := exampleSpecBody(t)
+	for i := 0; i < 100; i++ {
+		st, resp := postRun(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("run %d: submit status = %d", i, resp.StatusCode)
+		}
+		runURL := ts.URL + "/api/v1/runs/" + st.ID
+		sse, err := http.Get(runURL + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var done RunStatus
+		sawDone := false
+		sc := bufio.NewScanner(sse.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			line := sc.Text()
+			if line == "event: done" {
+				sawDone = true
+			} else if data, ok := strings.CutPrefix(line, "data: "); ok && sawDone {
+				if err := json.Unmarshal([]byte(data), &done); err != nil {
+					t.Fatalf("run %d: decode done event: %v", i, err)
+				}
+				break
+			}
+		}
+		sse.Body.Close()
+		if !sawDone {
+			t.Fatalf("run %d: event stream ended without done", i)
+		}
+		var got RunStatus
+		getJSON(t, runURL, &got)
+		if !done.State.Terminal() || !got.State.Terminal() {
+			t.Fatalf("run %d: done event state %q, GET after done %q", i, done.State, got.State)
+		}
+	}
+}
+
 func TestServeSSELiveStream(t *testing.T) {
 	// A blocking job emits one span, then waits: the SSE client must see
 	// the trace live (before the run ends), then the done event after
