@@ -308,9 +308,6 @@ type (
 	PushSink = obs.PushSink
 	// FileSink is a buffered JSONL sink backed by a file; Close flushes.
 	FileSink = obs.FileSink
-	// ProgressSink renders throttled human-readable progress lines from a
-	// live trace stream.
-	ProgressSink = obs.ProgressSink
 	// Profiler manages CPU/heap/block profiles around a run; see
 	// StartProfiler.
 	Profiler = obs.Profiler
@@ -363,9 +360,6 @@ var (
 	// NewTeeSink fans events out to several sinks (nils dropped; returns
 	// nil when none remain, which disables tracing).
 	NewTeeSink = obs.NewTeeSink
-	// NewProgressSink builds a throttled progress renderer; pass interval 0
-	// for the default cadence.
-	NewProgressSink = obs.NewProgressSink
 	// NewMetrics returns an empty metrics registry. Its WriteProm/PromText
 	// methods render Prometheus text exposition; Vars renders an
 	// expvar-style flat map.

@@ -24,9 +24,9 @@
 // The run-style commands (eval, synth, exp1, exp2, advise) share the
 // observability flags: -trace <file> records a JSONL trace, -metrics
 // prints the counter/histogram registry afterward, -prom <file> writes it
-// in Prometheus text format, -progress prints throttled live progress on
-// stderr, -stats-out <file> appends a JSONL telemetry time series (tail it
-// with 'chop top -f'), and -cpuprofile/-memprofile/-blockprofile collect
+// in Prometheus text format, -progress prints a live progress line on
+// stderr every 500 ms, -stats-out <file> appends a JSONL telemetry time
+// series (tail it with 'chop top -f'), and -cpuprofile/-memprofile/-blockprofile collect
 // runtime/pprof profiles. They also share the execution knobs: -workers selects the
 // search parallelism (deterministic — any worker count produces the serial
 // result) and -predict-cache memoizes BAD predictions in a bounded LRU.
@@ -175,7 +175,7 @@ eval, synth, exp1, exp2 and advise also accept:
   -trace file          record a JSONL trace of the run (replay with 'chop explain')
   -metrics             print the counter/histogram registry after the run
   -prom file           write the registry in Prometheus text format
-  -progress            print throttled live progress lines to stderr
+  -progress            print a live progress line to stderr every 500ms
   -stats-out file      append a JSONL stats sample (counter deltas, per-shard
                        search progress) every -stats-interval seconds; watch
                        live with 'chop top -f <file>'
@@ -322,7 +322,7 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 		trace:         fs.String("trace", "", "record a JSONL trace of the run to this file"),
 		metrics:       fs.Bool("metrics", false, "print the counter/histogram registry after the run"),
 		prom:          fs.String("prom", "", "write Prometheus text-format metrics to this file after the run"),
-		progress:      fs.Bool("progress", false, "print throttled live progress lines to stderr"),
+		progress:      fs.Bool("progress", false, "print a live progress line to stderr every 500ms"),
 		statsOut:      fs.String("stats-out", "", "append a JSONL stats sample (counters, deltas, shard table) to this file every -stats-interval"),
 		statsInterval: fs.Float64("stats-interval", 1, "sampling cadence of -stats-out in seconds"),
 		cpuprofile:    fs.String("cpuprofile", "", "write a CPU profile to this file"),
@@ -349,12 +349,12 @@ func (o *obsFlags) explicitlySet(name string) bool {
 	return set
 }
 
-// attach wires the requested tracer, metrics registry, progress sink and
-// profilers into cfg and returns a finish function to call once the run is
-// over: it prints the final progress line and the metrics dumps, flushes
-// and closes the buffered trace file, and stops the profilers. Output files
-// (-trace, -prom) are created eagerly so unwritable paths fail here, before
-// the run; on error, attach closes whatever it had already opened.
+// attach wires the requested tracer, metrics registry, run stats, progress
+// lines and profilers into cfg and returns a finish function to call once
+// the run is over: it prints the final progress line and the metrics dumps,
+// flushes and closes the buffered trace file, and stops the profilers.
+// Output files (-trace, -stats-out, -prom) are created eagerly so
+// unwritable paths fail here, before the run.
 func (o *obsFlags) attach(cfg *core.Config) (func() error, error) {
 	// The execution knobs override a spec-file setting only when given on
 	// the command line; otherwise whatever the spec put in cfg stands.
@@ -395,84 +395,48 @@ func (o *obsFlags) attach(cfg *core.Config) (func() error, error) {
 	} else if inj != nil {
 		cfg.Inject = inj
 	}
-	var sinks []obs.Sink
-	var file *obs.FileSink
-	if *o.trace != "" {
-		var err error
-		file, err = obs.NewFileSink(*o.trace)
-		if err != nil {
-			return nil, err
-		}
-		file.Inject(cfg.Inject) // "sink.write" chaos site; nil is inert
-		sinks = append(sinks, file)
-	}
-	var prog *obs.ProgressSink
-	if *o.progress {
-		prog = obs.NewProgressSink(os.Stderr, 0)
-		sinks = append(sinks, prog)
-	}
 	// The tracer adopts a caller's trace context when -traceparent is
 	// given, so a CLI run stitches under the caller's span in 'chop trace'.
 	topts := obs.TracerOptions{}
 	if *o.traceparent != "" {
 		tc, err := obs.ParseTraceparent(*o.traceparent)
 		if err != nil {
-			if file != nil {
-				file.Close()
-			}
 			return nil, fmt.Errorf("-traceparent: %w", err)
 		}
 		topts.Context = tc
 	}
-	cfg.Trace = obs.NewTracer(obs.NewTeeSink(sinks...), topts)
-	var m *obs.Metrics
-	if *o.metrics || *o.prom != "" || *o.statsOut != "" {
-		m = obs.NewMetrics()
-		cfg.Metrics = m
+	// Output files are created now, not after the run: an unwritable path
+	// must fail before minutes of search, and whatever was opened before
+	// the failing step is closed again on the way out.
+	var opened []io.Closer
+	fail := func(err error) (func() error, error) {
+		for _, c := range opened {
+			c.Close()
+		}
+		return nil, err
 	}
-	// The stats time series: a run-stats fold published by the search plus
-	// a periodic snapshotter appending one JSONL record per interval. The
-	// file is created eagerly like -prom, and the sampler starts now so the
-	// series covers prediction as well as search.
-	var statsFile *os.File
-	var snap *obs.Snapshotter
+	var err error
+	var file *obs.FileSink
+	if *o.trace != "" {
+		if file, err = obs.NewFileSink(*o.trace); err != nil {
+			return nil, err
+		}
+		opened = append(opened, file)
+		file.Inject(cfg.Inject) // "sink.write" chaos site; nil is inert
+		cfg.Trace = obs.NewTracer(file, topts)
+	}
+	var statsFile, promFile *os.File
 	if *o.statsOut != "" {
-		var err error
-		statsFile, err = os.Create(*o.statsOut)
-		if err != nil {
-			if file != nil {
-				file.Close()
-			}
-			return nil, err
+		if statsFile, err = os.Create(*o.statsOut); err != nil {
+			return fail(err)
 		}
-		cfg.Stats = obs.NewRunStats(o.fs.Name())
-		// Phase accounting rides along with the stats series: the search
-		// attaches the accounter to the run stats, so every sampled snapshot
-		// (and the final one) carries the per-phase breakdown chop top and
-		// chop explain -stats render.
-		cfg.Phases = obs.NewPhaseAccounter()
-		snap = obs.NewSnapshotter(obs.SnapshotterOptions{
-			Metrics: m, Stats: cfg.Stats, Out: statsFile,
-		})
-		snap.Run(time.Duration(*o.statsInterval * float64(time.Second)))
+		opened = append(opened, statsFile)
 	}
-	// Create the -prom file now, not after the run: an unwritable path
-	// must fail before minutes of search, and everything opened so far
-	// must be closed on the way out.
-	var promFile *os.File
 	if *o.prom != "" {
-		var err error
-		promFile, err = os.Create(*o.prom)
-		if err != nil {
-			if file != nil {
-				file.Close()
-			}
-			if statsFile != nil {
-				snap.Stop()
-				statsFile.Close()
-			}
-			return nil, err
+		if promFile, err = os.Create(*o.prom); err != nil {
+			return fail(err)
 		}
+		opened = append(opened, promFile)
 	}
 	prof, err := obs.StartProfiler(obs.ProfileConfig{
 		CPUFile:   *o.cpuprofile,
@@ -480,17 +444,34 @@ func (o *obsFlags) attach(cfg *core.Config) (func() error, error) {
 		BlockFile: *o.blockprofile,
 	})
 	if err != nil {
-		if file != nil {
-			file.Close()
-		}
-		if promFile != nil {
-			promFile.Close()
-		}
-		if statsFile != nil {
-			snap.Stop()
-			statsFile.Close()
-		}
-		return nil, err
+		return fail(err)
+	}
+	var m *obs.Metrics
+	if *o.metrics || promFile != nil || statsFile != nil {
+		m = obs.NewMetrics()
+		cfg.Metrics = m
+	}
+	// -stats-out and -progress read one run-stats fold published by the
+	// search, with phase accounting riding along: the search attaches the
+	// accounter to the run stats, so every sampled snapshot carries the
+	// per-phase breakdown chop top and chop explain -stats render.
+	if statsFile != nil || *o.progress {
+		cfg.Stats = obs.NewRunStats(o.fs.Name())
+		cfg.Phases = obs.NewPhaseAccounter()
+	}
+	// The stats time series: a periodic snapshotter appending one JSONL
+	// record per interval, started now so the series covers prediction as
+	// well as search.
+	var snap *obs.Snapshotter
+	if statsFile != nil {
+		snap = obs.NewSnapshotter(obs.SnapshotterOptions{
+			Metrics: m, Stats: cfg.Stats, Out: statsFile,
+		})
+		snap.Run(time.Duration(*o.statsInterval * float64(time.Second)))
+	}
+	var prog *progress
+	if *o.progress {
+		prog = startProgress(os.Stderr, cfg.Stats, cfg.Phases)
 	}
 	return func() error {
 		var first error
@@ -500,7 +481,7 @@ func (o *obsFlags) attach(cfg *core.Config) (func() error, error) {
 			}
 		}
 		if prog != nil {
-			prog.Flush()
+			prog.finish()
 		}
 		if snap != nil {
 			// Stop takes one final sample, so the series always ends with

@@ -1,0 +1,93 @@
+package main
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"chop/internal/core"
+	"chop/internal/obs"
+)
+
+// TestProgressContent: the line reports the prediction stage from the
+// phase accounter until a search starts, then the search's trials against
+// the planned total, its feasible count and the trial rate.
+func TestProgressContent(t *testing.T) {
+	stats, phases := obs.NewRunStats("test"), obs.NewPhaseAccounter()
+	p := &progress{stats: stats, phases: phases, start: time.Unix(1000, 0), last: time.Unix(1000, 0)}
+	g := phases.Global()
+	g.End(g.Begin(), obs.PhasePredict)
+	g.End(g.Begin(), obs.PhasePredict)
+	line := p.line(time.Unix(1001, 0))
+	for _, want := range []string{"chop: PredictPartitions ", "predictions=2", "trials=0 ", "elapsed=1s"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("prediction line %q missing %q", line, want)
+		}
+	}
+
+	stats.StartSearch(2, 40)
+	sh := stats.ShardStats(0)
+	for i := 0; i < 9; i++ {
+		sh.Trial(1, 1, i%3 == 0, "area")
+	}
+	line = p.line(time.Unix(1003, 0))
+	for _, want := range []string{"chop: Search ", "predictions=2", "trials=9/40", "feasible=3", "(4 trials/s)", "elapsed=3s"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("search line %q missing %q", line, want)
+		}
+	}
+}
+
+// TestProgressWithoutTraceBuildsNoTracer: -progress reads the RunStats and
+// phase pair -stats-out samples, so it attaches no tracer; given both
+// flags, the two share one pair.
+func TestProgressWithoutTraceBuildsNoTracer(t *testing.T) {
+	for _, args := range [][]string{
+		{"-progress"},
+		{"-progress", "-stats-out", filepath.Join(t.TempDir(), "stats.jsonl")},
+	} {
+		of := parseObs(t, args...)
+		var cfg core.Config
+		finish, err := of.attach(&cfg)
+		if err == nil {
+			err = finish()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Trace != nil {
+			t.Fatalf("%v built a tracer", args)
+		}
+		if cfg.Stats == nil || cfg.Phases == nil {
+			t.Fatalf("%v attached no RunStats/PhaseAccounter pair", args)
+		}
+	}
+}
+
+// lineWriter hands every write to a channel, so a test can wait for the
+// progress goroutine's output.
+type lineWriter chan string
+
+func (w lineWriter) Write(b []byte) (int, error) {
+	w <- string(b)
+	return len(b), nil
+}
+
+// TestProgressThrottle: lines come from a ticker, the first no earlier
+// than one interval after the start, and finish adds the final line.
+func TestProgressThrottle(t *testing.T) {
+	// Buffered so ticks landing while the test is between reads never
+	// block the goroutine finish waits for.
+	lines := make(lineWriter, 16)
+	start := time.Now()
+	p := startProgress(lines, obs.NewRunStats("test"), obs.NewPhaseAccounter())
+	<-lines
+	if d := time.Since(start); d < progressInterval {
+		t.Fatalf("first line after %v, inside the %v interval", d, progressInterval)
+	}
+	p.finish()
+	if final := <-lines; !strings.HasPrefix(final, "chop: PredictPartitions ") {
+		t.Fatalf("final line %q", final)
+	}
+}

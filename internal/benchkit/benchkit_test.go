@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"chop/internal/core"
 	"chop/internal/dfg"
 )
 
@@ -69,6 +70,26 @@ func TestParallelSearchWorkloads(t *testing.T) {
 		if w.Iters < 1 || w.NsPerOp <= 0 {
 			t.Fatalf("workload %s did not measure: %+v", w.Name, w)
 		}
+	}
+}
+
+// TestStressSearchReachesFeasible: the stress search behind the
+// search/stress, search/ckpt and search/stats workloads examines its full
+// 4,096-combination space and finds feasible designs, so the telemetry gate
+// times the feasible branch of the trial path, not only rejections.
+func TestStressSearchReachesFeasible(t *testing.T) {
+	if err := ensureStressProblem(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := stressProblem.cfg
+	cfg.Workers = 2
+	res, err := core.Search(stressProblem.p, cfg, stressProblem.preds, core.Enumeration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trials != 4096 || res.FeasibleTrials == 0 {
+		t.Fatalf("stress search: %d trials, %d feasible; want 4096 with at least one feasible",
+			res.Trials, res.FeasibleTrials)
 	}
 }
 

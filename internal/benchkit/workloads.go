@@ -86,10 +86,12 @@ func Workloads() []Workload {
 	return ws
 }
 
-// stressProblem lazily builds the shared stress search problem: a KeepAll
-// prediction (no level-1 pruning) truncated to 20 designs per partition,
-// which yields a stable 8000-combination enumeration — big enough that the
-// worker pool has real shards to drain, bounded enough to time repeatably.
+// stressProblem lazily builds the shared stress search problem: the 6x20
+// stress graph cut into six level partitions on six chips, with the four
+// fastest level-1-pruned designs of each partition. That is a stable
+// 4,096-combination enumeration, big enough that the worker pool has real
+// shards to drain, bounded enough to time repeatably, and with an eighth of
+// its trials feasible, so the timed searches take the feasible path too.
 var stressProblem struct {
 	once  sync.Once
 	p     *core.Partitioning
@@ -104,12 +106,15 @@ func ensureStressProblem() error {
 	s := &stressProblem
 	s.once.Do(func() {
 		g := StressDFG(6, 20, 16)
-		const parts = 3
+		const parts, keep = 6, 4
 		p := &core.Partitioning{
 			Graph:    g,
 			Parts:    dfg.LevelPartitions(g, parts),
-			PartChip: []int{0, 1, 2},
+			PartChip: make([]int, parts),
 			Chips:    chip.NewUniformSet(parts, chip.MOSISPackages()[1], 4),
+		}
+		for i := range p.PartChip {
+			p.PartChip[i] = i
 		}
 		cfg := core.Config{
 			Lib:    lib.ExtendedLibrary(),
@@ -118,17 +123,15 @@ func ensureStressProblem() error {
 				Perf:  stats.Constraint{Bound: 300000, MinProb: 1},
 				Delay: stats.Constraint{Bound: 300000, MinProb: 0.8},
 			},
-			KeepAll: true,
 		}
 		preds, err := core.PredictPartitions(p, cfg)
 		if err == nil {
 			for i := range preds {
-				if len(preds[i].Designs) > 20 {
-					preds[i].Designs = preds[i].Designs[:20]
+				if len(preds[i].Designs) > keep {
+					preds[i].Designs = preds[i].Designs[:keep]
 				}
 			}
 		}
-		cfg.KeepAll = false // search with level-2 pruning over the fixed lists
 		s.p, s.cfg, s.preds, s.err = p, cfg, preds, err
 	})
 	return s.err

@@ -95,8 +95,9 @@ func (pl *searchPlan) trialTotal() int64 {
 	return 0
 }
 
-// announce emits the search-space size as a "space" trace point, so live
-// consumers (the -progress sink) can report trials as a fraction of it.
+// announce emits the search-space size as a "space" trace point. The point
+// is part of the trace format; live consumers read the same total from the
+// run stats (trialTotal).
 func (pl *searchPlan) announce(sp *obs.Span) {
 	switch {
 	case sp == nil:
@@ -154,15 +155,14 @@ func runShards(it *integrator, cfg Config, pl *searchPlan, order []int, outs []s
 			}
 			si := order[oi]
 			out := &outs[si]
-			ss := cfg.Stats.ShardStats(si)
-			ph := cfg.Phases.Shard(si)
+			rec := newRecorder(cfg, sp, si)
 			body := func() error {
 				if pl.h == Iterative {
-					ss.Start(0)
-					return iterativeInterval(it, cfg, pl.lists, pl.intervals[si], &out.res, sp, ss, ph)
+					rec.start(0)
+					return iterativeInterval(it, cfg, pl.lists, pl.intervals[si], &out.res, rec)
 				}
 				lo, hi := shardRange(pl.total, pl.shards, si)
-				ss.Start(int64(hi - lo))
+				rec.start(int64(hi - lo))
 				decodeCombination(lo, pl.lists, idx)
 				for k := lo; k < hi; k++ {
 					if err := cfg.canceled(); err != nil {
@@ -171,7 +171,7 @@ func runShards(it *integrator, cfg Config, pl *searchPlan, order []int, outs []s
 					if aborted.Load() {
 						return errShardInterrupted
 					}
-					if err := enumTrial(it, cfg, &out.res, pl.lists, idx, choice, sp, ss, ph); err != nil {
+					if err := enumTrial(it, cfg, &out.res, pl.lists, idx, choice, rec); err != nil {
 						return err
 					}
 					advanceOdometer(idx, pl.lists)
@@ -192,7 +192,7 @@ func runShards(it *integrator, cfg Config, pl *searchPlan, order []int, outs []s
 				aborted.Store(true)
 				return
 			}
-			ss.Done()
+			rec.done()
 			cp.markDone(si, &out.res)
 		}
 	}

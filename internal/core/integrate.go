@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"chop/internal/bad"
 	"chop/internal/obs"
@@ -31,6 +30,7 @@ const (
 	ReasonPerf                // system initiation interval violates the Perf bound
 	ReasonDelay               // system delay violates the Delay bound
 	ReasonPower               // system power violates the Power bound
+	numReasons                // sizes per-reason tables
 )
 
 func (r Reason) String() string {
@@ -206,55 +206,16 @@ func selectionOK(d bad.Design, l int, clocks bad.Clocks) bool {
 	return ii <= l
 }
 
-// evalTrial wraps integrate with per-trial observability: a child span, a
-// "trial" point event carrying the feasibility outcome, the rejection
-// reason and its chip attribution, metrics counters/latency, the shard's
-// live stats cell (trial counters plus slow-trial exemplars), and the
-// shard's phase cell (whole-trial bracket whose unattributed remainder
-// books as the integrate phase). With tracing, metrics, stats and phases
-// all disabled it adds only four nil checks, so the search hot path is
-// unaffected by default.
-func (it *integrator) evalTrial(sp *obs.Span, ss *obs.ShardStats, ph *obs.PhaseHandle, choice []bad.Design, l int) (GlobalDesign, error) {
+// evalTrial runs one trial: the core.trial fault-injection site, then
+// integrate bracketed by rec, which books the outcome into every attached
+// telemetry plane (nil rec: none).
+func (it *integrator) evalTrial(rec *recorder, choice []bad.Design, l int) (GlobalDesign, error) {
 	if err := it.cfg.Inject.Fire("core.trial"); err != nil {
 		return GlobalDesign{}, err
 	}
-	m := it.cfg.Metrics
-	if sp == nil && m == nil && ss == nil && ph == nil {
-		return it.integrate(choice, l, nil)
-	}
-	tsp := sp.Child("integrate", obs.F("ii", l))
-	ptok := ph.BeginTrial()
-	t0 := time.Now()
-	g, err := it.integrate(choice, l, ph)
-	elapsed := time.Since(t0)
-	ph.EndTrial(ptok)
-	tsp.End(obs.F("feasible", g.Feasible), obs.F("reason", g.ReasonCode.String()))
-	if ss != nil {
-		reason := ""
-		if !g.Feasible {
-			reason = g.ReasonCode.String()
-		}
-		ss.Trial(float64(elapsed.Nanoseconds())/1e3, l, g.Feasible, reason)
-	}
-	if sp != nil {
-		fields := []obs.Field{obs.F("ii", l), obs.F("feasible", g.Feasible)}
-		if !g.Feasible {
-			fields = append(fields, obs.F("reason", g.ReasonCode.String()))
-			if g.ReasonChip >= 0 {
-				fields = append(fields, obs.F("chip", g.ReasonChip+1))
-			}
-		}
-		sp.Point("trial", fields...)
-	}
-	if m != nil {
-		m.Inc("core.trials")
-		m.Observe("core.integrate_us", float64(elapsed.Nanoseconds())/1e3)
-		if g.Feasible {
-			m.Inc("core.trials_feasible")
-		} else {
-			m.Inc("core.reject." + g.ReasonCode.String())
-		}
-	}
+	rec.begin(l)
+	g, err := it.integrate(choice, l, rec)
+	rec.end(&g, err)
 	return g, err
 }
 
@@ -267,8 +228,8 @@ func (it *integrator) evalTrial(sp *obs.Span, ss *obs.ShardStats, ph *obs.PhaseH
 // fails only on chip area — wide buses cost pad area — the combination is
 // re-evaluated with the narrow word-parallel bus (cfg.MaxBusPins), the
 // smarter pin allocation the paper's footnote 1 anticipates.
-func (it *integrator) integrate(choice []bad.Design, l int, ph *obs.PhaseHandle) (GlobalDesign, error) {
-	g, err := it.integrateBus(choice, l, 0, ph)
+func (it *integrator) integrate(choice []bad.Design, l int, rec *recorder) (GlobalDesign, error) {
+	g, err := it.integrateBus(choice, l, 0, rec)
 	if err != nil || g.Feasible || len(g.AreaViolations) == 0 {
 		return g, err
 	}
@@ -276,7 +237,7 @@ func (it *integrator) integrate(choice []bad.Design, l int, ph *obs.PhaseHandle)
 	if narrow <= 0 {
 		narrow = defaultBusPins
 	}
-	g2, err := it.integrateBus(choice, l, narrow, ph)
+	g2, err := it.integrateBus(choice, l, narrow, rec)
 	if err != nil {
 		return g, nil
 	}
@@ -287,10 +248,10 @@ func (it *integrator) integrate(choice []bad.Design, l int, ph *obs.PhaseHandle)
 }
 
 // integrateBus is integrate at a fixed bus-width cap (0 = maximum possible
-// bandwidth). ph brackets the schedule and xfer sections; a rejection
+// bandwidth). rec brackets the schedule and xfer sections; a rejection
 // inside a bracketed section abandons the bracket, so its time falls into
 // the trial's integrate remainder instead (see PhaseHandle.EndTrial).
-func (it *integrator) integrateBus(choice []bad.Design, l, busCap int, ph *obs.PhaseHandle) (GlobalDesign, error) {
+func (it *integrator) integrateBus(choice []bad.Design, l, busCap int, rec *recorder) (GlobalDesign, error) {
 	p, cfg := it.p, it.cfg
 	g := GlobalDesign{Choice: choice, IIMain: l, ReasonChip: -1}
 	// infeasible finalizes a rejection: chip is the 0-based chip the
@@ -319,7 +280,7 @@ func (it *integrator) integrateBus(choice []bad.Design, l, busCap int, ph *obs.P
 	// narrows to the fewest pins sustaining its transfer time so pads are
 	// not wasted.
 	type tinfo struct{ pins, xferMain int }
-	xtok := ph.Begin()
+	xtok := rec.phase()
 	tis := make([]tinfo, len(it.tasks))
 	for i, t := range it.tasks {
 		bwMax := xfer.Bandwidth(t, it.budget)
@@ -356,7 +317,7 @@ func (it *integrator) integrateBus(choice []bad.Design, l, busCap int, ph *obs.P
 		}
 		tis[i] = tinfo{pins: pins, xferMain: xm}
 	}
-	ph.End(xtok, obs.PhaseXfer)
+	rec.endPhase(xtok, obs.PhaseXfer)
 	// Steady-state pin capacity per chip: the pin-cycles demanded per
 	// interval must fit the budget.
 	for ci := range p.Chips.Chips {
@@ -432,16 +393,13 @@ func (it *integrator) integrateBus(choice []bad.Design, l, busCap int, ph *obs.P
 		}
 		utasks[nP+i] = ut
 	}
-	stok := ph.Begin()
+	stok := rec.phase()
 	sres, sstats, err := urgency.ScheduleStats(utasks, caps)
-	ph.End(stok, obs.PhaseSchedule)
+	rec.endPhase(stok, obs.PhaseSchedule)
 	if err != nil {
 		return infeasible(ReasonSchedule, -1, "task scheduling failed: %v", err)
 	}
-	if m := cfg.Metrics; m != nil {
-		m.Observe("core.urgency_tasks", float64(sstats.Tasks))
-		m.Observe("core.urgency_cycles", float64(sstats.Cycles))
-	}
+	rec.urgency(sstats)
 	g.DelayMain = sres.Makespan
 	for i, ut := range utasks {
 		span := TaskSpan{Name: ut.Name, Start: sres.Start[i], Dur: ut.Dur}
@@ -452,7 +410,7 @@ func (it *integrator) integrateBus(choice []bad.Design, l, busCap int, ph *obs.P
 	}
 
 	// ---- transfer modules (buffer sizing from wait + transfer times) ----
-	xtok = ph.Begin()
+	xtok = rec.phase()
 	g.Modules = make([]xfer.Module, len(it.tasks))
 	maxModCtrl := stats.Triplet{}
 	for i, t := range it.tasks {
@@ -475,7 +433,7 @@ func (it *integrator) integrateBus(choice []bad.Design, l, busCap int, ph *obs.P
 		g.Modules[i] = m
 		maxModCtrl = maxModCtrl.Max(m.CtrlDelay)
 	}
-	ph.End(xtok, obs.PhaseXfer)
+	rec.endPhase(xtok, obs.PhaseXfer)
 
 	// ---- per-chip area and pins ----
 	g.ChipArea = make([]stats.Triplet, len(p.Chips.Chips))

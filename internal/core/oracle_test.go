@@ -53,7 +53,7 @@ func oracleEnumerate(it *integrator, cfg Config, lists [][]bad.Design, res *Sear
 	idx := make([]int, len(lists))
 	choice := make([]bad.Design, len(lists))
 	for {
-		if err := enumTrial(it, cfg, res, lists, idx, choice, nil, nil, nil); err != nil {
+		if err := enumTrial(it, cfg, res, lists, idx, choice, nil); err != nil {
 			return err
 		}
 		if !advanceOdometer(idx, lists) {
@@ -66,7 +66,7 @@ func oracleEnumerate(it *integrator, cfg Config, lists [][]bad.Design, res *Sear
 // interval, fastest first.
 func oracleIterative(it *integrator, cfg Config, lists [][]bad.Design, res *SearchResult) error {
 	for _, l := range iterativeIntervals(cfg, lists) {
-		if err := iterativeInterval(it, cfg, lists, l, res, nil, nil, nil); err != nil {
+		if err := iterativeInterval(it, cfg, lists, l, res, nil); err != nil {
 			return err
 		}
 	}

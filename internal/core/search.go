@@ -84,15 +84,7 @@ func search(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, parent
 	// Link the phase accounter into the live stats so run snapshots carry
 	// the per-phase breakdown (first attachment wins).
 	cfg.Stats.AttachPhases(cfg.Phases)
-	// Attach the predictor-cache sampler to the live stats (first call
-	// wins, so reaching search through Run keeps Run's earlier baseline).
-	if cfg.Stats != nil && cfg.PredictCache != nil {
-		cache := cfg.PredictCache
-		cfg.Stats.SetCacheStatsFunc(func() (int64, int64) {
-			cs := cache.Stats()
-			return cs.Hits, cs.Misses
-		})
-	}
+	attachCacheSampler(cfg)
 	sp := obs.SpanUnder(cfg.Trace, parent, "Search",
 		obs.F("heuristic", h.String()), obs.F("workers", cfg.searchWorkers()))
 	defer cfg.Metrics.Timer("core.search_us")()
@@ -146,6 +138,19 @@ func Run(p *Partitioning, cfg Config, h Heuristic) (SearchResult, []bad.Result, 
 	defer cfg.Metrics.Timer("core.run_us")()
 	// Baseline the cache sampler before the predictions that use it, so the
 	// reported hit rate covers this run's own predictor work.
+	attachCacheSampler(cfg)
+	preds, err := predictPartitions(p, cfg, root)
+	if err != nil {
+		return SearchResult{}, nil, err
+	}
+	res, err := search(p, cfg, preds, h, root)
+	return res, preds, err
+}
+
+// attachCacheSampler attaches the predictor cache's hit/miss counters to
+// the live stats. The first call wins, so a search reached through Run
+// keeps Run's earlier baseline.
+func attachCacheSampler(cfg Config) {
 	if cfg.Stats != nil && cfg.PredictCache != nil {
 		cache := cfg.PredictCache
 		cfg.Stats.SetCacheStatsFunc(func() (int64, int64) {
@@ -153,12 +158,6 @@ func Run(p *Partitioning, cfg Config, h Heuristic) (SearchResult, []bad.Result, 
 			return cs.Hits, cs.Misses
 		})
 	}
-	preds, err := predictPartitions(p, cfg, root)
-	if err != nil {
-		return SearchResult{}, nil, err
-	}
-	res, err := search(p, cfg, preds, h, root)
-	return res, preds, err
 }
 
 // enumSpaceSize multiplies the per-partition design-list lengths into the
@@ -187,8 +186,7 @@ func enumSpaceSize(cfg Config, lists [][]bad.Design) (int, error) {
 // trial, no allocation); the evaluated choice itself is cloned before it
 // escapes into the result.
 func enumTrial(it *integrator, cfg Config, res *SearchResult,
-	lists [][]bad.Design, idx []int, choice []bad.Design, sp *obs.Span,
-	ss *obs.ShardStats, ph *obs.PhaseHandle) error {
+	lists [][]bad.Design, idx []int, choice []bad.Design, rec *recorder) error {
 
 	for i, j := range idx {
 		choice[i] = lists[i][j]
@@ -202,11 +200,11 @@ func enumTrial(it *integrator, cfg Config, res *SearchResult,
 		}
 	}
 	res.Trials++
-	g, err := it.evalTrial(sp, ss, ph, cloneChoice(choice), l)
+	g, err := it.evalTrial(rec, cloneChoice(choice), l)
 	if err != nil {
 		return err
 	}
-	record(res, cfg, g, sp)
+	record(res, cfg, g)
 	return nil
 }
 
@@ -266,7 +264,7 @@ func iterativeIntervals(cfg Config, lists [][]bad.Design) []int {
 // what makes each interval one shard of the engine, merged back in
 // interval order.
 func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
-	res *SearchResult, sp *obs.Span, ss *obs.ShardStats, ph *obs.PhaseHandle) error {
+	res *SearchResult, rec *recorder) error {
 
 	// Initialize W_i to the fastest valid implementation at interval l
 	// (paper: advance each W_i until L_i >= l or W_i is non-pipelined
@@ -287,11 +285,11 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 			choice[i] = lists[i][w[i]]
 		}
 		res.Trials++
-		g, err := it.evalTrial(sp, ss, ph, choice, l)
+		g, err := it.evalTrial(rec, choice, l)
 		if err != nil {
 			return err
 		}
-		record(res, cfg, g, sp)
+		record(res, cfg, g)
 		if g.Feasible {
 			return nil // Q := nil
 		}
@@ -315,11 +313,11 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 			}
 			trial[pi] = lists[pi][ni]
 			res.Trials++
-			tg, err := it.evalTrial(sp, ss, ph, trial, l)
+			tg, err := it.evalTrial(rec, trial, l)
 			if err != nil {
 				return err
 			}
-			record(res, cfg, tg, sp)
+			record(res, cfg, tg)
 			if bestQ < 0 || tg.DelayMain < bestDelay {
 				bestQ, bestDelay = pi, tg.DelayMain
 			}
@@ -329,13 +327,7 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 		}
 		// The Figure-5 serialization step: slow down bestQ's partition
 		// to shrink its area footprint on the violating chip.
-		if sp != nil {
-			sp.Point("serialize", obs.F("ii", l),
-				obs.F("partition", bestQ+1), obs.F("delay", bestDelay))
-		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.Inc("core.serializations")
-		}
+		rec.serialize(l, bestQ, bestDelay)
 		w[bestQ] = nextValid(lists[bestQ], w[bestQ], l, cfg)
 	}
 }
@@ -374,18 +366,16 @@ func cloneChoice(c []bad.Design) []bad.Design {
 }
 
 // record books a trial into the search result, applying level-2 pruning:
-// infeasible global predictions are discarded immediately unless KeepAll.
-// The pruning decision is emitted as a trace event when tracing is on.
+// infeasible global predictions are discarded immediately unless KeepAll
+// (the shard's recorder reports the pruning decision).
 //
 // record always appends to a single-goroutine result, a shard's private
 // buffer (see mergeShards). KeepAll runs therefore never interleave Space
 // appends across shards, and no mutex guards the result.
-func record(res *SearchResult, cfg Config, g GlobalDesign, sp *obs.Span) {
+func record(res *SearchResult, cfg Config, g GlobalDesign) {
 	if g.Feasible {
 		res.FeasibleTrials++
 		res.Best = append(res.Best, g)
-	} else if sp != nil && !cfg.KeepAll {
-		sp.Point("prune", obs.F("reason", g.ReasonCode.String()))
 	}
 	// Early-rejected combinations (rate mismatch, data clash) never reach
 	// the area/delay predictions and contribute no point to the figures.

@@ -275,9 +275,9 @@ func TestRecordKeepAllSpacePoints(t *testing.T) {
 	// Early-rejected combination (rate mismatch / data clash): integration
 	// never predicted areas, so it contributes no space point.
 	early := GlobalDesign{Feasible: false, ReasonCode: ReasonRateMismatch}
-	record(&res, cfg, feasible, nil)
-	record(&res, cfg, infeasible, nil)
-	record(&res, cfg, early, nil)
+	record(&res, cfg, feasible)
+	record(&res, cfg, infeasible)
+	record(&res, cfg, early)
 	if res.FeasibleTrials != 1 || len(res.Best) != 1 {
 		t.Fatalf("feasible bookkeeping: %d trials, %d best", res.FeasibleTrials, len(res.Best))
 	}
@@ -293,24 +293,27 @@ func TestRecordKeepAllSpacePoints(t *testing.T) {
 }
 
 func TestRecordEmitsPruneEvents(t *testing.T) {
-	// With pruning active (no KeepAll) and tracing on, each discarded
-	// trial must surface as a "prune" point carrying its reason.
-	cs := obs.NewCountingSink()
-	tr := obs.New(cs)
-	sp := tr.Span("Search")
-	var res SearchResult
-	record(&res, Config{}, GlobalDesign{Feasible: false, ReasonCode: ReasonArea}, sp)
-	record(&res, Config{}, GlobalDesign{Feasible: true}, sp)
-	sp.End()
+	// With pruning active (no KeepAll) and tracing on, the recorder must
+	// surface each discarded trial as a "prune" point carrying its reason.
+	book := func(cfg Config, designs ...GlobalDesign) *obs.CountingSink {
+		cs := obs.NewCountingSink()
+		sp := obs.New(cs).Span("Search")
+		rec := newRecorder(cfg, sp, 0)
+		for i := range designs {
+			rec.begin(1)
+			rec.end(&designs[i], nil)
+		}
+		sp.End()
+		return cs
+	}
+	cs := book(Config{},
+		GlobalDesign{Feasible: false, ReasonCode: ReasonArea, ReasonChip: -1},
+		GlobalDesign{Feasible: true, ReasonChip: -1})
 	if got := cs.Count(obs.KindPoint, "prune"); got != 1 {
 		t.Fatalf("prune points = %d, want 1", got)
 	}
 	// KeepAll retains everything, so nothing is pruned (or reported as such).
-	cs2 := obs.NewCountingSink()
-	sp2 := obs.New(cs2).Span("Search")
-	var res2 SearchResult
-	record(&res2, Config{KeepAll: true}, GlobalDesign{Feasible: false}, sp2)
-	sp2.End()
+	cs2 := book(Config{KeepAll: true}, GlobalDesign{Feasible: false, ReasonChip: -1})
 	if got := cs2.Count(obs.KindPoint, "prune"); got != 0 {
 		t.Fatalf("KeepAll emitted %d prune points", got)
 	}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -65,11 +64,19 @@ func (s *ExemplarStore) Observe(e Exemplar) {
 	if len(s.top) == k && e.DurUS <= s.top[len(s.top)-1].DurUS {
 		return
 	}
-	s.top = append(s.top, e)
-	sort.Slice(s.top, func(i, j int) bool { return s.top[i].DurUS > s.top[j].DurUS })
-	if len(s.top) > k {
-		s.top = s.top[:k]
+	// Insert in place (after equal durations), dropping the fastest entry
+	// once full: no allocation after the first admission.
+	if s.top == nil {
+		s.top = make([]Exemplar, 0, k)
 	}
+	if len(s.top) < k {
+		s.top = append(s.top, e)
+	}
+	i := len(s.top) - 1
+	for ; i > 0 && s.top[i-1].DurUS < e.DurUS; i-- {
+		s.top[i] = s.top[i-1]
+	}
+	s.top[i] = e
 	if len(s.top) == k {
 		s.floor.Store(math.Float64bits(s.top[len(s.top)-1].DurUS))
 	}

@@ -250,13 +250,15 @@ type TrialToken struct {
 	alloc     bool
 }
 
-// BeginTrial opens a whole-trial bracket.
-func (h *PhaseHandle) BeginTrial() TrialToken {
+// BeginTrial opens a whole-trial bracket starting at now. The caller
+// passes the instant so one clock read can time the trial for several
+// consumers.
+func (h *PhaseHandle) BeginTrial(now time.Time) TrialToken {
 	if h == nil {
 		return TrialToken{}
 	}
 	tok := TrialToken{
-		startNS: time.Now().UnixNano(),
+		startNS: now.UnixNano(),
 		schedNS: h.cell.ns[PhaseSchedule].Load(),
 		xferNS:  h.cell.ns[PhaseXfer].Load(),
 	}
@@ -271,15 +273,15 @@ func (h *PhaseHandle) BeginTrial() TrialToken {
 	return tok
 }
 
-// EndTrial closes a trial bracket: total wall time goes to trialNS, and
-// the portion not already booked to schedule or xfer during the trial is
-// booked as PhaseIntegrate. Attribution therefore sums to the measured
-// trial time by construction.
-func (h *PhaseHandle) EndTrial(tok TrialToken) {
+// EndTrial closes a trial bracket at now: total wall time goes to
+// trialNS, and the portion not already booked to schedule or xfer during
+// the trial is booked as PhaseIntegrate. Attribution therefore sums to the
+// measured trial time by construction.
+func (h *PhaseHandle) EndTrial(tok TrialToken, now time.Time) {
 	if h == nil {
 		return
 	}
-	total := time.Now().UnixNano() - tok.startNS
+	total := now.UnixNano() - tok.startNS
 	h.cell.trialNS.Add(total)
 	h.cell.trials.Add(1)
 	rest := total -

@@ -18,8 +18,8 @@ func TestNilPhaseAccounterIsNoOp(t *testing.T) {
 	var h *PhaseHandle
 	tok := h.Begin()
 	h.End(tok, PhasePredict)
-	tt := h.BeginTrial()
-	h.EndTrial(tt)
+	tt := h.BeginTrial(time.Now())
+	h.EndTrial(tt, time.Now())
 	if snap := a.Snapshot(); snap != nil {
 		t.Fatalf("nil accounter snapshot = %+v, want nil", snap)
 	}
@@ -62,7 +62,7 @@ func TestTrialRemainderSumsToTrialTime(t *testing.T) {
 	h := a.Shard(0)
 
 	for i := 0; i < 5; i++ {
-		tt := h.BeginTrial()
+		tt := h.BeginTrial(time.Now())
 		st := h.Begin()
 		time.Sleep(200 * time.Microsecond)
 		h.End(st, PhaseSchedule)
@@ -70,7 +70,7 @@ func TestTrialRemainderSumsToTrialTime(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 		h.End(xt, PhaseXfer)
 		time.Sleep(100 * time.Microsecond) // unbracketed: must land in integrate
-		h.EndTrial(tt)
+		h.EndTrial(tt, time.Now())
 	}
 
 	snap := a.Snapshot()

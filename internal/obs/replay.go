@@ -52,14 +52,22 @@ type Report struct {
 	// (traces from several serve jobs multiplexed into one sink). Untagged
 	// traces leave it empty; the top-level report always covers all events.
 	Runs map[string]*Report
-	// FirstTNS/LastTNS bound the trace's event times (tracer-relative
-	// nanoseconds); trialSecs buckets trial points per second for the
-	// timeline in FormatStats.
+	// FirstTNS/LastTNS bound the trace's event times: absolute
+	// (EpochNS+TNS, as Stitch aligns them) when events carry the epoch
+	// anchor, tracer-relative otherwise. Every serve run has a tracer of
+	// its own, so only the absolute form spans a multi-run trace.
 	FirstTNS, LastTNS int64
-	trialSecs         map[int64]*timelineBucket
+	// epochNS is the earliest tracer epoch seen (0: none), the origin of
+	// the trial timeline; trialAt holds each trial point's time and verdict
+	// (top-level report only) for FormatStats to bucket per second.
+	epochNS int64
+	trialAt []trialMark
 }
 
-type timelineBucket struct{ trials, feasible int }
+type trialMark struct {
+	tns      int64
+	feasible bool
+}
 
 func newReport() *Report {
 	return &Report{
@@ -67,81 +75,88 @@ func newReport() *Report {
 		Reasons:     make(map[string]int),
 		ChipReasons: make(map[int]map[string]int),
 		Partitions:  make(map[int]int),
-		trialSecs:   make(map[int64]*timelineBucket),
 		FirstTNS:    -1,
 	}
 }
 
-// Replay parses a JSONL trace (as written by WriterSink) and aggregates it
-// into a Report.
-func Replay(r io.Reader) (*Report, error) {
-	rep := newReport()
+// readEvents decodes a JSONL trace (as written by WriterSink) and hands
+// each event to fn in order. Blank lines are skipped, lines may be up to
+// 16 MB, and a malformed line fails the read with its line number. Replay
+// and Stitch both read traces through it.
+func readEvents(r io.Reader, fn func(Event)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	// Local span IDs restart at 1 per tracer, so multiplexed traces need
-	// one begin table per tracer identity — the (trace ID, run tag) pair —
-	// to attribute end events correctly. Two processes' files concatenated
-	// into one reader collide on local span IDs but never on trace IDs;
-	// traces predating the trace-ID field fall back to the run tag alone.
-	beginsByTracer := make(map[string]map[int64]map[string]any)
-	line := 0
-	for sc.Scan() {
-		line++
+	for line := 1; sc.Scan(); line++ {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
 		var ev Event
 		if err := json.Unmarshal(raw, &ev); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
+			return fmt.Errorf("line %d: %w", line, err)
 		}
-		key := ev.Trace + "\x00" + ev.Run
-		begins := beginsByTracer[key]
-		if begins == nil {
-			begins = make(map[int64]map[string]any)
-			beginsByTracer[key] = begins
-		}
-		rep.add(ev, begins)
+		fn(ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: reading trace: %w", err)
+		return fmt.Errorf("read: %w", err)
+	}
+	return nil
+}
+
+// Replay parses a JSONL trace (as written by WriterSink) and aggregates it
+// into a Report.
+func Replay(r io.Reader) (*Report, error) {
+	rep := newReport()
+	// Begin-side fields by span (keyed as Stitch keys spans), so end
+	// events are attributed even when several tracers' local IDs collide.
+	begins := make(map[spanKey]map[string]any)
+	err := readEvents(r, func(ev Event) {
+		key := spanKey{ev.Trace, spanRef("", ev)}
+		if ev.Run != "" {
+			if rep.Runs == nil {
+				rep.Runs = make(map[string]*Report)
+			}
+			sub := rep.Runs[ev.Run]
+			if sub == nil {
+				sub = newReport()
+				rep.Runs[ev.Run] = sub
+			}
+			sub.ingest(ev, begins[key])
+		}
+		rep.ingest(ev, begins[key])
+		if ev.Kind == KindPoint && ev.Name == "trial" {
+			feasible, _ := ev.Fields["feasible"].(bool)
+			rep.trialAt = append(rep.trialAt, trialMark{ev.Time(), feasible})
+		}
+		switch {
+		case ev.Kind == KindBegin && len(ev.Fields) > 0:
+			begins[key] = ev.Fields
+		case ev.Kind == KindEnd:
+			delete(begins, key)
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("obs: trace %w", err)
 	}
 	return rep, nil
 }
 
-// add folds one event into the aggregate report and, when the event is
-// run-tagged, into that run's sub-report. The sub-report reads begins
-// before the aggregate pass deletes consumed entries.
-func (r *Report) add(ev Event, begins map[int64]map[string]any) {
-	if ev.Run != "" {
-		if r.Runs == nil {
-			r.Runs = make(map[string]*Report)
-		}
-		sub := r.Runs[ev.Run]
-		if sub == nil {
-			sub = newReport()
-			r.Runs[ev.Run] = sub
-		}
-		sub.ingest(ev, begins, false)
-	}
-	r.ingest(ev, begins, true)
-}
-
-func (r *Report) ingest(ev Event, begins map[int64]map[string]any, consume bool) {
+// ingest folds one event into the report; begin holds the fields of the
+// begin event of the span it belongs to (e.g. which partition a BAD span
+// predicted).
+func (r *Report) ingest(ev Event, begin map[string]any) {
 	r.Events++
-	if r.FirstTNS < 0 || ev.TNS < r.FirstTNS {
-		r.FirstTNS = ev.TNS
+	at := ev.Time()
+	if r.FirstTNS < 0 || at < r.FirstTNS {
+		r.FirstTNS = at
 	}
-	if ev.TNS > r.LastTNS {
-		r.LastTNS = ev.TNS
+	if at > r.LastTNS {
+		r.LastTNS = at
+	}
+	if ev.EpochNS != 0 && (r.epochNS == 0 || ev.EpochNS < r.epochNS) {
+		r.epochNS = ev.EpochNS
 	}
 	switch ev.Kind {
-	case KindBegin:
-		// Remember begin-side fields so end events can be attributed
-		// (e.g. which partition a BAD span predicted).
-		if len(ev.Fields) > 0 {
-			begins[ev.Span] = ev.Fields
-		}
 	case KindEnd:
 		st := r.Stages[ev.Name]
 		st.Count++
@@ -151,32 +166,16 @@ func (r *Report) ingest(ev Event, begins map[int64]map[string]any, consume bool)
 		}
 		r.Stages[ev.Name] = st
 		if ev.Name == "BAD" {
-			if pi, ok := fieldInt(begins[ev.Span], "partition"); ok {
-				if kept, ok := fieldInt(ev.Fields, "kept"); ok {
-					r.Partitions[pi] = kept
-				}
+			pi, ok := fieldInt(begin, "partition")
+			if kept, kok := fieldInt(ev.Fields, "kept"); ok && kok {
+				r.Partitions[int(pi)] = int(kept)
 			}
-		}
-		if consume {
-			delete(begins, ev.Span)
 		}
 	case KindPoint:
 		switch ev.Name {
 		case "trial":
 			r.Trials++
-			feasible, _ := ev.Fields["feasible"].(bool)
-			if r.trialSecs != nil {
-				tb := r.trialSecs[ev.TNS/1e9]
-				if tb == nil {
-					tb = &timelineBucket{}
-					r.trialSecs[ev.TNS/1e9] = tb
-				}
-				tb.trials++
-				if feasible {
-					tb.feasible++
-				}
-			}
-			if feasible {
+			if feasible, _ := ev.Fields["feasible"].(bool); feasible {
 				r.Feasible++
 				return
 			}
@@ -186,10 +185,10 @@ func (r *Report) ingest(ev Event, begins map[int64]map[string]any, consume bool)
 			}
 			r.Reasons[reason]++
 			if chip, ok := fieldInt(ev.Fields, "chip"); ok && chip > 0 {
-				if r.ChipReasons[chip] == nil {
-					r.ChipReasons[chip] = make(map[string]int)
+				if r.ChipReasons[int(chip)] == nil {
+					r.ChipReasons[int(chip)] = make(map[string]int)
 				}
-				r.ChipReasons[chip][reason]++
+				r.ChipReasons[int(chip)][reason]++
 			}
 		case "serialize":
 			r.Serializations++
@@ -199,7 +198,7 @@ func (r *Report) ingest(ev Event, begins map[int64]map[string]any, consume bool)
 			// Cumulative totals: a later point supersedes earlier ones.
 			r.PhaseNS = make(map[string]int64, len(ev.Fields))
 			for k := range ev.Fields {
-				n, ok := fieldInt64(ev.Fields, k)
+				n, ok := fieldInt(ev.Fields, k)
 				if !ok {
 					continue
 				}
@@ -216,20 +215,9 @@ func (r *Report) ingest(ev Event, begins map[int64]map[string]any, consume bool)
 	}
 }
 
-// fieldInt reads a numeric field (JSON numbers decode as float64).
-func fieldInt(fields map[string]any, key string) (int, bool) {
-	switch v := fields[key].(type) {
-	case float64:
-		return int(v), true
-	case int:
-		return v, true
-	}
-	return 0, false
-}
-
-// fieldInt64 is fieldInt for nanosecond-scale values (live, un-serialized
-// events carry int64 fields; replayed JSON carries float64).
-func fieldInt64(fields map[string]any, key string) (int64, bool) {
+// fieldInt reads a numeric field: replayed JSON carries float64, live
+// (un-serialized) events their int family.
+func fieldInt(fields map[string]any, key string) (int64, bool) {
 	switch v := fields[key].(type) {
 	case float64:
 		return int64(v), true
@@ -251,24 +239,14 @@ func (r *Report) Format() string {
 	if len(r.Stages) > 0 {
 		b.WriteString("time breakdown per stage:\n")
 		fmt.Fprintf(&b, "  %-20s %8s %12s %12s %12s\n", "stage", "count", "total", "avg", "max")
-		names := make([]string, 0, len(r.Stages))
-		for k := range r.Stages {
-			names = append(names, k)
+		totals := make(map[string]int64, len(r.Stages))
+		for k, st := range r.Stages {
+			totals[k] = st.TotalNS
 		}
-		sort.Slice(names, func(i, j int) bool {
-			if r.Stages[names[i]].TotalNS != r.Stages[names[j]].TotalNS {
-				return r.Stages[names[i]].TotalNS > r.Stages[names[j]].TotalNS
-			}
-			return names[i] < names[j]
-		})
-		for _, k := range names {
-			st := r.Stages[k]
-			avg := time.Duration(0)
-			if st.Count > 0 {
-				avg = time.Duration(st.TotalNS / int64(st.Count))
-			}
-			fmt.Fprintf(&b, "  %-20s %8d %12s %12s %12s\n", k, st.Count,
-				fmtDur(st.TotalNS), fmtDur(avg.Nanoseconds()), fmtDur(st.MaxNS))
+		for _, rc := range sortedCounts(totals) {
+			st := r.Stages[rc.k]
+			fmt.Fprintf(&b, "  %-20s %8d %12s %12s %12s\n", rc.k, st.Count,
+				fmtDur(st.TotalNS), fmtDur(st.TotalNS/int64(max(st.Count, 1))), fmtDur(st.MaxNS))
 		}
 		b.WriteString("\n")
 	}
@@ -328,16 +306,8 @@ func (r *Report) Format() string {
 // offline from trial-point timestamps. Printed by `chop explain -stats`.
 func (r *Report) FormatStats() string {
 	var b strings.Builder
-	span := r.LastTNS - r.FirstTNS
-	if r.FirstTNS < 0 {
-		span = 0
-	}
-	secs := float64(span) / 1e9
+	span, rate := r.span()
 	fmt.Fprintf(&b, "trace: %d events over %s\n", r.Events, fmtDur(span))
-	rate := 0.0
-	if secs > 0 {
-		rate = float64(r.Trials) / secs
-	}
 	fmt.Fprintf(&b, "trials: %d examined, %d feasible, %.0f trials/s avg\n",
 		r.Trials, r.Feasible, rate)
 
@@ -345,23 +315,15 @@ func (r *Report) FormatStats() string {
 		b.WriteString("\nphase attribution (cumulative over the trace's searches):\n")
 		fmt.Fprintf(&b, "  %-14s %12s %8s\n", "phase", "total", "share")
 		var attributed int64
-		names := make([]string, 0, len(r.PhaseNS))
-		for k := range r.PhaseNS {
-			names = append(names, k)
-			attributed += r.PhaseNS[k]
+		for _, ns := range r.PhaseNS {
+			attributed += ns
 		}
-		sort.Slice(names, func(i, j int) bool {
-			if r.PhaseNS[names[i]] != r.PhaseNS[names[j]] {
-				return r.PhaseNS[names[i]] > r.PhaseNS[names[j]]
-			}
-			return names[i] < names[j]
-		})
-		for _, k := range names {
+		for _, rc := range sortedCounts(r.PhaseNS) {
 			pct := 0.0
 			if attributed > 0 {
-				pct = 100 * float64(r.PhaseNS[k]) / float64(attributed)
+				pct = 100 * float64(rc.n) / float64(attributed)
 			}
-			fmt.Fprintf(&b, "  %-14s %12s %7.1f%%\n", k, fmtDur(r.PhaseNS[k]), pct)
+			fmt.Fprintf(&b, "  %-14s %12s %7.1f%%\n", rc.k, fmtDur(rc.n), pct)
 		}
 		if r.PhaseTrialNS > 0 {
 			// Coverage counts only the in-trial phases, matching
@@ -384,37 +346,37 @@ func (r *Report) FormatStats() string {
 		sort.Strings(ids)
 		for _, id := range ids {
 			sub := r.Runs[id]
-			subSecs := float64(sub.LastTNS-sub.FirstTNS) / 1e9
-			subRate := 0.0
-			if subSecs > 0 {
-				subRate = float64(sub.Trials) / subSecs
-			}
+			_, subRate := sub.span()
 			fmt.Fprintf(&b, "  %-24s %8d %10d %10d %12.0f\n",
 				id, sub.Events, sub.Trials, sub.Feasible, subRate)
 		}
 	}
 
-	if len(r.trialSecs) > 0 {
+	if len(r.trialAt) > 0 {
 		b.WriteString("\ntrial rate timeline (trials per second of trace time):\n")
-		offs := make([]int64, 0, len(r.trialSecs))
+		type bucket struct{ trials, feasible int }
+		buckets := make(map[int64]*bucket)
+		var offs []int64
 		peak := 0
-		for s, tb := range r.trialSecs {
-			offs = append(offs, s)
-			if tb.trials > peak {
-				peak = tb.trials
+		for _, m := range r.trialAt {
+			s := (m.tns - r.epochNS) / 1e9
+			tb := buckets[s]
+			if tb == nil {
+				tb = &bucket{}
+				buckets[s] = tb
+				offs = append(offs, s)
 			}
+			tb.trials++
+			if m.feasible {
+				tb.feasible++
+			}
+			peak = max(peak, tb.trials)
 		}
 		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
 		const barWidth = 40
 		for _, s := range offs {
-			tb := r.trialSecs[s]
-			n := 0
-			if peak > 0 {
-				n = tb.trials * barWidth / peak
-			}
-			if n == 0 && tb.trials > 0 {
-				n = 1
-			}
+			tb := buckets[s]
+			n := max(tb.trials*barWidth/peak, 1)
 			fmt.Fprintf(&b, "  %4ds %-*s %8d trials %6d feasible\n",
 				s, barWidth, strings.Repeat("#", n), tb.trials, tb.feasible)
 		}
@@ -422,15 +384,28 @@ func (r *Report) FormatStats() string {
 	return b.String()
 }
 
-type kc struct {
-	k string
-	n int
+// span returns the time the report's events cover and the trial rate
+// over it.
+func (r *Report) span() (ns int64, trialsPerSec float64) {
+	if r.FirstTNS < 0 {
+		return 0, 0
+	}
+	if ns = r.LastTNS - r.FirstTNS; ns > 0 {
+		trialsPerSec = float64(r.Trials) / (float64(ns) / 1e9)
+	}
+	return ns, trialsPerSec
 }
 
-func sortedCounts(m map[string]int) []kc {
+type kc struct {
+	k string
+	n int64
+}
+
+// sortedCounts lists m's entries by descending count, then by key.
+func sortedCounts[N int | int64](m map[string]N) []kc {
 	out := make([]kc, 0, len(m))
 	for k, n := range m {
-		out = append(out, kc{k, n})
+		out = append(out, kc{k, int64(n)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].n != out[j].n {

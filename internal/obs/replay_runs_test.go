@@ -105,3 +105,48 @@ func TestFormatStats(t *testing.T) {
 		t.Errorf("untagged stats report wrong:\n%s", out2)
 	}
 }
+
+// TestFormatStatsMultiEpoch: every serve run has a tracer of its own, so a
+// `chop serve -trace` file mixes tracer-relative clocks. Two tracers whose
+// epochs lie 1.5 s apart must replay on one absolute time base: a ~1.5 s
+// span and two one-second timeline buckets, not both runs folded into
+// second 0.
+func TestFormatStatsMultiEpoch(t *testing.T) {
+	const epochA, epochB = int64(1_700_000_000_000_000_000), int64(1_700_000_001_500_000_000)
+	var trace strings.Builder
+	for _, tr := range []struct {
+		run   string
+		epoch int64
+	}{{"r-a", epochA}, {"r-b", epochB}} {
+		for _, ev := range []Event{
+			{TNS: 1_000, Kind: KindBegin, Name: "Search", Span: 1},
+			{TNS: 40_000, Kind: KindPoint, Name: "trial", Span: 1, Fields: map[string]any{"feasible": true}},
+			{TNS: 90_000, Kind: KindPoint, Name: "trial", Span: 1, Fields: map[string]any{"feasible": false, "reason": "area"}},
+			{TNS: 131_000, Kind: KindEnd, Name: "Search", Span: 1, DurNS: 130_000},
+		} {
+			ev.Run, ev.EpochNS = tr.run, tr.epoch
+			trace.WriteString(line(t, ev))
+		}
+	}
+	rep, err := Replay(strings.NewReader(trace.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if span := rep.LastTNS - rep.FirstTNS; span != 1_500_130_000 {
+		t.Fatalf("trace spans %d ns, want 1.50013 s", span)
+	}
+	out := rep.FormatStats()
+	for _, want := range []string{
+		"8 events over 1.50013s",
+		"trials: 4 examined, 2 feasible, 3 trials/s avg",
+		"     0s ",
+		"     1s ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stats report missing %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, " trials      1 feasible"); n != 2 {
+		t.Errorf("want two timeline buckets of 2 trials / 1 feasible, got %d:\n%s", n, out)
+	}
+}

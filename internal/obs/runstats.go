@@ -176,18 +176,6 @@ func (h *ShardStats) Start(totalTrials int64) {
 	h.cell.startNS.Store(h.s.nowNS())
 }
 
-// AddTrials publishes n more examined trials, f of them feasible. One
-// atomic add each; call per trial or batched, whichever the loop prefers.
-func (h *ShardStats) AddTrials(n, f int64) {
-	if h == nil {
-		return
-	}
-	h.cell.trials.Add(n)
-	if f != 0 {
-		h.cell.feasible.Add(f)
-	}
-}
-
 // Trial books one finished trial: the shard's counters advance, and the
 // trial is offered to the run's slow-trial exemplar store (a single atomic
 // threshold load unless the trial ranks among the slowest seen).

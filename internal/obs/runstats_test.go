@@ -15,7 +15,7 @@ func TestNilRunStatsIsNoOp(t *testing.T) {
 		t.Fatalf("nil RunStats returned a shard handle")
 	}
 	h.Start(10)
-	h.AddTrials(1, 1)
+	addTrials(h, 1, 1)
 	h.Trial(5, 1, true, "")
 	h.Done()
 	h.Restored(1, 1)
@@ -54,7 +54,7 @@ func TestRunStatsLifecycle(t *testing.T) {
 
 	h1 := s.ShardStats(1)
 	h1.Start(10)
-	h1.AddTrials(4, 1)
+	addTrials(h1, 4, 1)
 
 	snap = s.Snapshot()
 	if snap.Trials != 14 || snap.Feasible != 6 {
@@ -71,7 +71,7 @@ func TestRunStatsLifecycle(t *testing.T) {
 		t.Fatal("Done with a running shard")
 	}
 
-	h1.AddTrials(6, 0)
+	addTrials(h1, 6, 0)
 	h1.Done()
 	s.ShardStats(2).Start(10)
 	s.ShardStats(2).Done()
@@ -153,7 +153,7 @@ func TestRunStatsCheckpointLag(t *testing.T) {
 func TestRunStatsStartSearchResets(t *testing.T) {
 	s := NewRunStats("x")
 	s.StartSearch(2, 10)
-	s.ShardStats(0).AddTrials(5, 2)
+	addTrials(s.ShardStats(0), 5, 2)
 	s.StartSearch(3, 9)
 	snap := s.Snapshot()
 	if snap.Trials != 0 || snap.Shards != 3 || snap.Total != 9 {
@@ -195,7 +195,7 @@ func TestRunStatsResumedShardETA(t *testing.T) {
 	s.ShardStats(0).Restored(10, 4)
 	h1 := s.ShardStats(1)
 	h1.Start(10)
-	h1.AddTrials(5, 1)
+	addTrials(h1, 5, 1)
 
 	snap := s.Snapshot()
 	resumed := snap.ShardTable[0]
@@ -300,5 +300,13 @@ func TestRunStatsConcurrentPublish(t *testing.T) {
 	}
 	if !snap.Done() {
 		t.Fatalf("not done: %+v", snap)
+	}
+}
+
+// addTrials books n zero-duration trials on h, the first f of them
+// feasible. Zero-duration trials never rank as slow-trial exemplars.
+func addTrials(h *ShardStats, n, f int) {
+	for i := 0; i < n; i++ {
+		h.Trial(0, 0, i < f, "")
 	}
 }

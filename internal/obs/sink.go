@@ -12,7 +12,7 @@ type teeSink []Sink
 
 // NewTeeSink returns a sink that forwards every event to each of the given
 // sinks in order, so one run can feed a file trace and a live consumer (a
-// ProgressSink, a test harness) simultaneously. Nil sinks are dropped; a
+// ring buffer, a test harness) simultaneously. Nil sinks are dropped; a
 // single remaining sink is returned unwrapped, and nil is returned when
 // nothing remains (obs.New then disables tracing).
 func NewTeeSink(sinks ...Sink) Sink {

@@ -54,7 +54,7 @@ func TestSnapshotterJSONLAndRunStats(t *testing.T) {
 
 	rs := NewRunStats("run-7")
 	rs.StartSearch(1, 10)
-	rs.ShardStats(0).AddTrials(3, 1)
+	addTrials(rs.ShardStats(0), 3, 1)
 	s.SetStats(rs)
 	s.Tick()
 

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -79,10 +76,6 @@ type StitchTrace struct {
 // traces they jointly recorded, sorted by start time. An unreadable or
 // syntactically broken source fails the whole stitch (partial merges lie).
 func Stitch(sources []StitchSource) ([]*StitchTrace, error) {
-	type spanKey struct {
-		trace string
-		ref   string
-	}
 	spans := make(map[spanKey]*StitchSpan)
 	var order []spanKey
 	pointsMissed := make(map[string]int) // trace ID -> points with no span
@@ -92,28 +85,10 @@ func Stitch(sources []StitchSource) ([]*StitchTrace, error) {
 		if name == "" {
 			name = fmt.Sprintf("source-%d", si+1)
 		}
-		sc := bufio.NewScanner(src.R)
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-		line := 0
-		for sc.Scan() {
-			line++
-			raw := bytes.TrimSpace(sc.Bytes())
-			if len(raw) == 0 {
-				continue
-			}
-			var ev Event
-			if err := json.Unmarshal(raw, &ev); err != nil {
-				return nil, fmt.Errorf("obs: stitch %s line %d: %w", name, line, err)
-			}
-			// Identity fallbacks for chop-trace/1 files predating the
-			// distributed fields: span IDs synthesized per (source, run,
-			// local ID) stay self-consistent within one tracer.
-			ref := ev.SID
-			if ref == "" && ev.Span != 0 {
-				ref = localRef(name, ev.Run, ev.Span)
-			}
+		err := readEvents(src.R, func(ev Event) {
+			ref := spanRef(name, ev)
 			if ref == "" {
-				continue // not attached to any span (shouldn't happen)
+				return // not attached to any span (shouldn't happen)
 			}
 			key := spanKey{trace: ev.Trace, ref: ref}
 			sp := spans[key]
@@ -161,16 +136,16 @@ func Stitch(sources []StitchSource) ([]*StitchTrace, error) {
 			case KindPoint:
 				if sp == nil {
 					pointsMissed[ev.Trace]++
-					continue
+					return
 				}
 				sp.Points++
 				if abs > sp.EndNS && sp.Incomplete {
 					sp.EndNS = abs
 				}
 			}
-		}
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("obs: stitch %s: %w", name, err)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("obs: stitch %s %w", name, err)
 		}
 	}
 
@@ -246,6 +221,23 @@ func Stitch(sources []StitchSource) ([]*StitchTrace, error) {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].StartNS < out[j].StartNS })
 	return out, nil
+}
+
+// spanKey identifies a span across trace sources: its trace ID and its
+// spanRef.
+type spanKey struct{ trace, ref string }
+
+// spanRef names the span an event belongs to: its globally unique SID,
+// else a (source, run, local span ID) synthesis that is consistent within
+// one tracer; "" when the event names no span.
+func spanRef(source string, ev Event) string {
+	if ev.SID != "" {
+		return ev.SID
+	}
+	if ev.Span != 0 {
+		return localRef(source, ev.Run, ev.Span)
+	}
+	return ""
 }
 
 func localRef(source, run string, id int64) string {

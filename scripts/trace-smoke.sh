@@ -5,8 +5,10 @@
 # `chop submit -trace-out client.jsonl -wait`, stops the server (so its
 # buffered JSONL flushes), then stitches both files with `chop trace`:
 # the text waterfall must contain the cross-process chain and
-# -fail-on-orphans makes broken parent links fatal. Finally exports
-# perfetto.json for ui.perfetto.dev (uploaded as a CI artifact).
+# -fail-on-orphans makes broken parent links fatal. Then replays the
+# server trace with `chop explain` and `chop explain -stats`, failing if
+# either errors or sees no trials. Finally exports perfetto.json for
+# ui.perfetto.dev (uploaded as a CI artifact).
 set -euo pipefail
 
 DIR="${TRACE_SMOKE_DIR:-trace-smoke}"
@@ -14,7 +16,7 @@ ADDR="${TRACE_SMOKE_ADDR:-127.0.0.1:18080}"
 GO="${GO:-go}"
 
 mkdir -p "$DIR"
-rm -f "$DIR"/server.jsonl "$DIR"/client.jsonl "$DIR"/perfetto.json "$DIR"/stitched.txt
+rm -f "$DIR"/server.jsonl "$DIR"/client.jsonl "$DIR"/perfetto.json "$DIR"/stitched.txt "$DIR"/explain*.txt
 
 echo "== building chop"
 "$GO" build -o "$DIR/chop" ./cmd/chop
@@ -41,6 +43,19 @@ cat "$DIR/stitched.txt"
 for want in "submit" "http submit" "Search"; do
 	if ! grep -q "$want" "$DIR/stitched.txt"; then
 		echo "FAIL: stitched waterfall missing span \"$want\"" >&2
+		exit 1
+	fi
+done
+
+echo "== replaying the server trace with chop explain"
+# Every serve run has a tracer of its own: explain must read the multi-run
+# file on one time base and see the submitted run's trials.
+for mode in "" "-stats"; do
+	out="$DIR/explain${mode}.txt"
+	"$DIR/chop" explain $mode -f "$DIR/server.jsonl" > "$out"
+	cat "$out"
+	if grep -q "trials: 0 examined" "$out"; then
+		echo "FAIL: chop explain $mode saw no trials in the server trace" >&2
 		exit 1
 	fi
 done
