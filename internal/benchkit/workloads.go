@@ -313,36 +313,6 @@ func graphProfiled(build func() *dfg.Graph, parts int) func(*obs.PhaseAccounter)
 	}
 }
 
-// StressDFG builds a synthetic layered data-flow graph for stress
-// workloads: `levels` alternating add/mul levels of `width` nodes each,
-// every node fed by two neighbors of the previous level, with input
-// markers ahead of the first level and output markers after the last. The
-// result is valid (acyclic, fully connected) and much larger than the
-// paper's benchmarks, so it exercises scheduling and integration on a
-// scale the original system never reached.
-func StressDFG(levels, width, bits int) *dfg.Graph {
-	g := dfg.New(fmt.Sprintf("stress-%dx%d", levels, width))
-	prev := make([]int, width)
-	for i := range prev {
-		prev[i] = g.AddNode(fmt.Sprintf("in%d", i), dfg.OpInput, bits)
-	}
-	for l := 0; l < levels; l++ {
-		op := dfg.OpAdd
-		if l%2 == 1 {
-			op = dfg.OpMul
-		}
-		cur := make([]int, width)
-		for i := 0; i < width; i++ {
-			id := g.AddNode(fmt.Sprintf("n%d_%d", l, i), op, bits)
-			g.MustConnect(prev[i], id)
-			g.MustConnect(prev[(i+1)%width], id)
-			cur[i] = id
-		}
-		prev = cur
-	}
-	for i, id := range prev {
-		out := g.AddNode(fmt.Sprintf("out%d", i), dfg.OpOutput, bits)
-		g.MustConnect(id, out)
-	}
-	return g
-}
+// StressDFG is dfg.Stress. It stays here only because the benchmark module
+// under bench/ calls it by this name.
+func StressDFG(levels, width, bits int) *dfg.Graph { return dfg.Stress(levels, width, bits) }

@@ -90,36 +90,14 @@ func mustPredict(t *testing.T, n int) []bad.Result {
 	return preds
 }
 
-// stressCancelProblem builds the benchkit-style layered stress problem
-// (6x20 alternating add/mul levels on 3 chips) with a fixed-size
-// enumeration space: a KeepAll prediction truncated to 20 designs per
-// partition, an 8000-combination search that runs long enough to cancel
-// mid-flight on any machine.
+// stressCancelProblem builds the layered stress problem (dfg.Stress, 6x20
+// alternating add/mul levels, on 3 chips) with a fixed-size enumeration
+// space: a KeepAll prediction truncated to 20 designs per partition, an
+// 8000-combination search that runs long enough to cancel mid-flight on
+// any machine.
 func stressCancelProblem(t *testing.T) (*Partitioning, Config, []bad.Result) {
 	t.Helper()
-	const levels, width, bits = 6, 20, 16
-	g := dfg.New("stress-cancel")
-	prev := make([]int, width)
-	for i := range prev {
-		prev[i] = g.AddNode(fmt.Sprintf("in%d", i), dfg.OpInput, bits)
-	}
-	for l := 0; l < levels; l++ {
-		op := dfg.OpAdd
-		if l%2 == 1 {
-			op = dfg.OpMul
-		}
-		cur := make([]int, width)
-		for i := 0; i < width; i++ {
-			id := g.AddNode(fmt.Sprintf("n%d_%d", l, i), op, bits)
-			g.MustConnect(prev[i], id)
-			g.MustConnect(prev[(i+1)%width], id)
-			cur[i] = id
-		}
-		prev = cur
-	}
-	for i, id := range prev {
-		g.MustConnect(id, g.AddNode(fmt.Sprintf("out%d", i), dfg.OpOutput, bits))
-	}
+	g := dfg.Stress(6, 20, 16)
 	const parts = 3
 	p := &Partitioning{
 		Graph:    g,

@@ -353,6 +353,40 @@ func MatMul(n, width int) *Graph {
 	return g
 }
 
+// Stress builds a synthetic layered graph for stress workloads: `levels`
+// alternating add/mul levels of `width` nodes each, every node fed by two
+// neighbors of the previous level, with input markers ahead of the first
+// level and output markers after the last. The result is valid (acyclic,
+// fully connected) and much larger than the paper's benchmarks, so it
+// exercises scheduling and integration on a scale the original system
+// never reached.
+func Stress(levels, width, bits int) *Graph {
+	g := New(fmt.Sprintf("stress-%dx%d", levels, width))
+	prev := make([]int, width)
+	for i := range prev {
+		prev[i] = g.AddNode(fmt.Sprintf("in%d", i), OpInput, bits)
+	}
+	for l := 0; l < levels; l++ {
+		op := OpAdd
+		if l%2 == 1 {
+			op = OpMul
+		}
+		cur := make([]int, width)
+		for i := 0; i < width; i++ {
+			id := g.AddNode(fmt.Sprintf("n%d_%d", l, i), op, bits)
+			g.MustConnect(prev[i], id)
+			g.MustConnect(prev[(i+1)%width], id)
+			cur[i] = id
+		}
+		prev = cur
+	}
+	for i, id := range prev {
+		out := g.AddNode(fmt.Sprintf("out%d", i), OpOutput, bits)
+		g.MustConnect(id, out)
+	}
+	return g
+}
+
 // RandomDAG builds a pseudo-random acyclic behavior for fuzz-style tests:
 // nIn primary inputs feeding nOps operations drawn from {add, sub, mul}
 // whose operands come from earlier nodes only (acyclicity by construction),

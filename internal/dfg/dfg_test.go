@@ -373,6 +373,20 @@ func TestMatMulShape(t *testing.T) {
 	MatMul(1, 16)
 }
 
+func TestStressDFGValid(t *testing.T) {
+	g := Stress(4, 8, 16)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	counts := g.OpCounts()
+	if counts[OpAdd] != 16 || counts[OpMul] != 16 {
+		t.Fatalf("op mix wrong: %v", counts)
+	}
+	if len(LevelPartitions(g, 3)) != 3 {
+		t.Fatal("stress graph does not partition")
+	}
+}
+
 func TestPartitionGraphBoundaryMarkers(t *testing.T) {
 	g := diamond(t) // in -> a,b -> c -> out
 	// partition {c}: incoming values a and b, outgoing value c.
