@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-test bench-stats-gate profile-smoke gobench fuzz chaos trace-smoke loadgen-smoke dist-smoke cover serve ci
+.PHONY: all build vet lint test race alloc-gates bench-test gobench fuzz chaos trace-smoke loadgen-smoke dist-smoke cover serve ci
 
 all: build
 
@@ -24,11 +24,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the calibrated harness in short mode and writes BENCH_<n>.json.
-# Gate a change against a saved baseline with:
-#   go run ./cmd/chop bench -compare BENCH_1.json BENCH_2.json -tolerance 10
-bench:
-	$(GO) run ./cmd/chop bench -short -json
+# alloc-gates runs the allocation budgets of the search hot path and the
+# telemetry tax without -race: the race detector allocates on its own, so
+# those tests skip themselves under it and `make race` never checks them.
+alloc-gates:
+	$(GO) test -count=1 -run 'AllocBudget|TelemetryTax' ./internal/core
 
 # bench-test runs the benchmark module's golden tests: the paper's Tables
 # 3-6 rows, the Figure 7 points sha256 and the stress6 digest, pinned in
@@ -36,22 +36,6 @@ bench:
 # the root never reaches it.
 bench-test:
 	cd bench && $(GO) test ./...
-
-# bench-stats-gate bounds the telemetry plane's overhead: the search/stats
-# workloads must stay within STATS_GATE percent of their search/stress
-# partners. Runs at the full (non-short) budget — a single short iteration
-# is too noisy to gate a few-percent delta on.
-STATS_GATE ?= 5
-bench-stats-gate:
-	$(GO) run ./cmd/chop bench -run search/st -stats-gate $(STATS_GATE)
-
-# profile-smoke records a short phase-attribution profile of the search
-# workload into PROFILE_DIR: cpu.pprof, heap.pprof and profile.json. Gate a
-# change against a committed baseline with:
-#   go run ./cmd/chop profile -compare <baseline-dir> -alloc-tolerance 10
-PROFILE_DIR ?= profile-smoke
-profile-smoke:
-	$(GO) run ./cmd/chop profile -short -dir $(PROFILE_DIR)
 
 # gobench runs the in-tree go test benchmarks (overhead gates etc.).
 # -run '^$' matches no test name, so only benchmarks execute (-run XXX
@@ -116,4 +100,4 @@ serve:
 	$(GO) run ./cmd/chop serve -addr :8080 -log-level debug
 
 # ci is what .github/workflows/ci.yml runs.
-ci: lint build race bench-test
+ci: lint build race alloc-gates bench-test

@@ -41,7 +41,6 @@ package chop
 import (
 	"chop/internal/advisor"
 	"chop/internal/bad"
-	"chop/internal/benchkit"
 	"chop/internal/chip"
 	"chop/internal/core"
 	"chop/internal/cosim"
@@ -528,37 +527,6 @@ var (
 	MergeShardResults = core.MergeShardResults
 )
 
-// Benchmark harness types (package benchkit). `chop bench` is the CLI
-// front end; these exports let programs run and gate the same harness.
-type (
-	// BenchOptions parameterizes RunBench (short mode, workload filter).
-	BenchOptions = benchkit.Options
-	// BenchReport is one schema-versioned harness run (BENCH_<n>.json).
-	BenchReport = benchkit.Report
-	// BenchResult is one workload's measurements within a BenchReport.
-	BenchResult = benchkit.Result
-	// BenchDelta is one workload's old-vs-new comparison from CompareBench.
-	BenchDelta = benchkit.Delta
-)
-
-// BenchSchemaVersion identifies the BENCH report JSON schema.
-const BenchSchemaVersion = benchkit.SchemaVersion
-
-var (
-	// RunBench measures the calibrated workload set and returns a report.
-	RunBench = benchkit.Run
-	// CompareBench diffs two reports and flags regressions beyond a
-	// percentage tolerance.
-	CompareBench = benchkit.Compare
-	// LoadBenchReport reads and schema-checks a saved BENCH json file.
-	LoadBenchReport = benchkit.Load
-	// BenchWorkloads lists the harness's workload set.
-	BenchWorkloads = benchkit.Workloads
-	// StressDFG builds the harness's layered synthetic stress graph
-	// (levels x width nodes of the given bit width).
-	StressDFG = benchkit.StressDFG
-)
-
 // Fault-tolerance types (package resilience): panic isolation, retries
 // with backoff, versioned checkpoints and the fault-injection harness.
 // Config.CheckpointPath/Resume and Config.Inject wire them into the search
@@ -626,4 +594,7 @@ var (
 	DCT8 = dfg.DCT8
 	// MatMul is an n x n matrix-vector multiply benchmark.
 	MatMul = dfg.MatMul
+	// StressDFG builds the layered synthetic stress graph (levels x width
+	// nodes of the given bit width).
+	StressDFG = dfg.Stress
 )

@@ -56,7 +56,7 @@ func loadgenCmd(args []string) error {
 	if *compareOld != "" && fs.NArg() > 0 {
 		rest := fs.Args()
 		newPath := rest[0]
-		// Allow flags after the positional file, as chop bench does.
+		// Allow flags after the positional file: re-parse the remainder.
 		if err := fs.Parse(rest[1:]); err != nil {
 			return err
 		}

@@ -14,8 +14,6 @@
 //	chop explain -f trace.jsonl  replay a -trace file into a readable report
 //	chop trace a.jsonl b.jsonl   stitch multi-process traces into one tree (-o perfetto exports for ui.perfetto.dev)
 //	chop submit            submit a run to a serve instance, propagating W3C trace context
-//	chop bench             run the performance harness, emit/compare BENCH JSON
-//	chop profile           profile a workload with per-phase attribution, diff against a baseline
 //	chop serve             start the HTTP service plane (runs, SSE traces, /metrics)
 //	chop loadgen           drive a live serve instance at a target RPS, gate SLOs vs a baseline
 //	chop top               live terminal dashboard over a serve instance or a -stats-out file
@@ -30,6 +28,9 @@
 // runtime/pprof profiles. They also share the execution knobs: -workers selects the
 // search parallelism (deterministic — any worker count produces the serial
 // result) and -predict-cache memoizes BAD predictions in a bounded LRU.
+//
+// Performance is measured by the benchmark module under bench/ (`bash
+// bench/run.sh`), not by this binary.
 package main
 
 import (
@@ -70,10 +71,6 @@ func main() {
 		err = experiment(1, os.Args[2:])
 	case "exp2":
 		err = experiment(2, os.Args[2:])
-	case "bench":
-		err = bench(os.Args[2:])
-	case "profile":
-		err = profile(os.Args[2:])
 	case "graph":
 		err = graph(os.Args[2:])
 	case "spec":
@@ -146,12 +143,6 @@ func usage() {
   compile -f prog.hls  compile a behavioral program (loops unrolled) and print its DFG
   synth -f spec.json   synthesize the fastest feasible design to RTL, verify it, emit Verilog
   accuracy             compare BAD predictions against bound netlists
-  bench                run the performance harness (-json writes BENCH_<n>.json,
-                       -compare old.json new.json gates regressions, also on
-                       allocs/op with -alloc-tolerance)
-  profile              profile one workload with per-phase time and allocation
-                       attribution (-dir writes cpu.pprof/heap.pprof/profile.json,
-                       -compare <baseline> gates allocs/op regressions)
   serve                start the HTTP service plane (-addr, -max-concurrent,
                        -queue, -ring, -grace, -predict-cache, -job-timeout,
                        -checkpoint-dir, -inject, -log-level, -log-json); submit

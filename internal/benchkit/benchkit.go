@@ -1,55 +1,18 @@
-// Package benchkit is the repeatable performance harness behind `chop
-// bench`. It runs calibrated workloads — the paper's experiments 1 and 2,
-// the benchmark data-flow graphs at several partition scales, and a
-// synthetic large-DFG stress case — measuring wall time per op, allocation
-// rates, peak RSS and the pipeline's own obs counters, and emits a
-// schema-versioned machine-readable report (the BENCH_<n>.json trajectory
-// the ROADMAP tracks). Compare gates two reports against a regression
-// tolerance, which is what `chop bench -compare` and CI run.
+// Package benchkit holds the two helpers the benchmark module under bench/
+// imports by name: the build-environment record written into every report,
+// and the stress-graph builder.
 package benchkit
 
 import (
-	"fmt"
-	"io"
-	"os"
 	"runtime"
-	"strconv"
-	"strings"
-	"time"
 
+	"chop/internal/dfg"
 	"chop/internal/obs"
 )
 
-// SchemaVersion identifies the report layout. Bump the trailing number on
-// breaking changes; Load rejects reports from a different major family.
-// chop-bench/2 added the build-environment block; /1 reports are a strict
-// structural subset and still load (see knownSchemas).
-const SchemaVersion = "chop-bench/2"
-
-// knownSchemas lists the report versions Load accepts: the current one
-// plus older versions whose fields are a subset of the current layout, so
-// committed baselines keep gating across harness upgrades.
-var knownSchemas = map[string]bool{
-	"chop-bench/1": true,
-	"chop-bench/2": true,
-}
-
-// Result is the measurement of one workload.
-type Result struct {
-	Name        string  `json:"name"`
-	Iters       int     `json:"iters"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	// Counters holds the pipeline's obs counters per op (from an
-	// instrumented calibration run, so the timed iterations stay
-	// metrics-free).
-	Counters map[string]int64 `json:"counters,omitempty"`
-}
-
-// BuildEnv records the build and hardware environment a report was
-// measured on, so Compare can warn when a baseline comes from different
-// hardware instead of silently gating apples against oranges.
+// BuildEnv records the build and hardware environment a benchmark report
+// was measured on: wall times from different machines or toolchains do not
+// compare.
 type BuildEnv struct {
 	GoVersion  string `json:"go_version"`
 	Revision   string `json:"revision,omitempty"`
@@ -70,182 +33,6 @@ func ReadBuildEnv() *BuildEnv {
 	}
 }
 
-// Mismatches compares two build environments and describes every
-// difference that makes their measurements hard to compare. Nil receivers
-// (old chop-bench/1 reports) yield a single "no build info" note.
-func (e *BuildEnv) Mismatches(other *BuildEnv) []string {
-	if e == nil || other == nil {
-		return []string{"baseline predates build-info recording (chop-bench/1); environment unknown"}
-	}
-	var out []string
-	if e.GoVersion != other.GoVersion {
-		out = append(out, fmt.Sprintf("go version %s vs %s", e.GoVersion, other.GoVersion))
-	}
-	if e.GOMAXPROCS != other.GOMAXPROCS {
-		out = append(out, fmt.Sprintf("GOMAXPROCS %d vs %d", e.GOMAXPROCS, other.GOMAXPROCS))
-	}
-	if e.NumCPU != other.NumCPU {
-		out = append(out, fmt.Sprintf("%d vs %d CPUs", e.NumCPU, other.NumCPU))
-	}
-	return out
-}
-
-// Report is one full harness run.
-type Report struct {
-	Schema    string    `json:"schema"`
-	Created   string    `json:"created"` // RFC 3339, UTC
-	Go        string    `json:"go"`
-	GOOS      string    `json:"goos"`
-	GOARCH    string    `json:"goarch"`
-	Short     bool      `json:"short"`
-	Build     *BuildEnv `json:"build,omitempty"`
-	PeakRSS   int64     `json:"peak_rss_bytes,omitempty"`
-	Workloads []Result  `json:"workloads"`
-}
-
-// Options parameterizes Run.
-type Options struct {
-	// Short selects the small per-workload time budget (CI-friendly).
-	Short bool
-	// MinTime overrides the per-workload measurement budget: 0 selects
-	// 500ms (100ms when Short).
-	MinTime time.Duration
-	// MaxIters caps the iterations per workload; 0 selects 1000.
-	MaxIters int
-	// Filter keeps only workloads whose name contains the substring.
-	Filter string
-	// Log, when non-nil, receives one progress line per workload.
-	Log io.Writer
-}
-
-func (o Options) minTime() time.Duration {
-	if o.MinTime > 0 {
-		return o.MinTime
-	}
-	if o.Short {
-		return 100 * time.Millisecond
-	}
-	return 500 * time.Millisecond
-}
-
-func (o Options) maxIters() int {
-	if o.MaxIters > 0 {
-		return o.MaxIters
-	}
-	return 1000
-}
-
-// Run executes every (filtered) workload and assembles the report.
-func Run(opts Options) (*Report, error) {
-	rep := &Report{
-		Schema:  SchemaVersion,
-		Created: time.Now().UTC().Format(time.RFC3339),
-		Go:      runtime.Version(),
-		GOOS:    runtime.GOOS,
-		GOARCH:  runtime.GOARCH,
-		Short:   opts.Short,
-		Build:   ReadBuildEnv(),
-	}
-	for _, w := range Workloads() {
-		if opts.Filter != "" && !strings.Contains(w.Name, opts.Filter) {
-			continue
-		}
-		res, err := measure(w, opts.minTime(), opts.maxIters())
-		if err != nil {
-			return nil, err
-		}
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "bench: %-24s %4d iters  %10.2f ms/op  %9.0f allocs/op\n",
-				w.Name, res.Iters, res.NsPerOp/1e6, res.AllocsPerOp)
-		}
-		rep.Workloads = append(rep.Workloads, res)
-	}
-	if len(rep.Workloads) == 0 {
-		return nil, fmt.Errorf("benchkit: no workload matches filter %q", opts.Filter)
-	}
-	rep.PeakRSS = peakRSSBytes()
-	return rep, nil
-}
-
-// measure calibrates one workload: a warm-up pass with an obs registry
-// attached supplies the per-op pipeline counters, then metrics-free timed
-// iterations run until the time budget (or the iteration cap) is reached.
-func measure(w Workload, minTime time.Duration, maxIters int) (Result, error) {
-	m := obs.NewMetrics()
-	if err := w.Run(m); err != nil {
-		return Result{}, fmt.Errorf("benchkit: %s: %w", w.Name, err)
-	}
-	res := Result{Name: w.Name}
-	if snap := m.Snapshot(); len(snap.Counters) > 0 {
-		res.Counters = snap.Counters
-	}
-
-	runtime.GC()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	iters := 0
-	for {
-		if err := w.Run(nil); err != nil {
-			return Result{}, fmt.Errorf("benchkit: %s: %w", w.Name, err)
-		}
-		iters++
-		if time.Since(start) >= minTime || iters >= maxIters {
-			break
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-
-	res.Iters = iters
-	res.NsPerOp = float64(elapsed.Nanoseconds()) / float64(iters)
-	res.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(iters)
-	res.BytesPerOp = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(iters)
-	return res, nil
-}
-
-// peakRSSBytes reads the process high-water resident set size. Linux only
-// (VmHWM in /proc/self/status); other platforms report 0.
-func peakRSSBytes() int64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
-			f := strings.Fields(rest)
-			if len(f) >= 1 {
-				if kb, err := strconv.ParseInt(f[0], 10, 64); err == nil {
-					return kb * 1024
-				}
-			}
-		}
-	}
-	return 0
-}
-
-// FormatReport renders the report as an aligned table for terminals.
-func FormatReport(r *Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s  %s %s/%s  short=%v  peak RSS %s\n",
-		r.Schema, r.Go, r.GOOS, r.GOARCH, r.Short, formatBytes(r.PeakRSS))
-	fmt.Fprintf(&b, "%-24s %6s %12s %12s %12s %10s\n",
-		"workload", "iters", "ms/op", "allocs/op", "KB/op", "trials/op")
-	for _, w := range r.Workloads {
-		fmt.Fprintf(&b, "%-24s %6d %12.3f %12.0f %12.0f %10d\n",
-			w.Name, w.Iters, w.NsPerOp/1e6, w.AllocsPerOp, w.BytesPerOp/1024,
-			w.Counters["core.trials"])
-	}
-	return b.String()
-}
-
-func formatBytes(n int64) string {
-	switch {
-	case n <= 0:
-		return "n/a"
-	case n < 1<<20:
-		return fmt.Sprintf("%d KiB", n>>10)
-	default:
-		return fmt.Sprintf("%d MiB", n>>20)
-	}
-}
+// StressDFG is dfg.Stress. It stays here only because the benchmark module
+// under bench/ calls it by this name.
+func StressDFG(levels, width, bits int) *dfg.Graph { return dfg.Stress(levels, width, bits) }

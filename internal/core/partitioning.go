@@ -269,11 +269,10 @@ type Config struct {
 	// byte-identical to results without.
 	Stats *obs.RunStats
 	// Phases, when non-nil, attributes trial cost to named phases
-	// (predict, cache-lookup, schedule, xfer, integrate, checkpoint):
-	// wall time always, allocation deltas when the accounter runs in
-	// alloc mode (`chop profile`, Workers=1 only). Like Stats, phase
-	// accounting never influences the search — results with phases
-	// attached are byte-identical to results without.
+	// (predict, cache-lookup, schedule, xfer, integrate, checkpoint) by
+	// wall time. Like Stats, phase accounting never influences the search
+	// — results with phases attached are byte-identical to results
+	// without.
 	Phases *obs.PhaseAccounter
 }
 

@@ -3,9 +3,8 @@
 // request rate through serve.Client, measures submit and time-to-first-
 // byte latency distributions, SSE fan-out behavior, and client/server
 // goroutine and file-descriptor stability, and emits a schema-versioned
-// report that Compare gates against a baseline — the same record/compare
-// shape as `chop bench`, so traffic capacity is a regression-gated number
-// rather than a hope.
+// report that Compare gates against a baseline, so traffic capacity is a
+// regression-gated number rather than a hope.
 package loadgen
 
 import (

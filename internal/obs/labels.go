@@ -7,10 +7,9 @@ import (
 
 // DoLabeled runs f with the given pprof label key/value pairs attached to
 // the current goroutine (and inherited by goroutines it starts), so CPU
-// profiles slice by run, shard, workload, and phase. Empty values are
-// skipped; a nil ctx falls back to context.Background. Labels appear in
-// CPU profiles only — heap profiles do not carry labels, which is why
-// per-phase allocation data comes from PhaseAccounter counters instead.
+// profiles slice by run, shard and phase. Empty values are skipped; a nil
+// ctx falls back to context.Background. Labels appear in CPU profiles
+// only: heap profiles do not carry labels.
 func DoLabeled(ctx context.Context, f func(ctx context.Context), kv ...string) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,16 +1,15 @@
 package obs
 
 import (
-	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Phase names one attributed slice of a search trial's cost. Phases are
-// the unit of the profiling plane: every trial's wall time (and, in alloc
-// mode, its allocations) is booked against exactly one phase at a time,
-// so per-phase totals sum back to the measured trial time.
+// the unit of the profiling plane: every trial's wall time is booked
+// against exactly one phase at a time, so per-phase totals sum back to the
+// measured trial time.
 type Phase int
 
 const (
@@ -53,10 +52,8 @@ func (p Phase) String() string {
 // each shard worker owns a cell, so the hot path is plain atomic adds
 // with no sharing; Snapshot folds the cells.
 type phaseCell struct {
-	ns     [NumPhases]atomic.Int64
-	count  [NumPhases]atomic.Int64
-	allocs [NumPhases]atomic.Int64
-	bytes  [NumPhases]atomic.Int64
+	ns    [NumPhases]atomic.Int64
+	count [NumPhases]atomic.Int64
 	// trialNS accumulates whole-trial wall time (BeginTrial..EndTrial),
 	// the denominator for attribution coverage.
 	trialNS atomic.Int64
@@ -67,43 +64,21 @@ type phaseCell struct {
 // RunStats: a global cell plus per-shard cells sized by StartSearch, all
 // methods safe on a nil receiver so instrumented code pays nothing when
 // profiling is off.
-//
-// Time accounting is always valid, serial or parallel. Allocation
-// accounting (EnableAllocCounting) reads process-wide heap counters from
-// runtime/metrics, so per-phase alloc deltas are only attributable when a
-// single goroutine is doing the allocating — `chop profile` therefore
-// runs its workload with Workers=1. Heap profiles do not carry pprof
-// labels, which is exactly why these counters exist.
 type PhaseAccounter struct {
 	mu     sync.Mutex
 	shards []phaseCell
 	global phaseCell
-
-	allocMode atomic.Bool
-	// samples is the preallocated runtime/metrics read buffer; reading
-	// through it on every Begin/End must not itself allocate.
-	samples []metrics.Sample
 }
-
-const (
-	metricAllocObjects = "/gc/heap/allocs:objects"
-	metricAllocBytes   = "/gc/heap/allocs:bytes"
-)
 
 // NewPhaseAccounter returns an accounter with a global cell and no
 // shard cells yet; StartSearch sizes the shard table.
 func NewPhaseAccounter() *PhaseAccounter {
-	return &PhaseAccounter{
-		samples: []metrics.Sample{
-			{Name: metricAllocObjects},
-			{Name: metricAllocBytes},
-		},
-	}
+	return &PhaseAccounter{}
 }
 
 // StartSearch sizes the per-shard cell table for a search with the given
 // shard count. Counters accumulate across repeated searches on the same
-// accounter (a profiling loop runs many iterations of one workload).
+// accounter (a benchmark loop runs many iterations of one workload).
 func (a *PhaseAccounter) StartSearch(shards int) {
 	if a == nil {
 		return
@@ -125,31 +100,9 @@ func copyPhaseCell(dst, src *phaseCell) {
 	for p := 0; p < NumPhases; p++ {
 		dst.ns[p].Store(src.ns[p].Load())
 		dst.count[p].Store(src.count[p].Load())
-		dst.allocs[p].Store(src.allocs[p].Load())
-		dst.bytes[p].Store(src.bytes[p].Load())
 	}
 	dst.trialNS.Store(src.trialNS.Load())
 	dst.trials.Store(src.trials.Load())
-}
-
-// EnableAllocCounting turns on per-phase allocation deltas. Only
-// meaningful for single-goroutine (Workers=1) runs: the underlying
-// counters are process-wide, so concurrent allocators would cross-charge
-// each other's phases. `chop profile` is the intended caller.
-//
-// The counts are exact only in aggregate. The runtime books small-object
-// allocations per span, when a P's cached span is swapped out on refill
-// (runtime/mcache.go), not per object. A bracket's delta therefore lacks
-// the objects still sitting in the cached span at its end — up to one
-// span's worth per size class it allocated from, e.g. 8 objects (8 KiB)
-// for 1 KiB objects in 8 KiB spans — and may include objects allocated
-// just before it opened. Over many brackets the two errors cancel;
-// assert on a single small bracket only within that bound.
-func (a *PhaseAccounter) EnableAllocCounting() {
-	if a == nil {
-		return
-	}
-	a.allocMode.Store(true)
 }
 
 // Global returns the handle writers outside any shard use (serial
@@ -158,7 +111,7 @@ func (a *PhaseAccounter) Global() *PhaseHandle {
 	if a == nil {
 		return nil
 	}
-	return &PhaseHandle{a: a, cell: &a.global}
+	return &PhaseHandle{cell: &a.global}
 }
 
 // Shard returns the handle for shard si, or the global handle when the
@@ -170,38 +123,21 @@ func (a *PhaseAccounter) Shard(si int) *PhaseHandle {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if si < 0 || si >= len(a.shards) {
-		return &PhaseHandle{a: a, cell: &a.global}
+		return &PhaseHandle{cell: &a.global}
 	}
-	return &PhaseHandle{a: a, cell: &a.shards[si]}
-}
-
-// readAllocs returns the cumulative heap allocation counters. Must only
-// be called in alloc mode; uses the preallocated sample buffer.
-func (a *PhaseAccounter) readAllocs() (objects, bytes uint64) {
-	metrics.Read(a.samples)
-	if a.samples[0].Value.Kind() == metrics.KindUint64 {
-		objects = a.samples[0].Value.Uint64()
-	}
-	if a.samples[1].Value.Kind() == metrics.KindUint64 {
-		bytes = a.samples[1].Value.Uint64()
-	}
-	return objects, bytes
+	return &PhaseHandle{cell: &a.shards[si]}
 }
 
 // PhaseHandle is one writer's view of the accounter: Begin/End bracket a
 // phase, BeginTrial/EndTrial bracket a whole trial and book the
 // unattributed remainder as PhaseIntegrate. Nil-safe throughout.
 type PhaseHandle struct {
-	a    *PhaseAccounter
 	cell *phaseCell
 }
 
 // PhaseToken carries a phase's entry state from Begin to End.
 type PhaseToken struct {
-	startNS   int64
-	allocObjs uint64
-	allocB    uint64
-	alloc     bool
+	startNS int64
 }
 
 // Begin opens a phase bracket. The token is a value; nesting distinct
@@ -210,27 +146,17 @@ func (h *PhaseHandle) Begin() PhaseToken {
 	if h == nil {
 		return PhaseToken{}
 	}
-	tok := PhaseToken{startNS: time.Now().UnixNano()}
-	if h.a.allocMode.Load() {
-		tok.alloc = true
-		tok.allocObjs, tok.allocB = h.a.readAllocs()
-	}
-	return tok
+	return PhaseToken{startNS: time.Now().UnixNano()}
 }
 
-// End closes a bracket opened by Begin, booking the elapsed time (and
-// allocation delta in alloc mode) against phase p.
+// End closes a bracket opened by Begin, booking the elapsed time against
+// phase p.
 func (h *PhaseHandle) End(tok PhaseToken, p Phase) {
 	if h == nil || p < 0 || int(p) >= NumPhases {
 		return
 	}
 	h.cell.ns[p].Add(time.Now().UnixNano() - tok.startNS)
 	h.cell.count[p].Add(1)
-	if tok.alloc {
-		objs, b := h.a.readAllocs()
-		h.cell.allocs[p].Add(int64(objs - tok.allocObjs))
-		h.cell.bytes[p].Add(int64(b - tok.allocB))
-	}
 }
 
 // TrialToken carries a trial's entry state from BeginTrial to EndTrial:
@@ -238,16 +164,9 @@ func (h *PhaseHandle) End(tok PhaseToken, p Phase) {
 // remainder can be computed without any cross-goroutine reads (the
 // worker owns its cell).
 type TrialToken struct {
-	startNS   int64
-	schedNS   int64
-	xferNS    int64
-	allocObjs uint64
-	allocB    uint64
-	schedObjs int64
-	schedB    int64
-	xferObjs  int64
-	xferB     int64
-	alloc     bool
+	startNS int64
+	schedNS int64
+	xferNS  int64
 }
 
 // BeginTrial opens a whole-trial bracket starting at now. The caller
@@ -257,20 +176,11 @@ func (h *PhaseHandle) BeginTrial(now time.Time) TrialToken {
 	if h == nil {
 		return TrialToken{}
 	}
-	tok := TrialToken{
+	return TrialToken{
 		startNS: now.UnixNano(),
 		schedNS: h.cell.ns[PhaseSchedule].Load(),
 		xferNS:  h.cell.ns[PhaseXfer].Load(),
 	}
-	if h.a.allocMode.Load() {
-		tok.alloc = true
-		tok.allocObjs, tok.allocB = h.a.readAllocs()
-		tok.schedObjs = h.cell.allocs[PhaseSchedule].Load()
-		tok.schedB = h.cell.bytes[PhaseSchedule].Load()
-		tok.xferObjs = h.cell.allocs[PhaseXfer].Load()
-		tok.xferB = h.cell.bytes[PhaseXfer].Load()
-	}
-	return tok
 }
 
 // EndTrial closes a trial bracket at now: total wall time goes to
@@ -292,23 +202,6 @@ func (h *PhaseHandle) EndTrial(tok TrialToken, now time.Time) {
 	}
 	h.cell.ns[PhaseIntegrate].Add(rest)
 	h.cell.count[PhaseIntegrate].Add(1)
-	if tok.alloc {
-		objs, b := h.a.readAllocs()
-		restObjs := int64(objs-tok.allocObjs) -
-			(h.cell.allocs[PhaseSchedule].Load() - tok.schedObjs) -
-			(h.cell.allocs[PhaseXfer].Load() - tok.xferObjs)
-		restB := int64(b-tok.allocB) -
-			(h.cell.bytes[PhaseSchedule].Load() - tok.schedB) -
-			(h.cell.bytes[PhaseXfer].Load() - tok.xferB)
-		if restObjs < 0 {
-			restObjs = 0
-		}
-		if restB < 0 {
-			restB = 0
-		}
-		h.cell.allocs[PhaseIntegrate].Add(restObjs)
-		h.cell.bytes[PhaseIntegrate].Add(restB)
-	}
 }
 
 // PhaseStat is one phase's folded totals.
@@ -320,9 +213,6 @@ type PhaseStat struct {
 	NS int64 `json:"ns"`
 	// TimePct is NS as a percentage of the sum over all phases.
 	TimePct float64 `json:"timePct"`
-	// Allocs/Bytes are heap allocation deltas (alloc mode only).
-	Allocs int64 `json:"allocs,omitempty"`
-	Bytes  int64 `json:"bytes,omitempty"`
 }
 
 // PhaseSnapshot is the folded view of a PhaseAccounter.
@@ -334,8 +224,6 @@ type PhaseSnapshot struct {
 	// CoveragePct is the share of measured trial wall time attributed
 	// to in-trial phases (schedule + xfer + integrate).
 	CoveragePct float64 `json:"coveragePct"`
-	// AllocMode records whether per-phase allocation deltas are valid.
-	AllocMode bool `json:"allocMode,omitempty"`
 }
 
 // PhaseNS returns the named phase's total ns, 0 when absent.
@@ -366,14 +254,12 @@ func (a *PhaseAccounter) Snapshot() *PhaseSnapshot {
 	}
 	a.mu.Unlock()
 
-	var ns, count, allocs, bytes [NumPhases]int64
+	var ns, count [NumPhases]int64
 	var trialNS, trials int64
 	for _, c := range cells {
 		for p := 0; p < NumPhases; p++ {
 			ns[p] += c.ns[p].Load()
 			count[p] += c.count[p].Load()
-			allocs[p] += c.allocs[p].Load()
-			bytes[p] += c.bytes[p].Load()
 		}
 		trialNS += c.trialNS.Load()
 		trials += c.trials.Load()
@@ -383,22 +269,12 @@ func (a *PhaseAccounter) Snapshot() *PhaseSnapshot {
 	for p := 0; p < NumPhases; p++ {
 		totalNS += ns[p]
 	}
-	snap := &PhaseSnapshot{
-		Trials:    trials,
-		TrialNS:   trialNS,
-		AllocMode: a.allocMode.Load(),
-	}
+	snap := &PhaseSnapshot{Trials: trials, TrialNS: trialNS}
 	for p := 0; p < NumPhases; p++ {
 		if count[p] == 0 && ns[p] == 0 {
 			continue
 		}
-		st := PhaseStat{
-			Phase:  Phase(p).String(),
-			Count:  count[p],
-			NS:     ns[p],
-			Allocs: allocs[p],
-			Bytes:  bytes[p],
-		}
+		st := PhaseStat{Phase: Phase(p).String(), Count: count[p], NS: ns[p]}
 		if totalNS > 0 {
 			st.TimePct = 100 * float64(ns[p]) / float64(totalNS)
 		}

@@ -8,7 +8,6 @@ import (
 func TestNilPhaseAccounterIsNoOp(t *testing.T) {
 	var a *PhaseAccounter
 	a.StartSearch(4)
-	a.EnableAllocCounting()
 	if h := a.Global(); h != nil {
 		t.Fatal("nil accounter returned a global handle")
 	}
@@ -141,43 +140,6 @@ func TestShardOutOfRangeFallsBackToGlobal(t *testing.T) {
 	}
 	if count != 1 {
 		t.Fatalf("checkpoint count = %d, want 1", count)
-	}
-}
-
-// TestAllocCounting: in alloc mode a bracket that allocates must book its
-// allocations against its phase, within the documented per-span bound (see
-// EnableAllocCounting): 256 objects of 1 KiB, less at most one 8 KiB span
-// of them still unbooked in the cache when the bracket closes.
-func TestAllocCounting(t *testing.T) {
-	a := NewPhaseAccounter()
-	a.StartSearch(1)
-	a.EnableAllocCounting()
-	h := a.Shard(0)
-
-	tok := h.Begin()
-	sink := make([][]byte, 0, 256)
-	for i := 0; i < 256; i++ {
-		sink = append(sink, make([]byte, 1024)) // size class 1024: 8 per 8 KiB span
-	}
-	h.End(tok, PhasePredict)
-	_ = sink
-
-	snap := a.Snapshot()
-	if !snap.AllocMode {
-		t.Fatal("snapshot does not report alloc mode")
-	}
-	var st PhaseStat
-	for _, p := range snap.Phases {
-		if p.Phase == "predict" {
-			st = p
-		}
-	}
-	const objects, size, spanObjects = 256, 1024, 8192 / 1024
-	if st.Allocs < objects-spanObjects {
-		t.Fatalf("predict allocs = %d, want >= %d", st.Allocs, objects-spanObjects)
-	}
-	if st.Bytes < (objects-spanObjects)*size {
-		t.Fatalf("predict bytes = %d, want >= %d", st.Bytes, (objects-spanObjects)*size)
 	}
 }
 

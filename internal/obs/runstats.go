@@ -12,8 +12,8 @@ import (
 // top`) fold the cells into a consistent point-in-time snapshot on demand.
 // The hot path — one atomic add per trial — takes no locks and shares no
 // cache line with other shards' hot counters beyond Go's natural layout, so
-// stats-on searches stay within noise of stats-off throughput (gated by the
-// benchkit search/stats workload).
+// stats-on searches stay within noise of stats-off throughput (the
+// allocation side is gated by core's TestTelemetryTax).
 //
 // A nil *RunStats is valid and makes every method a no-op, following the
 // package convention: instrumented engines call it unconditionally.
