@@ -141,7 +141,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/api/v1/runs/"+run.ID())
-	writeJSON(w, http.StatusAccepted, run.Status(false))
+	writeJSON(w, http.StatusAccepted, run.accepted)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

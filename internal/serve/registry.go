@@ -130,6 +130,9 @@ type Run struct {
 	ring   *obs.RingSink
 	stats  *obs.RunStats
 	phases *obs.PhaseAccounter
+	// accepted is the run's status at submission, taken before any worker
+	// can dispatch it: the 202 reply reports the queued run it accepted.
+	accepted RunStatus
 }
 
 // ID returns the run's registry identifier.
@@ -533,6 +536,7 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 	// breakdown from the first trial on.
 	run.phases = obs.NewPhaseAccounter()
 	run.stats.AttachPhases(run.phases)
+	run.accepted = run.Status(false)
 	r.enqueueLocked(run)
 	r.runs[run.id] = run
 	r.order = append(r.order, run.id)
