@@ -8,11 +8,7 @@ import (
 	"time"
 
 	"chop/internal/bad"
-	"chop/internal/chip"
-	"chop/internal/dfg"
-	"chop/internal/lib"
 	"chop/internal/obs"
-	"chop/internal/stats"
 )
 
 // TestRunPreCanceledContext: a context cancelled before the run starts
@@ -90,49 +86,15 @@ func mustPredict(t *testing.T, n int) []bad.Result {
 	return preds
 }
 
-// stressCancelProblem builds the layered stress problem (dfg.Stress, 6x20
-// alternating add/mul levels, on 3 chips) with a fixed-size enumeration
-// space: a KeepAll prediction truncated to 20 designs per partition, an
-// 8000-combination search that runs long enough to cancel mid-flight on
-// any machine.
-func stressCancelProblem(t *testing.T) (*Partitioning, Config, []bad.Result) {
-	t.Helper()
-	g := dfg.Stress(6, 20, 16)
-	const parts = 3
-	p := &Partitioning{
-		Graph:    g,
-		Parts:    dfg.LevelPartitions(g, parts),
-		PartChip: []int{0, 1, 2},
-		Chips:    chip.NewUniformSet(parts, chip.MOSISPackages()[1], 4),
-	}
-	cfg := Config{
-		Lib:    lib.ExtendedLibrary(),
-		Clocks: bad.Clocks{MainNS: 300, DatapathMult: 10, TransferMult: 1},
-		Constraints: Constraints{
-			Perf:  stats.Constraint{Bound: 300000, MinProb: 1},
-			Delay: stats.Constraint{Bound: 300000, MinProb: 0.8},
-		},
-		KeepAll: true,
-	}
-	preds, err := PredictPartitions(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range preds {
-		if len(preds[i].Designs) > 20 {
-			preds[i].Designs = preds[i].Designs[:20]
-		}
-	}
-	cfg.KeepAll = false
-	return p, cfg, preds
-}
-
 // TestCancelStressReturnsQuickly: cancelling mid-search on the stress
 // problem must return within 100ms of the cancel — from the serial loop
 // and from the sharded worker pool alike — with a partial, bounded trial
 // count and a wrapped context error.
 func TestCancelStressReturnsQuickly(t *testing.T) {
-	p, cfg, preds := stressCancelProblem(t)
+	// Three partitions of 20 designs each, taken from the unpruned
+	// prediction: an 8000-combination search that runs long enough to
+	// cancel mid-flight on any machine.
+	p, cfg, preds := stressProblem(t, 3, 20, true)
 	const space = 20 * 20 * 20
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {

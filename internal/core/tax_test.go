@@ -51,14 +51,7 @@ func TestTelemetryTax(t *testing.T) {
 	tel.Metrics = obs.NewMetrics()
 	tel.Stats = obs.NewRunStats("tax")
 	tel.Phases = obs.NewPhaseAccounter()
-	allocs := func(cfg Config) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Search(p, cfg, preds, Enumeration); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	bare, with := allocs(cfg), allocs(tel)
+	bare, with := searchAllocs(t, 5, p, cfg, preds), searchAllocs(t, 5, p, tel, preds)
 	if res, _ := Search(p, cfg, preds, Enumeration); res.Trials == 0 {
 		t.Fatal("fixture search examined no trials")
 	}
@@ -70,7 +63,7 @@ func TestTelemetryTax(t *testing.T) {
 
 // Allocation budgets of the trial hot path: one search at Workers 1 over
 // precomputed predictions. Each constant is the count measured with go1.24.0
-// (in the trailing comment) plus 2%, BENCHMARK.json's allocs_per_op bound.
+// (given in its comment) plus 2%, BENCHMARK.json's allocs_per_op bound.
 // A change that lowers a count lowers its constant to the new count plus 2%.
 const (
 	// maxFig7AllocsPerTrial: measured 381.9 (1,979,842 per 5,184 trials).
@@ -91,7 +84,6 @@ func fig7SliceProblem(t *testing.T) (*Partitioning, Config, []bad.Result) {
 	p := arPartitioning(t, 2, 1)
 	cfg := exp1Config()
 	cfg.KeepAll = true
-	cfg.Workers = 1
 	preds, err := PredictPartitions(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -99,19 +91,22 @@ func fig7SliceProblem(t *testing.T) (*Partitioning, Config, []bad.Result) {
 	return p, cfg, preds
 }
 
-// stressSearchProblem is the 6x20 stress graph in six level partitions on
-// six 84-pin chips, keeping the four fastest level-1-pruned designs of each
-// partition: a 4,096-combination enumeration with an eighth of its trials
-// feasible, so the feasible path is measured too.
-func stressSearchProblem(t *testing.T) (*Partitioning, Config, []bad.Result) {
+// stressProblem is the 6x20 stress graph (dfg.Stress) in `parts` level
+// partitions on as many 84-pin chips, with the extended library and 300 µs
+// bounds. Each partition keeps the first `keep` designs of its prediction:
+// of every predicted design when keepAll is set, else of the fastest
+// level-1-pruned ones. The returned Config prunes as usual.
+func stressProblem(t *testing.T, parts, keep int, keepAll bool) (*Partitioning, Config, []bad.Result) {
 	t.Helper()
 	g := dfg.Stress(6, 20, 16)
-	const parts, keep = 6, 4
 	p := &Partitioning{
 		Graph:    g,
 		Parts:    dfg.LevelPartitions(g, parts),
-		PartChip: []int{0, 1, 2, 3, 4, 5},
+		PartChip: make([]int, parts),
 		Chips:    chip.NewUniformSet(parts, chip.MOSISPackages()[1], 4),
+	}
+	for i := range p.PartChip {
+		p.PartChip[i] = i
 	}
 	cfg := Config{
 		Lib:    lib.ExtendedLibrary(),
@@ -120,7 +115,7 @@ func stressSearchProblem(t *testing.T) (*Partitioning, Config, []bad.Result) {
 			Perf:  stats.Constraint{Bound: 300000, MinProb: 1},
 			Delay: stats.Constraint{Bound: 300000, MinProb: 0.8},
 		},
-		Workers: 1,
+		KeepAll: keepAll,
 	}
 	preds, err := PredictPartitions(p, cfg)
 	if err != nil {
@@ -131,7 +126,16 @@ func stressSearchProblem(t *testing.T) (*Partitioning, Config, []bad.Result) {
 			preds[i].Designs = preds[i].Designs[:keep]
 		}
 	}
+	cfg.KeepAll = false
 	return p, cfg, preds
+}
+
+// stressSearchProblem is the stress search the allocation gates measure:
+// six partitions of four pruned designs each, a 4,096-combination
+// enumeration with an eighth of its trials feasible, so the feasible path
+// is measured too.
+func stressSearchProblem(t *testing.T) (*Partitioning, Config, []bad.Result) {
+	return stressProblem(t, 6, 4, false)
 }
 
 // searchAllocs returns the mean allocations of one enumeration search.
@@ -166,6 +170,7 @@ func TestSearchAllocBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, cfg, preds := tc.problem(t)
+			cfg.Workers = 1
 			res, err := Search(p, cfg, preds, Enumeration)
 			if err != nil {
 				t.Fatal(err)
@@ -192,6 +197,7 @@ func TestCheckpointAllocBudget(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	p, cfg, preds := stressSearchProblem(t)
+	cfg.Workers = 1
 	ckpt := cfg
 	ckpt.CheckpointPath = filepath.Join(t.TempDir(), "search.ckpt")
 	bare, with := searchAllocs(t, 1, p, cfg, preds), searchAllocs(t, 1, p, ckpt, preds)
