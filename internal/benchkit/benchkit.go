@@ -1,6 +1,6 @@
 // Package benchkit holds the two helpers the benchmark module under bench/
 // imports by name: the build-environment record written into every report,
-// and the stress-graph builder.
+// and StressDFG.
 package benchkit
 
 import (
