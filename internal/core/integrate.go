@@ -5,8 +5,8 @@ import (
 
 	"chop/internal/bad"
 	"chop/internal/obs"
+	"chop/internal/sched"
 	"chop/internal/stats"
-	"chop/internal/urgency"
 	"chop/internal/xfer"
 )
 
@@ -127,7 +127,8 @@ func (g GlobalDesign) TotalArea() float64 {
 }
 
 // integrator caches the choice-independent parts of system integration for
-// one partitioning: transfer tasks, per-chip pin budgets and memory traffic.
+// one partitioning: transfer tasks, per-chip pin budgets, memory traffic
+// and the static parts of the urgency task graph.
 type integrator struct {
 	p   *Partitioning
 	cfg Config
@@ -140,6 +141,20 @@ type integrator struct {
 	// partMemBits aggregates memory traffic (bits per iteration per block)
 	// per partition.
 	partMemBits []map[string]int
+
+	// The urgency task graph: the partitions (P1, P2, ...), then the
+	// transfers. A partition precedes its outgoing transfers and a
+	// transfer its destination partition. The resources are the chips'
+	// pin budgets (0..C-1), then the memory blocks' ports; a partition
+	// holds one port of every block it accesses, and a transfer its bus
+	// pins on every chip it involves. Only durations and transfer pins
+	// vary by trial.
+	names     []string
+	succs     [][]int
+	caps      []int
+	memPorts  [][]sched.Demand // per partition
+	xferChips [][]int          // per transfer
+	xferPins  int              // sum of len(xferChips[i])
 }
 
 func newIntegrator(p *Partitioning, cfg Config) (*integrator, error) {
@@ -190,6 +205,34 @@ func newIntegrator(p *Partitioning, cfg Config) (*integrator, error) {
 			b = 0
 		}
 		it.budget[ci] = b
+		it.caps = append(it.caps, b)
+	}
+	nP := len(p.Parts)
+	it.names = make([]string, nP+len(tasks))
+	it.succs = make([][]int, nP+len(tasks))
+	it.memPorts = make([][]sched.Demand, nP)
+	for pi := range p.Parts {
+		it.names[pi] = fmt.Sprintf("P%d", pi+1)
+		for bi, blk := range p.Mem.Blocks {
+			if _, ok := it.partMemBits[pi][blk.Name]; ok {
+				it.memPorts[pi] = append(it.memPorts[pi], sched.Demand{Res: len(p.Chips.Chips) + bi, Amount: 1})
+			}
+		}
+	}
+	for _, blk := range p.Mem.Blocks {
+		it.caps = append(it.caps, blk.Ports)
+	}
+	for i, t := range tasks {
+		it.names[nP+i] = t.Name
+		if t.FromPart != xfer.External {
+			it.succs[t.FromPart] = append(it.succs[t.FromPart], nP+i)
+		}
+		if t.ToPart != xfer.External {
+			it.succs[nP+i] = append(it.succs[nP+i], t.ToPart)
+		}
+		chips := t.Chips()
+		it.xferChips = append(it.xferChips, chips)
+		it.xferPins += len(chips)
 	}
 	return it, nil
 }
@@ -356,53 +399,31 @@ func (it *integrator) integrateBus(choice []bad.Design, l, busCap int, rec *reco
 	// a partition accessing a block holds one of its ports while running,
 	// so partitions sharing a single-port block serialize.
 	nP := len(p.Parts)
-	memRes := map[string]int{} // block name -> synthetic resource ID
-	caps := make(map[int]int, len(it.budget)+len(p.Mem.Blocks))
-	for c, b := range it.budget {
-		caps[c] = b
-	}
-	for bi, blk := range p.Mem.Blocks {
-		id := memResourceBase + bi
-		memRes[blk.Name] = id
-		caps[id] = blk.Ports
-	}
-	utasks := make([]urgency.Task, nP+len(it.tasks))
+	dur := make([]int, len(it.names))
+	demand := make([][]sched.Demand, len(it.names))
+	copy(demand, it.memPorts)
 	for pi, d := range choice {
-		ut := urgency.Task{
-			Name: fmt.Sprintf("P%d", pi+1),
-			Dur:  d.LatencyMainCycles(cfg.Clocks),
-		}
-		for block := range it.partMemBits[pi] {
-			if ut.Pins == nil {
-				ut.Pins = map[int]int{}
-			}
-			ut.Pins[memRes[block]] = 1
-		}
-		utasks[pi] = ut
+		dur[pi] = d.LatencyMainCycles(cfg.Clocks)
 	}
-	for i, t := range it.tasks {
-		ut := urgency.Task{Name: t.Name, Dur: tis[i].xferMain, Pins: map[int]int{}}
-		for _, c := range t.Chips() {
-			ut.Pins[c] = tis[i].pins
+	pins := make([]sched.Demand, 0, it.xferPins)
+	for i, chips := range it.xferChips {
+		dur[nP+i] = tis[i].xferMain
+		k := len(pins)
+		for _, c := range chips {
+			pins = append(pins, sched.Demand{Res: c, Amount: tis[i].pins})
 		}
-		if t.FromPart != xfer.External {
-			ut.Deps = append(ut.Deps, t.FromPart)
-		}
-		if t.ToPart != xfer.External {
-			utasks[t.ToPart].Deps = append(utasks[t.ToPart].Deps, nP+i)
-		}
-		utasks[nP+i] = ut
+		demand[nP+i] = pins[k:]
 	}
 	stok := rec.phase()
-	sres, sstats, err := urgency.ScheduleStats(utasks, caps)
+	sres, err := sched.List(sched.TaskGraph{Dur: dur, Succs: it.succs, Demand: demand, Cap: it.caps})
 	rec.endPhase(stok, obs.PhaseSchedule)
 	if err != nil {
 		return infeasible(ReasonSchedule, -1, "task scheduling failed: %v", err)
 	}
-	rec.urgency(sstats)
+	rec.urgency(len(dur), sres.Cycles)
 	g.DelayMain = sres.Makespan
-	for i, ut := range utasks {
-		span := TaskSpan{Name: ut.Name, Start: sres.Start[i], Dur: ut.Dur}
+	for i, name := range it.names {
+		span := TaskSpan{Name: name, Start: sres.Start[i], Dur: dur[i]}
 		if i >= nP {
 			span.Chips = it.tasks[i-nP].Chips()
 		}
@@ -417,7 +438,7 @@ func (it *integrator) integrateBus(choice []bad.Design, l, busCap int, rec *reco
 		ti := tis[i]
 		ready := 0
 		if t.FromPart != xfer.External {
-			ready = sres.Start[t.FromPart] + utasks[t.FromPart].Dur
+			ready = sres.Start[t.FromPart] + dur[t.FromPart]
 		}
 		startT := sres.Start[nP+i]
 		finishT := startT + ti.xferMain
@@ -520,10 +541,6 @@ func (it *integrator) integrateBus(choice []bad.Design, l, busCap int, rec *reco
 	g.Feasible = true
 	return g, nil
 }
-
-// memResourceBase offsets synthetic memory-port resource IDs past any real
-// chip index in the urgency scheduler's capacity map.
-const memResourceBase = 1 << 20
 
 // DebugIntegrator exposes integrate for white-box probing; not part of the
 // public surface.

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"chop/internal/obs"
-	"chop/internal/urgency"
 )
 
 // recorder books one search shard's trials into every telemetry plane the
@@ -137,11 +136,13 @@ func (r *recorder) endPhase(tok obs.PhaseToken, p obs.Phase) {
 	}
 }
 
-// urgency records one urgency-scheduling run's size.
-func (r *recorder) urgency(st urgency.Stats) {
+// urgency records one urgency-scheduling run's size: its task count and
+// the cycles a cycle-by-cycle scheduler steps through (sched.ListResult's
+// Cycles).
+func (r *recorder) urgency(tasks, cycles int) {
 	if r != nil && r.m != nil {
-		r.m.Observe("core.urgency_tasks", float64(st.Tasks))
-		r.m.Observe("core.urgency_cycles", float64(st.Cycles))
+		r.m.Observe("core.urgency_tasks", float64(tasks))
+		r.m.Observe("core.urgency_cycles", float64(cycles))
 	}
 }
 
