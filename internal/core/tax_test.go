@@ -66,10 +66,10 @@ func TestTelemetryTax(t *testing.T) {
 // (given in its comment) plus 2%, BENCHMARK.json's allocs_per_op bound.
 // A change that lowers a count lowers its constant to the new count plus 2%.
 const (
-	// maxFig7AllocsPerTrial: measured 381.9 (1,979,842 per 5,184 trials).
-	maxFig7AllocsPerTrial = 389.5
-	// maxStressAllocsPerTrial: measured 1,751.3 (7,173,384 per 4,096 trials).
-	maxStressAllocsPerTrial = 1786.3
+	// maxFig7AllocsPerTrial: measured 55.0 (285,330 per 5,184 trials).
+	maxFig7AllocsPerTrial = 56.1
+	// maxStressAllocsPerTrial: measured 281.3 (1,152,190 per 4,096 trials).
+	maxStressAllocsPerTrial = 286.9
 	// maxCheckpointAllocs bounds what per-shard checkpointing adds to the
 	// stress search. It is absolute, so cutting trial allocations does not
 	// tighten it. Measured: +46,521.
