@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race alloc-gates bench-test gobench fuzz chaos trace-smoke loadgen-smoke dist-smoke cover serve ci
+.PHONY: all build vet lint test race alloc-gates bench-test gobench fuzz chaos trace-smoke dist-smoke cover serve ci
 
 all: build
 
@@ -67,24 +67,14 @@ TRACE_SMOKE_DIR ?= trace-smoke
 trace-smoke:
 	TRACE_SMOKE_DIR=$(TRACE_SMOKE_DIR) ./scripts/trace-smoke.sh
 
-# loadgen-smoke drives the SLO harness against a real admission-controlled
-# chop serve process (API keys, quotas, rate limits) at low RPS, gates the
-# resulting loadgen.json (p99 latency + goroutine/FD leak budgets), and
-# checks that a wrong API key buckets under bad-key. Gate a change against
-# a saved baseline with:
-#   go run ./cmd/chop loadgen -compare loadgen-smoke/loadgen.json
-LOADGEN_SECS ?= 10
-LOADGEN_DIR ?= loadgen-smoke
-loadgen-smoke:
-	LOADGEN_DIR=$(LOADGEN_DIR) LOADGEN_SECS=$(LOADGEN_SECS) ./scripts/loadgen-smoke.sh
-
 # dist-smoke runs the fault-tolerant distributed search across real
 # processes: a coordinator and two chop serve workers, one stalled by
 # fault injection and SIGKILLed mid-search. Gates on lease recovery
 # (shards reassigned to the survivor) and on the merged result staying
-# byte-identical to a serial run, for both heuristics; then stitches a
-# clean traced run with chop trace -fail-on-orphans and exports
-# DIST_SMOKE_DIR/perfetto.json.
+# byte-identical to a serial run, for both heuristics; then runs a clean
+# traced search against admission-controlled workers (-api-keys; a
+# keyless submit must get bad-key), stitches it with chop trace
+# -fail-on-orphans and exports DIST_SMOKE_DIR/perfetto.json.
 DIST_SMOKE_DIR ?= dist-smoke
 dist-smoke:
 	DIST_SMOKE_DIR=$(DIST_SMOKE_DIR) ./scripts/dist-smoke.sh

@@ -336,8 +336,8 @@ type (
 	// feasibility, rejection reason).
 	SlowTrial = obs.Exemplar
 	// StatsSnapshotter samples a Metrics registry (and optionally a
-	// RunStats) on a fixed cadence into a bounded in-memory ring and,
-	// when configured with a writer, a JSONL time series.
+	// RunStats) on a fixed cadence into StatsRecords, returned by Tick
+	// and, when configured with a writer, appended to a JSONL time series.
 	StatsSnapshotter = obs.Snapshotter
 	// StatsSnapshotterOptions configures a StatsSnapshotter.
 	StatsSnapshotterOptions = obs.SnapshotterOptions

@@ -15,7 +15,6 @@
 //	chop trace a.jsonl b.jsonl   stitch multi-process traces into one tree (-o perfetto exports for ui.perfetto.dev)
 //	chop submit            submit a run to a serve instance, propagating W3C trace context
 //	chop serve             start the HTTP service plane (runs, SSE traces, /metrics)
-//	chop loadgen           drive a live serve instance at a target RPS, gate SLOs vs a baseline
 //	chop top               live terminal dashboard over a serve instance or a -stats-out file
 //	chop version           print the binary's build identity
 //
@@ -95,8 +94,6 @@ func main() {
 		err = accuracy()
 	case "serve":
 		err = serveCmd(os.Args[2:])
-	case "loadgen":
-		err = loadgenCmd(os.Args[2:])
 	case "top":
 		err = top(os.Args[2:])
 	case "version":
@@ -150,13 +147,6 @@ func usage() {
                        /api/v1/runs/{id}/events, scrape /metrics; -api-keys
                        file.json turns on multi-tenant admission control
                        (quotas, submit rates, priority preemption)
-  loadgen              drive a live serve instance with a submit/stream/cancel
-                       mix at a target rate (-addr, -rps, -duration, -stream,
-                       -cancel, -subs, -api-key), measure p50/p95/p99 submit
-                       and TTFB latency plus goroutine/FD stability, write
-                       loadgen.json; -compare baseline.json gates the SLOs
-                       (p99 growth beyond -tolerance, leaks beyond
-                       -leak-tolerance exit non-zero)
   top                  live terminal dashboard: poll a serve instance
                        (-addr, optionally -run id) or tail a -stats-out file
                        (-f stats.jsonl); -once renders a single frame

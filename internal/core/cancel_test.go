@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"chop/internal/bad"
+	"chop/internal/chip"
+	"chop/internal/dfg"
 	"chop/internal/obs"
 )
 
@@ -72,6 +74,35 @@ func TestDeadlineExpiresDuringSearch(t *testing.T) {
 	_, err := Search(arPartitioning(t, 2, 1), cfg, mustPredict(t, 2), Iterative)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestDeadlineExpiresDuringLastPrediction: a deadline that expires while BAD
+// predicts the last partition fails the run, even when that partition keeps
+// no designs and the search never reaches a trial to check the context at.
+func TestDeadlineExpiresDuringLastPrediction(t *testing.T) {
+	g := dfg.FIR(160, 16)
+	p := &Partitioning{
+		Graph:    g,
+		Parts:    dfg.LevelPartitions(g, 1),
+		PartChip: []int{0},
+		Chips:    chip.NewUniformSet(1, chip.MOSISPackages()[1], 4),
+	}
+	for _, h := range []Heuristic{Enumeration, Iterative} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		cfg := exp1Config()
+		cfg.Ctx = ctx
+		start := time.Now()
+		res, _, err := Run(p, cfg, h)
+		elapsed := time.Since(start)
+		cancel()
+		if err == nil && elapsed < time.Millisecond {
+			t.Skipf("%s: run finished in %v, before its deadline", h, elapsed)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v after %d trials and %v, want context.DeadlineExceeded",
+				h, err, res.Trials, elapsed)
+		}
 	}
 }
 

@@ -209,8 +209,13 @@ func runShards(it *integrator, cfg Config, pl *searchPlan, order []int, outs []s
 }
 
 // runSearch is Search's engine: plan, restore a checkpoint, run the
-// unrestored shards, merge, and reduce to the non-inferior set.
+// unrestored shards, merge, and reduce to the non-inferior set. The context
+// is checked once up front: a search whose plan is empty runs no trial, so
+// a deadline that expired during prediction would otherwise go unreported.
 func runSearch(it *integrator, cfg Config, preds []bad.Result, h Heuristic, sp *obs.Span) (SearchResult, error) {
+	if err := cfg.canceled(); err != nil {
+		return SearchResult{Heuristic: h}, err
+	}
 	pl, err := planSearch(cfg, preds, h, 0)
 	if err != nil || pl.empty {
 		return SearchResult{Heuristic: h}, err

@@ -33,19 +33,15 @@ type StatsRecord struct {
 }
 
 // Snapshotter periodically folds a Metrics registry (and optionally a
-// RunStats) into timestamped StatsRecords, retaining the most recent ones
-// in a bounded ring and appending each as one JSONL line to an optional
-// writer (the -stats-out file). Sampling is driven either by Run's ticker
-// goroutine or by explicit Tick calls (tests, and call sites that already
-// have a cadence).
+// RunStats) into timestamped StatsRecords and appends each as one JSONL
+// line to an optional writer (the -stats-out file). Sampling is driven
+// either by Run's ticker goroutine or by explicit Tick calls (tests, and
+// call sites that already have a cadence).
 type Snapshotter struct {
 	mu      sync.Mutex
 	metrics *Metrics
 	stats   *RunStats
 	out     io.Writer
-	ring    []StatsRecord
-	head    int // next write position; ring full when len(ring)==cap
-	n       int // records currently retained
 	seq     int64
 	prev    map[string]int64 // previous counters, for deltas
 	prevT   time.Time
@@ -65,8 +61,6 @@ type SnapshotterOptions struct {
 	// Out, when set, receives each record as one JSONL line. The
 	// snapshotter serializes writes itself.
 	Out io.Writer
-	// RingCapacity bounds the in-memory history (default 256).
-	RingCapacity int
 }
 
 // DefaultStatsInterval is the sampling cadence Run uses unless overridden.
@@ -75,28 +69,7 @@ const DefaultStatsInterval = time.Second
 // NewSnapshotter builds an idle snapshotter; call Tick for manual samples
 // or Run to start the periodic goroutine.
 func NewSnapshotter(opts SnapshotterOptions) *Snapshotter {
-	cap := opts.RingCapacity
-	if cap <= 0 {
-		cap = 256
-	}
-	return &Snapshotter{
-		metrics: opts.Metrics,
-		stats:   opts.Stats,
-		out:     opts.Out,
-		ring:    make([]StatsRecord, cap),
-	}
-}
-
-// SetStats attaches (or replaces) the run-stats source embedded in
-// subsequent records. Safe while the snapshotter is running — serve
-// attaches the run's stats when the job starts.
-func (s *Snapshotter) SetStats(st *RunStats) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.stats = st
-	s.mu.Unlock()
+	return &Snapshotter{metrics: opts.Metrics, stats: opts.Stats, out: opts.Out}
 }
 
 // Tick takes one sample now and returns it.
@@ -136,11 +109,6 @@ func (s *Snapshotter) Tick() StatsRecord {
 		rs := s.stats.Snapshot()
 		rec.Run = &rs
 	}
-	s.ring[s.head] = rec
-	s.head = (s.head + 1) % len(s.ring)
-	if s.n < len(s.ring) {
-		s.n++
-	}
 	if s.out != nil && s.err == nil {
 		line, err := json.Marshal(rec)
 		if err == nil {
@@ -150,41 +118,6 @@ func (s *Snapshotter) Tick() StatsRecord {
 		s.err = err
 	}
 	return rec
-}
-
-// History returns the retained records, oldest first (a copy).
-func (s *Snapshotter) History() []StatsRecord {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]StatsRecord, 0, s.n)
-	start := s.head - s.n
-	if start < 0 {
-		start += len(s.ring)
-	}
-	for i := 0; i < s.n; i++ {
-		out = append(out, s.ring[(start+i)%len(s.ring)])
-	}
-	return out
-}
-
-// Last returns the most recent record and whether one exists.
-func (s *Snapshotter) Last() (StatsRecord, bool) {
-	if s == nil {
-		return StatsRecord{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return StatsRecord{}, false
-	}
-	i := s.head - 1
-	if i < 0 {
-		i += len(s.ring)
-	}
-	return s.ring[i], true
 }
 
 // Err reports the first JSONL write error, if any.

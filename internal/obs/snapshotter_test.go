@@ -5,18 +5,52 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
 
+// recordSink decodes the JSONL records a Snapshotter writes, one per
+// Write; it is safe to read while the sampler goroutine runs.
+type recordSink struct {
+	mu   sync.Mutex
+	recs []StatsRecord
+}
+
+func (w *recordSink) Write(p []byte) (int, error) {
+	var rec StatsRecord
+	if err := json.Unmarshal(p, &rec); err != nil {
+		return 0, err
+	}
+	w.mu.Lock()
+	w.recs = append(w.recs, rec)
+	w.mu.Unlock()
+	return len(p), nil
+}
+
+// last returns the most recent record written and whether one exists.
+func (w *recordSink) last() (StatsRecord, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.recs) == 0 {
+		return StatsRecord{}, false
+	}
+	return w.recs[len(w.recs)-1], true
+}
+
+// TestSnapshotterDeltasAndRing checks sequence numbers and counter deltas
+// across successive samples.
 func TestSnapshotterDeltasAndRing(t *testing.T) {
 	m := NewMetrics()
-	s := NewSnapshotter(SnapshotterOptions{Metrics: m, RingCapacity: 3})
+	s := NewSnapshotter(SnapshotterOptions{Metrics: m})
 
 	m.Add("core.trials", 10)
 	r1 := s.Tick()
 	if r1.Seq != 1 || r1.Counters["core.trials"] != 10 {
 		t.Fatalf("first record wrong: %+v", r1)
+	}
+	if r1.Run != nil {
+		t.Fatalf("record without attached stats carries a run fold: %+v", r1.Run)
 	}
 	if r1.CounterDeltas != nil {
 		t.Fatalf("first record carries deltas: %+v", r1.CounterDeltas)
@@ -31,31 +65,19 @@ func TestSnapshotterDeltasAndRing(t *testing.T) {
 
 	// An unmoved counter produces no delta entry.
 	r3 := s.Tick()
-	if len(r3.CounterDeltas) != 0 {
-		t.Fatalf("unmoved counters produced deltas: %+v", r3.CounterDeltas)
-	}
-
-	s.Tick() // 4th: ring capacity 3 drops the oldest
-	hist := s.History()
-	if len(hist) != 3 || hist[0].Seq != 2 || hist[2].Seq != 4 {
-		t.Fatalf("ring history wrong: %+v", hist)
-	}
-	last, ok := s.Last()
-	if !ok || last.Seq != 4 {
-		t.Fatalf("last = %+v ok=%v", last, ok)
+	if r3.Seq != 3 || len(r3.CounterDeltas) != 0 {
+		t.Fatalf("unmoved counters produced deltas: %+v", r3)
 	}
 }
 
 func TestSnapshotterJSONLAndRunStats(t *testing.T) {
 	var buf bytes.Buffer
-	m := NewMetrics()
-	s := NewSnapshotter(SnapshotterOptions{Metrics: m, Out: &buf})
+	rs := NewRunStats("run-7")
+	s := NewSnapshotter(SnapshotterOptions{Metrics: NewMetrics(), Stats: rs, Out: &buf})
 	s.Tick()
 
-	rs := NewRunStats("run-7")
 	rs.StartSearch(1, 10)
 	addTrials(rs.ShardStats(0), 3, 1)
-	s.SetStats(rs)
 	s.Tick()
 
 	sc := bufio.NewScanner(&buf)
@@ -70,8 +92,8 @@ func TestSnapshotterJSONLAndRunStats(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("wrote %d records, want 2", len(recs))
 	}
-	if recs[0].Run != nil {
-		t.Fatalf("record before SetStats carries run stats: %+v", recs[0].Run)
+	if recs[0].Run == nil || recs[0].Run.Trials != 0 {
+		t.Fatalf("record before the search has run fold %+v, want zero trials", recs[0].Run)
 	}
 	if recs[1].Run == nil || recs[1].Run.Trials != 3 || recs[1].Run.Label != "run-7" {
 		t.Fatalf("embedded run fold wrong: %+v", recs[1].Run)
@@ -96,13 +118,13 @@ func TestSnapshotterWriteErrorLatches(t *testing.T) {
 }
 
 func TestSnapshotterRunStop(t *testing.T) {
-	m := NewMetrics()
-	s := NewSnapshotter(SnapshotterOptions{Metrics: m})
+	var out recordSink
+	s := NewSnapshotter(SnapshotterOptions{Metrics: NewMetrics(), Out: &out})
 	s.Run(time.Millisecond)
 	s.Run(time.Millisecond) // idempotent
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, ok := s.Last(); ok {
+		if _, ok := out.last(); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -111,24 +133,17 @@ func TestSnapshotterRunStop(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	s.Stop()
-	last, _ := s.Last()
+	last, _ := out.last()
 	s.Stop() // idempotent; still takes a final sample
-	if l2, _ := s.Last(); l2.Seq <= last.Seq {
+	if l2, _ := out.last(); l2.Seq <= last.Seq {
 		t.Fatalf("Stop did not take a final sample: %d then %d", last.Seq, l2.Seq)
 	}
 }
 
 func TestNilSnapshotterIsNoOp(t *testing.T) {
 	var s *Snapshotter
-	s.SetStats(nil)
 	if rec := s.Tick(); rec.Seq != 0 {
 		t.Fatalf("nil Tick = %+v", rec)
-	}
-	if h := s.History(); h != nil {
-		t.Fatalf("nil History = %+v", h)
-	}
-	if _, ok := s.Last(); ok {
-		t.Fatal("nil Last reports a record")
 	}
 	s.Run(time.Millisecond)
 	s.Stop()

@@ -65,8 +65,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Backoff produces a capped exponential wait sequence with optional
 // deterministic jitter: base, 2*base, 4*base, ... clamped at max, each
 // scaled by a uniform factor in [1-jitter, 1+jitter]. It is the waiting
-// schedule behind Retry, exported so pollers (serve.Client.Await, loadgen)
-// share the same curve — a fleet of clients seeded differently spreads its
+// schedule behind Retry, exported so pollers (serve.Client.Await) share
+// the same curve — a fleet of clients seeded differently spreads its
 // polls instead of self-synchronizing into thundering herds.
 //
 // Not safe for concurrent use; give each goroutine its own Backoff.

@@ -212,8 +212,8 @@ func (c *Client) Cancel(ctx context.Context, id string) (cancelled bool, err err
 // Await polls a run until it reaches a terminal state (or ctx ends). poll
 // is the initial polling delay (default 200ms); each subsequent wait backs
 // off exponentially, capped at 8x, with deterministic ±20% jitter seeded
-// from the run id — so a fleet of high-RPS clients (loadgen) decorrelates
-// its polls instead of hammering the server in lockstep.
+// from the run id — so many clients awaiting many runs decorrelate their
+// polls instead of hammering the server in lockstep.
 func (c *Client) Await(ctx context.Context, id string, poll time.Duration) (RunStatus, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond

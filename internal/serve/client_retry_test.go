@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"chop/internal/spec"
 )
 
 // backpressureServer rejects the first n submissions with the given status
@@ -117,5 +119,42 @@ func TestSubmitRetryZeroBudgetIsPlainSubmit(t *testing.T) {
 	_, err := c.SubmitRetry(context.Background(), SubmitSpec{Kind: "eval"}, 0)
 	if err == nil || attempts.Load() != 1 {
 		t.Fatalf("want single failed attempt, got err=%v attempts=%d", err, attempts.Load())
+	}
+}
+
+// TestClientRejectionBuckets drives a real server's throttled tenant
+// faster than its rate: the burst token is accepted, and every overflow
+// submit surfaces through Client.Submit as a typed 429 whose reason is the
+// server's "rate-limited" and whose Retry-After hint is set.
+func TestClientRejectionBuckets(t *testing.T) {
+	_, ts := newTestServer(t, Options{Tenants: []TenantConfig{
+		{Name: "slow", Key: "slow-key", RatePerSec: 1, Burst: 1},
+	}})
+	raw, err := json.Marshal(spec.Example())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{Base: ts.URL, APIKey: "slow-key"}
+	accepted, rejected := 0, map[string]int{}
+	for i := 0; i < 10; i++ {
+		_, err := c.Submit(context.Background(), SubmitSpec{Kind: "eval", Spec: raw})
+		var ae *APIError
+		switch {
+		case err == nil:
+			accepted++
+		case errors.As(err, &ae):
+			rejected[ae.Reason]++
+			if ae.Reason == "rate-limited" && (ae.Status != http.StatusTooManyRequests || ae.RetryAfter <= 0) {
+				t.Errorf("submit %d: rate-limited rejection = %+v, want 429 with Retry-After", i, ae)
+			}
+		default:
+			t.Fatalf("submit %d: untyped error %v", i, err)
+		}
+	}
+	if accepted == 0 {
+		t.Error("burst token not accepted")
+	}
+	if rejected["rate-limited"] == 0 || len(rejected) != 1 {
+		t.Errorf("want only rate-limited rejections, got %v (accepted %d)", rejected, accepted)
 	}
 }

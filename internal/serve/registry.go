@@ -21,6 +21,7 @@ import (
 	"log/slog"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,7 +109,10 @@ type Run struct {
 	finished  time.Time
 	result    any
 	errMsg    string
-	cancelled bool // cancel requested while queued (shutdown flush)
+	// cancelled marks a cancel requested while a worker owns the run
+	// outside the queue (dispatched but not started, or preempted and not
+	// yet requeued) or at the shutdown flush; execute finalizes it.
+	cancelled bool
 	cancel    context.CancelFunc
 
 	// preempt cancels the running job with ErrPreempted as the cause;
@@ -650,8 +654,10 @@ func (r *Registry) List() []RunStatus {
 
 // Cancel requests cancellation: a queued run is finalized immediately
 // (removed from the dispatch queue); a running run has its context
-// cancelled (the pipeline stops at the next trial boundary). Cancelling a
-// terminal run reports false.
+// cancelled (the pipeline stops at the next trial boundary). A queued run
+// a worker has already taken off the queue is left to that worker, which
+// finalizes it as canceled before it starts. Cancelling a terminal run
+// reports false.
 func (r *Registry) Cancel(id string) (bool, error) {
 	r.mu.Lock()
 	run, ok := r.runs[id]
@@ -662,22 +668,21 @@ func (r *Registry) Cancel(id string) (bool, error) {
 	run.mu.Lock()
 	switch run.state {
 	case StateQueued:
+		i := slices.Index(r.pending, run)
+		if i < 0 {
+			// Dispatched but not started, or preempted and not yet
+			// requeued: finalizing here would race the worker that owns it.
+			run.cancelled = true
+			run.mu.Unlock()
+			r.mu.Unlock()
+			return true, nil
+		}
 		// Finalize in place: pull it out of pending so it neither occupies
 		// a queue slot nor waits on tenant eligibility to die.
-		run.state = StateCanceled
-		run.finished = time.Now()
-		run.errMsg = context.Canceled.Error()
-		run.mu.Unlock()
-		for i, p := range r.pending {
-			if p == run {
-				r.pending = append(r.pending[:i], r.pending[i+1:]...)
-				break
-			}
-		}
+		r.pending = slices.Delete(r.pending, i, i+1)
 		r.adm.unqueue(run.tenant)
 		r.mu.Unlock()
-		run.ring.Close()
-		r.metrics.Inc("serve.runs.canceled")
+		r.finishCanceled(run)
 		r.log.Info("run canceled while queued", "run", run.id)
 		return true, nil
 	case StateRunning:
@@ -743,6 +748,20 @@ func (r *Registry) CountByState() map[State]int {
 	return out
 }
 
+// finishCanceled ends a run that will not execute (again) as canceled. The
+// caller holds run.mu, and finishCanceled releases it: the terminal state is
+// published before the ring closes, so a client that sees the SSE done event
+// never reads a non-terminal run. Tenant accounting and logging stay with
+// the caller.
+func (r *Registry) finishCanceled(run *Run) {
+	run.state = StateCanceled
+	run.finished = time.Now()
+	run.errMsg = context.Canceled.Error()
+	run.mu.Unlock()
+	run.ring.Close()
+	r.metrics.Inc("serve.runs.canceled")
+}
+
 // worker executes dispatchable runs until shutdown.
 func (r *Registry) worker() {
 	defer r.wg.Done()
@@ -775,12 +794,7 @@ func (r *Registry) worker() {
 		case requeued:
 			r.adm.finishRun(run.tenant)
 			run.mu.Lock()
-			run.state = StateCanceled
-			run.finished = time.Now()
-			run.errMsg = context.Canceled.Error()
-			run.mu.Unlock()
-			run.ring.Close()
-			r.metrics.Inc("serve.runs.canceled")
+			r.finishCanceled(run)
 		default:
 			r.adm.finishRun(run.tenant)
 		}
@@ -794,12 +808,7 @@ func (r *Registry) worker() {
 func (r *Registry) execute(run *Run) (requeued bool) {
 	run.mu.Lock()
 	if run.cancelled || r.baseCtx.Err() != nil {
-		run.state = StateCanceled
-		run.finished = time.Now()
-		run.errMsg = context.Canceled.Error()
-		run.mu.Unlock()
-		run.ring.Close()
-		r.metrics.Inc("serve.runs.canceled")
+		r.finishCanceled(run)
 		r.log.Info("run canceled before start", "run", run.id)
 		return false
 	}
@@ -974,13 +983,8 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 	for _, run := range flushed {
 		run.mu.Lock()
 		run.cancelled = true
-		run.state = StateCanceled
-		run.finished = time.Now()
-		run.errMsg = context.Canceled.Error()
-		run.mu.Unlock()
-		run.ring.Close()
+		r.finishCanceled(run)
 		r.adm.unqueue(run.tenant)
-		r.metrics.Inc("serve.runs.canceled")
 	}
 	r.cond.Broadcast() // wake idle workers so they observe shutdown
 	r.mu.Unlock()

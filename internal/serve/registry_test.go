@@ -150,6 +150,46 @@ func TestRegistryCancelQueued(t *testing.T) {
 	}
 }
 
+// TestRegistryCancelRacingDispatch cancels each run right after submit,
+// while an idle worker is taking it off the queue. Every run must finish
+// exactly once, and the tenant's running and queued slots must return to
+// zero: a run the worker already holds is finalized by that worker, not
+// also by Cancel.
+func TestRegistryCancelRacingDispatch(t *testing.T) {
+	r := NewRegistry(RegistryOptions{
+		MaxConcurrent: 4, Jobs: chaosJobs(),
+		Tenants: []TenantConfig{{Name: "a", Key: "ka"}},
+	})
+	defer r.Shutdown(context.Background())
+	const runs = 2000
+	for i := 0; i < runs; i++ {
+		run, err := r.SubmitWith("instant", nil, SubmitOptions{APIKey: "ka"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Cancel(run.ID())
+		deadline := time.Now().Add(10 * time.Second)
+		for !run.Status(false).State.Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %s never finished", run.ID())
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
+	if err := r.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	m := r.Metrics()
+	if n := m.Counter("serve.runs.canceled") + m.Counter("serve.runs.done"); n != runs {
+		t.Errorf("%d runs finished %d times", runs, n)
+	}
+	for _, occ := range r.TenantOccupancies() {
+		if occ.Running != 0 || occ.Queued != 0 {
+			t.Errorf("tenant %s left running=%d queued=%d", occ.Name, occ.Running, occ.Queued)
+		}
+	}
+}
+
 func TestRegistryShutdownCancelsEverything(t *testing.T) {
 	started := make(chan string, 1)
 	r := NewRegistry(RegistryOptions{

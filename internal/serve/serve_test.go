@@ -5,11 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -278,6 +281,127 @@ func TestServeSSELiveStream(t *testing.T) {
 	if s.Registry().Metrics().Counter("serve.runs.canceled") != 1 {
 		t.Error("canceled counter missing")
 	}
+}
+
+// TestServeLoadMixNoLeaks drives a client traffic mix through an
+// admission-controlled server: 40 eval submissions, every other run's SSE
+// stream read to done by two subscribers, every tenth run cancelled right
+// after submit, every run awaited to a terminal state, and one keyless
+// submit rejected with bad-key. No goroutine may outlive the server, and
+// once idle connections close the process must hold no more file
+// descriptors than before the traffic (checked where /proc exposes them).
+func TestServeLoadMixNoLeaks(t *testing.T) {
+	leakCheck(t)
+	_, ts := newTestServer(t, Options{
+		MaxConcurrent: 4,
+		Tenants:       []TenantConfig{{Name: "load", Key: "load-key"}},
+	})
+	httpc := &http.Client{Transport: &http.Transport{}}
+	client := &Client{Base: ts.URL, APIKey: "load-key", HTTP: httpc}
+	raw, err := json.Marshal(spec.Example())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fdsBefore, haveFDs := openFDs()
+
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for i := 0; i < 40; i++ {
+		st, err := client.Submit(ctx, SubmitSpec{Kind: "eval", Spec: raw})
+		if err != nil {
+			t.Fatalf("run %d: submit: %v", i, err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var subs sync.WaitGroup
+			if i%2 == 0 {
+				for range 2 {
+					subs.Add(1)
+					go func() {
+						defer subs.Done()
+						if err := readEventsToDone(httpc, ts.URL+"/api/v1/runs/"+st.ID+"/events"); err != nil {
+							t.Errorf("run %d: %v", i, err)
+						}
+					}()
+				}
+			}
+			canceled := i%10 == 0
+			if canceled {
+				if _, err := client.Cancel(ctx, st.ID); err != nil {
+					t.Errorf("run %d: cancel: %v", i, err)
+				}
+			}
+			final, err := client.Await(ctx, st.ID, 5*time.Millisecond)
+			if err != nil {
+				t.Errorf("run %d: await: %v", i, err)
+			} else if final.State != StateDone && !(canceled && final.State == StateCanceled) {
+				t.Errorf("run %d ended %s (%s)", i, final.State, final.Error)
+			}
+			subs.Wait()
+		}()
+	}
+	wg.Wait()
+
+	keyless := &Client{Base: ts.URL, HTTP: httpc}
+	var ae *APIError
+	if _, err := keyless.Submit(ctx, SubmitSpec{Kind: "eval", Spec: raw}); !errors.As(err, &ae) ||
+		ae.Status != http.StatusUnauthorized || ae.Reason != "bad-key" {
+		t.Fatalf("keyless submit error = %v, want 401 bad-key", err)
+	}
+
+	httpc.CloseIdleConnections()
+	if !haveFDs {
+		t.Log("/proc/self/fd unavailable: file descriptors not checked")
+		return
+	}
+	// The server closes its side of each connection once it reads the
+	// client's close, so the count settles shortly after.
+	fds := 0
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if fds, _ = openFDs(); fds <= fdsBefore {
+			return
+		}
+	}
+	t.Errorf("file descriptors leaked: %d before the traffic, %d after", fdsBefore, fds)
+}
+
+// readEventsToDone reads one run's SSE stream until the server ends it and
+// reports an error unless the stream carried the done event.
+func readEventsToDone(httpc *http.Client, url string) error {
+	resp, err := httpc.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("events: HTTP %d", resp.StatusCode)
+	}
+	sawDone := false
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		if sc.Text() == "event: done" {
+			sawDone = true
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if !sawDone {
+		return errors.New("event stream ended without done")
+	}
+	return nil
+}
+
+// openFDs counts the process's open file descriptors; ok is false where
+// /proc/self/fd is unavailable.
+func openFDs() (n int, ok bool) {
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return 0, false
+	}
+	return len(entries), true
 }
 
 func TestServeSubmitErrors(t *testing.T) {

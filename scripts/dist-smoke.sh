@@ -10,7 +10,10 @@
 #
 # Phase 2 (trace): a clean two-worker run with -trace everywhere, stitched
 # by `chop trace -fail-on-orphans` (coordinator Lease spans must parent
-# the workers' HTTP/job spans) and exported as perfetto.json for CI.
+# the workers' HTTP/job spans) and exported as perfetto.json for CI. Both
+# workers run admission-controlled (`-api-keys`): the coordinator passes
+# its tenant key, and a keyless `chop submit` must be rejected with
+# bad-key.
 set -euo pipefail
 
 DIR="${DIST_SMOKE_DIR:-dist-smoke}"
@@ -97,18 +100,33 @@ for H in I E; do
 	echo "   [$H] OK: reassigned=$reassigned shards, result byte-identical to serial"
 done
 
-echo "== clean traced run for cross-process stitching"
+echo "== clean traced run for cross-process stitching (admission-controlled workers)"
 # Workers record their side of every request; the coordinator stamps each
 # lease submission with its span's traceparent so the trees join.
-"$DIR/chop" serve -addr "127.0.0.1:$PORT1" -trace "$DIR/w1.jsonl" -log-level warn >"$DIR/w1_trace.log" 2>&1 &
+echo '{"tenants": [{"name": "coord", "key": "dist-smoke-key"}]}' > "$DIR/tenants.json"
+"$DIR/chop" serve -addr "127.0.0.1:$PORT1" -api-keys "$DIR/tenants.json" \
+	-trace "$DIR/w1.jsonl" -log-level warn >"$DIR/w1_trace.log" 2>&1 &
 W1_PID=$!
-"$DIR/chop" serve -addr "127.0.0.1:$PORT2" -trace "$DIR/w2.jsonl" -log-level warn >"$DIR/w2_trace.log" 2>&1 &
+"$DIR/chop" serve -addr "127.0.0.1:$PORT2" -api-keys "$DIR/tenants.json" \
+	-trace "$DIR/w2.jsonl" -log-level warn >"$DIR/w2_trace.log" 2>&1 &
 W2_PID=$!
 wait_port 127.0.0.1 "$PORT1"
 wait_port 127.0.0.1 "$PORT2"
 
+echo "== a keyless submit must be rejected with bad-key"
+if "$DIR/chop" submit -addr "$W1" > "$DIR/keyless.log" 2>&1; then
+	echo "FAIL: a submit without an API key was accepted" >&2
+	cat "$DIR/keyless.log" >&2
+	exit 1
+fi
+if ! grep -q 'bad-key' "$DIR/keyless.log"; then
+	echo "FAIL: the keyless submit failed without a bad-key rejection" >&2
+	cat "$DIR/keyless.log" >&2
+	exit 1
+fi
+
 "$DIR/chop" search -f "$DIR/spec_I.json" -distributed \
-	-workers-url "$W1,$W2" \
+	-workers-url "$W1,$W2" -api-key dist-smoke-key \
 	-trace "$DIR/coord.jsonl" -poll 50ms -json \
 	> "$DIR/dist_traced.json" 2> "$DIR/dist_traced.log"
 
@@ -136,4 +154,4 @@ echo "== exporting Perfetto JSON"
 "$DIR/chop" trace -fail-on-orphans -o perfetto -out "$DIR/perfetto.json" \
 	"$DIR/coord.jsonl" "$DIR/w1.jsonl" "$DIR/w2.jsonl"
 
-echo "== dist smoke OK: worker killed mid-search, results byte-identical; open $DIR/perfetto.json at https://ui.perfetto.dev"
+echo "== dist smoke OK: worker killed mid-search, results byte-identical, keyless submit rejected; open $DIR/perfetto.json at https://ui.perfetto.dev"
