@@ -122,11 +122,11 @@ func mustPredict(t *testing.T, n int) []bad.Result {
 // and from the sharded worker pool alike — with a partial, bounded trial
 // count and a wrapped context error.
 func TestCancelStressReturnsQuickly(t *testing.T) {
-	// Three partitions of 20 designs each, taken from the unpruned
-	// prediction: an 8000-combination search that runs long enough to
+	// Five partitions of 20 designs each, taken from the unpruned
+	// prediction: a 3.2M-combination search that runs long enough to
 	// cancel mid-flight on any machine.
-	p, cfg, preds := stressProblem(t, 3, 20, true)
-	const space = 20 * 20 * 20
+	p, cfg, preds := stressProblem(t, 5, 20, true)
+	const space = 20 * 20 * 20 * 20 * 20
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())

@@ -70,7 +70,7 @@ func TestIntegrateChipAreasWithinPackage(t *testing.T) {
 
 func TestIntegratePipelinedMismatchRejected(t *testing.T) {
 	p := arPartitioning(t, 2, 1)
-	cfg := exp2Config()
+	cfg := exp1Config()
 	preds, err := PredictPartitions(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +146,21 @@ func TestIntegrateSmallerPackageNeverBeatsLarger(t *testing.T) {
 }
 
 func TestIntegrateMemoryBandwidthChecked(t *testing.T) {
-	// One partition hammering a slow single-port memory must be rejected
-	// at short intervals.
+	res, _, err := Run(memboundPartitioning(t), exp2Config(), Enumeration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 40 us per access and 4 reads per iteration cannot fit any interval
+	// under the 20 us performance bound.
+	if len(res.Best) != 0 {
+		t.Fatalf("memory-bound design reported feasible: %+v", res.Best[0].Reason)
+	}
+}
+
+// memboundPartitioning is one partition hammering a slow single-port
+// memory, which must be rejected at short intervals.
+func memboundPartitioning(t *testing.T) *Partitioning {
+	t.Helper()
 	g := dfg.New("membound")
 	in := g.AddNode("in", dfg.OpInput, 16)
 	prev := in
@@ -179,15 +192,7 @@ func TestIntegrateMemoryBandwidthChecked(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := Run(p, exp2Config(), Enumeration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 40 us per access and 4 reads per iteration cannot fit any interval
-	// under the 20 us performance bound.
-	if len(res.Best) != 0 {
-		t.Fatalf("memory-bound design reported feasible: %+v", res.Best[0].Reason)
-	}
+	return p
 }
 
 func TestIntegratePowerConstraintExtension(t *testing.T) {

@@ -14,9 +14,9 @@ import (
 	"chop/internal/obs"
 )
 
-// updateGolden rewrites the telemetry goldens under testdata/ instead of
-// comparing against them: go test ./internal/core -run TestTraceGolden -update
-var updateGolden = flag.Bool("update", false, "rewrite the telemetry golden files")
+// updateGolden rewrites the goldens under testdata/ instead of comparing
+// against them: go test ./internal/core -run 'TestTraceGolden|TestRejectReasonGolden' -update
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // allPlanes attaches every telemetry plane — trace, metrics, run stats and
 // phase accounting — to cfg, tracing into buf.
