@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"chop/internal/bad"
@@ -181,14 +182,13 @@ func enumSpaceSize(cfg Config, lists [][]bad.Design) (int, error) {
 	return total, nil
 }
 
-// enumTrial evaluates the combination named by idx and books it into res.
-// idx and choice are caller-owned scratch (one combination decode per
-// trial, no allocation); the evaluated choice itself is cloned before it
-// escapes into the result.
+// enumTrial evaluates the combination named by sc.idx in sc and books it
+// into res.
 func enumTrial(it *integrator, cfg Config, res *SearchResult,
-	lists [][]bad.Design, idx []int, choice []bad.Design, rec *recorder) error {
+	lists [][]bad.Design, sc *trialScratch, rec *recorder) error {
 
-	for i, j := range idx {
+	choice := sc.choice
+	for i, j := range sc.idx {
 		choice[i] = lists[i][j]
 	}
 	// The system interval is set by the slowest partition implementation
@@ -200,7 +200,7 @@ func enumTrial(it *integrator, cfg Config, res *SearchResult,
 		}
 	}
 	res.Trials++
-	g, err := it.evalTrial(rec, cloneChoice(choice), l)
+	g, err := it.evalTrial(rec, sc, choice, l)
 	if err != nil {
 		return err
 	}
@@ -259,17 +259,17 @@ func iterativeIntervals(cfg Config, lists [][]bad.Design) []int {
 }
 
 // iterativeInterval runs the paper's Figure-5 serialization loop for one
-// candidate system interval, booking every examined trial into res. The
-// loop for one interval is independent of every other interval's, which is
-// what makes each interval one shard of the engine, merged back in
-// interval order.
+// candidate system interval in sc, booking every examined trial into res.
+// The loop for one interval is independent of every other interval's,
+// which is what makes each interval one shard of the engine, merged back
+// in interval order.
 func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
-	res *SearchResult, rec *recorder) error {
+	res *SearchResult, rec *recorder, sc *trialScratch) error {
 
 	// Initialize W_i to the fastest valid implementation at interval l
 	// (paper: advance each W_i until L_i >= l or W_i is non-pipelined
 	// with L_i <= l).
-	w := make([]int, len(lists))
+	w, choice := sc.idx, sc.choice
 	for i, list := range lists {
 		w[i] = nextValid(list, -1, l, cfg)
 		if w[i] < 0 {
@@ -280,12 +280,11 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 		if err := cfg.canceled(); err != nil {
 			return err
 		}
-		choice := make([]bad.Design, len(lists))
 		for i := range lists {
 			choice[i] = lists[i][w[i]]
 		}
 		res.Trials++
-		g, err := it.evalTrial(rec, choice, l)
+		g, err := it.evalTrial(rec, sc, choice, l)
 		if err != nil {
 			return err
 		}
@@ -295,29 +294,28 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 		}
 		// Q: partitions residing on chips whose area constraint was
 		// violated by the last integration prediction.
-		q := partitionsOnChips(it.p, g.AreaViolations)
-		if len(q) == 0 {
+		sc.q = partitionsOnChips(sc.q[:0], it.p, g.AreaViolations)
+		if len(sc.q) == 0 {
 			return nil
 		}
 		// Tentatively serialize each candidate and keep the one whose
-		// expected system delay (via urgency scheduling) is minimal.
+		// expected system delay (via urgency scheduling) is minimal. Each
+		// tentative trial changes one design of choice and restores it
+		// once the trial is booked.
 		bestQ, bestDelay := -1, 0
-		for _, pi := range q {
+		for _, pi := range sc.q {
 			ni := nextValid(lists[pi], w[pi], l, cfg)
 			if ni < 0 {
 				continue
 			}
-			trial := make([]bad.Design, len(lists))
-			for i := range lists {
-				trial[i] = lists[i][w[i]]
-			}
-			trial[pi] = lists[pi][ni]
+			choice[pi] = lists[pi][ni]
 			res.Trials++
-			tg, err := it.evalTrial(rec, trial, l)
+			tg, err := it.evalTrial(rec, sc, choice, l)
 			if err != nil {
 				return err
 			}
 			record(res, cfg, tg)
+			choice[pi] = lists[pi][w[pi]]
 			if bestQ < 0 || tg.DelayMain < bestDelay {
 				bestQ, bestDelay = pi, tg.DelayMain
 			}
@@ -343,39 +341,30 @@ func nextValid(list []bad.Design, from, l int, cfg Config) int {
 	return -1
 }
 
-// partitionsOnChips returns the partitions residing on any of the given
-// chips, in ascending order.
-func partitionsOnChips(p *Partitioning, chips []int) []int {
-	onChip := map[int]bool{}
-	for _, c := range chips {
-		onChip[c] = true
-	}
-	var out []int
+// partitionsOnChips appends to dst the partitions residing on any of the
+// given chips, in ascending order.
+func partitionsOnChips(dst []int, p *Partitioning, chips []int) []int {
 	for pi, ci := range p.PartChip {
-		if onChip[ci] {
-			out = append(out, pi)
+		if slices.Contains(chips, ci) {
+			dst = append(dst, pi)
 		}
 	}
-	return out
-}
-
-func cloneChoice(c []bad.Design) []bad.Design {
-	out := make([]bad.Design, len(c))
-	copy(out, c)
-	return out
+	return dst
 }
 
 // record books a trial into the search result, applying level-2 pruning:
 // infeasible global predictions are discarded immediately unless KeepAll
-// (the shard's recorder reports the pruning decision).
+// (the shard's recorder reports the pruning decision). g points into trial
+// scratch: a kept design is copied out by own, and a space point copies
+// scalars.
 //
 // record always appends to a single-goroutine result, a shard's private
 // buffer (see mergeShards). KeepAll runs therefore never interleave Space
 // appends across shards, and no mutex guards the result.
-func record(res *SearchResult, cfg Config, g GlobalDesign) {
+func record(res *SearchResult, cfg Config, g *GlobalDesign) {
 	if g.Feasible {
 		res.FeasibleTrials++
-		res.Best = append(res.Best, g)
+		res.Best = append(res.Best, g.own())
 	}
 	// Early-rejected combinations (rate mismatch, data clash) never reach
 	// the area/delay predictions and contribute no point to the figures.

@@ -2,16 +2,19 @@ package core
 
 import (
 	"reflect"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"chop/internal/bad"
-	"chop/internal/dfg"
-	"chop/internal/lib"
+	"chop/internal/stats"
+	"chop/internal/xfer"
 )
 
 // Edge-case tables for the small helpers the search engines lean on:
-// nextValid (the Figure-5 serialization step), cloneChoice (trial snapshot
-// isolation), and the shard arithmetic of the parallel engine.
+// nextValid (the Figure-5 serialization step), the ownership of designs
+// that escape the trial scratch, and the shard arithmetic of the parallel
+// engine.
 
 func TestNextValidEdgeCases(t *testing.T) {
 	// exp1 clocks: DatapathMult 10, so a design with II n runs at 10n main
@@ -48,35 +51,99 @@ func TestNextValidEdgeCases(t *testing.T) {
 	}
 }
 
-func TestCloneChoiceIsolation(t *testing.T) {
-	sets, err := lib.Table1Library().EnumerateSets([]dfg.Op{dfg.OpAdd, dfg.OpMul})
-	if err != nil || len(sets) == 0 {
-		t.Fatalf("EnumerateSets: %v (%d sets)", err, len(sets))
+// TestSearchDesignsOwnTheirMemory: a design that escapes a search shares
+// no memory with another design or with the worker's trial scratch. One
+// scratch runs the stress enumeration shard by shard, as a worker does;
+// its result must equal a run with fresh scratch per trial, no two of its
+// feasible designs may share a backing array, and a second search on the
+// same scratch must leave it unchanged.
+func TestSearchDesignsOwnTheirMemory(t *testing.T) {
+	p, cfg, preds := stressSearchProblem(t)
+	it, err := newIntegrator(p, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ms := sets[0]
-	orig := []bad.Design{
-		{Style: bad.NonPipelined, II: 3, ModuleSet: ms},
-		{Style: bad.Pipelined, II: 5, ModuleSet: ms},
+	lists := make([][]bad.Design, len(preds))
+	for i, r := range preds {
+		lists[i] = r.Designs
 	}
-	clone := cloneChoice(orig)
-	if !reflect.DeepEqual(orig, clone) {
-		t.Fatal("clone differs from original")
+	sc := it.newScratch()
+	var got SearchResult
+	for k := 0; k < 4096; k++ {
+		decodeCombination(k, lists, sc.idx)
+		if err := enumTrial(it, cfg, &got, lists, sc, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Top-level aliasing: mutating the clone's elements must not reach the
-	// original slice (the enumeration loop reuses its scratch buffer while
-	// recorded trials keep their snapshots).
-	clone[0].II = 99
-	clone[1] = bad.Design{}
-	if orig[0].II != 3 || orig[1].Style != bad.Pipelined {
-		t.Fatalf("mutating clone leaked into original: %+v", orig)
+	var want SearchResult
+	if err := oracleEnumerate(it, cfg, lists, &want); err != nil {
+		t.Fatal(err)
 	}
-	// Empty and nil inputs stay usable.
-	if got := cloneChoice(nil); len(got) != 0 {
-		t.Fatalf("cloneChoice(nil) = %v", got)
+	if got.FeasibleTrials != 512 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reused scratch: %d feasible designs, or designs differ from fresh scratch's %d",
+			got.FeasibleTrials, want.FeasibleTrials)
 	}
-	if got := cloneChoice([]bad.Design{}); len(got) != 0 {
-		t.Fatalf("cloneChoice(empty) = %v", got)
+	if i, j, ok := sharedMemory(got.Best); ok {
+		t.Fatalf("Best[%d] and Best[%d] share a backing array", i, j)
 	}
+
+	var again SearchResult
+	for _, l := range iterativeIntervals(cfg, lists) {
+		if err := iterativeInterval(it, cfg, lists, l, &again, nil, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 4095; k >= 0; k-- {
+		decodeCombination(k, lists, sc.idx)
+		if err := enumTrial(it, cfg, &again, lists, sc, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a second search on the same scratch changed the first search's designs")
+	}
+}
+
+// sharedMemory reports two designs whose slices (Choice, ChipArea,
+// ChipPins, Modules, AreaViolations, Schedule and the spans' Chips)
+// overlap in memory.
+func sharedMemory(gs []GlobalDesign) (int, int, bool) {
+	type block struct {
+		lo, hi uintptr
+		design int
+	}
+	var blocks []block
+	add := func(design int, p unsafe.Pointer, n int, size uintptr) {
+		if n > 0 {
+			lo := uintptr(p)
+			blocks = append(blocks, block{lo, lo + uintptr(n)*size, design})
+		}
+	}
+	for i := range gs {
+		g := &gs[i]
+		add(i, unsafe.Pointer(unsafe.SliceData(g.Choice)), cap(g.Choice), unsafe.Sizeof(bad.Design{}))
+		add(i, unsafe.Pointer(unsafe.SliceData(g.ChipArea)), cap(g.ChipArea), unsafe.Sizeof(stats.Triplet{}))
+		add(i, unsafe.Pointer(unsafe.SliceData(g.ChipPins)), cap(g.ChipPins), unsafe.Sizeof(0))
+		add(i, unsafe.Pointer(unsafe.SliceData(g.Modules)), cap(g.Modules), unsafe.Sizeof(xfer.Module{}))
+		add(i, unsafe.Pointer(unsafe.SliceData(g.AreaViolations)), cap(g.AreaViolations), unsafe.Sizeof(0))
+		add(i, unsafe.Pointer(unsafe.SliceData(g.Schedule)), cap(g.Schedule), unsafe.Sizeof(TaskSpan{}))
+		for _, s := range g.Schedule {
+			add(i, unsafe.Pointer(unsafe.SliceData(s.Chips)), cap(s.Chips), unsafe.Sizeof(0))
+		}
+	}
+	// Sweep in address order: a block starting below the furthest end seen
+	// so far overlaps the block owning that end.
+	sort.Slice(blocks, func(a, b int) bool { return blocks[a].lo < blocks[b].lo })
+	var end block
+	for _, b := range blocks {
+		if b.lo < end.hi && b.design != end.design {
+			return end.design, b.design, true
+		}
+		if b.hi > end.hi {
+			end = b
+		}
+	}
+	return 0, 0, false
 }
 
 func TestShardRangeCoversSpace(t *testing.T) {

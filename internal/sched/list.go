@@ -61,7 +61,23 @@ type ListResult struct {
 // error when a duration is negative, a successor is out of range, the graph
 // has a cycle, or tasks remain and no such time exists (a demand exceeds
 // its capacity).
+//
+// List allocates its working memory per call; Workspace.List reuses it.
 func List(g TaskGraph) (ListResult, error) {
+	var w Workspace
+	return w.List(g)
+}
+
+// Workspace is List's working memory, kept for reuse across calls. The
+// zero value is ready to use. A Workspace serves one goroutine at a time.
+type Workspace struct {
+	start, buf []int
+}
+
+// List is the package-level List computed in w's memory, which grows to
+// the largest graph w has scheduled and is not allocated again. The
+// result's Start aliases w until w's next call.
+func (w *Workspace) List(g TaskGraph) (ListResult, error) {
 	n := len(g.Dur)
 	if n == 0 {
 		return ListResult{}, nil
@@ -74,16 +90,22 @@ func List(g TaskGraph) (ListResult, error) {
 			return ListResult{}, fmt.Errorf("sched: task %d has negative duration %d", id, d)
 		}
 	}
-	dem := g.Demand
-	if dem == nil {
-		dem = make([][]Demand, n)
+	demand := func(id int) []Demand {
+		if g.Demand == nil {
+			return nil
+		}
+		return g.Demand[id]
 	}
-	start := make([]int, n)
-	buf := make([]int, 6*n+len(g.Cap))
+	w.start = resize(w.start, n)
+	w.buf = resize(w.buf, 6*n+len(g.Cap))
+	start, buf := w.start, w.buf
 	unmet, prio, earliest := buf[:n], buf[n:2*n], buf[2*n:3*n]
 	order, ready, running := buf[3*n:3*n:4*n], buf[4*n:4*n:5*n], buf[5*n:5*n:6*n]
 	free := buf[6*n:]
 	copy(free, g.Cap)
+	// Every other slice is written before it is read: prio in reverse
+	// topological order, earliest by the copy below, start as tasks start.
+	clear(unmet)
 
 	for id, ss := range g.Succs {
 		for _, s := range ss {
@@ -129,7 +151,7 @@ func List(g TaskGraph) (ListResult, error) {
 		return cmp.Compare(a, b)
 	}
 	fits := func(id int) bool {
-		for _, d := range dem[id] {
+		for _, d := range demand(id) {
 			if free[d.Res] < d.Amount {
 				return false
 			}
@@ -145,7 +167,7 @@ func List(g TaskGraph) (ListResult, error) {
 				kept = append(kept, id)
 				continue
 			}
-			for _, d := range dem[id] {
+			for _, d := range demand(id) {
 				free[d.Res] += d.Amount
 			}
 		}
@@ -168,7 +190,7 @@ func List(g TaskGraph) (ListResult, error) {
 				finish := t + g.Dur[id]
 				makespan = max(makespan, finish)
 				if g.Dur[id] > 0 {
-					for _, d := range dem[id] {
+					for _, d := range demand(id) {
 						free[d.Res] -= d.Amount
 					}
 					running = append(running, id)
@@ -204,4 +226,13 @@ func List(g TaskGraph) (ListResult, error) {
 		}
 		t = next
 	}
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short.
+func resize(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
 }

@@ -600,12 +600,15 @@ func taskGraph(tasks []urgencyTask, caps map[int]int) TaskGraph {
 	return g
 }
 
+// TestListMatchesUrgencyOracle runs every case on one reused Workspace, so
+// state left by a larger or a failed graph would show as a divergence.
 func TestListMatchesUrgencyOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var ws Workspace
 	for c := 0; c < 20000; c++ {
 		tasks, caps := randomTasks(rng)
 		want, wst, werr := urgencyScheduleStats(tasks, caps)
-		got, gerr := List(taskGraph(tasks, caps))
+		got, gerr := ws.List(taskGraph(tasks, caps))
 		if !sameErr(werr, gerr) {
 			t.Fatalf("case %d: error %v, oracle %v\ntasks %+v caps %v", c, gerr, werr, tasks, caps)
 		}

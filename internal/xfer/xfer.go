@@ -108,23 +108,18 @@ func taskName(from, to int) string {
 	return "T:" + f + "->" + t
 }
 
-// Bandwidth returns the bus width (pins) a task may use: the minimum of the
-// per-chip pin budgets of every involved chip, capped at the payload size
-// (paper section 2.5: "the bandwidth for each data transfer task is defined
-// as the minimum bandwidth of all chips involved"). budget maps chip index
-// to the data pins available for transfer payload on that chip. External
-// endpoints impose no limit.
-func Bandwidth(t Task, budget map[int]int) int {
-	bw := t.Bits
-	for _, c := range t.Chips() {
-		if b := budget[c]; b < bw {
-			bw = b
-		}
+// Bandwidth returns the bus width (pins) a transfer of bits may use over
+// the given chips (Task.Chips): the minimum of their pin budgets, capped at
+// the payload size (paper section 2.5: "the bandwidth for each data
+// transfer task is defined as the minimum bandwidth of all chips
+// involved"). budget[c] is the data pins chip c has for transfer payload.
+// External endpoints are not chips and impose no limit.
+func Bandwidth(bits int, chips, budget []int) int {
+	bw := bits
+	for _, c := range chips {
+		bw = min(bw, budget[c])
 	}
-	if bw < 0 {
-		bw = 0
-	}
-	return bw
+	return max(bw, 0)
 }
 
 // TransferCycles returns X, the duration of the transfer in transfer-clock

@@ -87,20 +87,20 @@ func TestTaskChips(t *testing.T) {
 
 func TestBandwidth(t *testing.T) {
 	tk := Task{FromChip: 0, ToChip: 1, Bits: 100}
-	budget := map[int]int{0: 40, 1: 25}
-	if got := Bandwidth(tk, budget); got != 25 {
+	budget := []int{40, 25}
+	if got := Bandwidth(tk.Bits, tk.Chips(), budget); got != 25 {
 		t.Fatalf("Bandwidth = %d, want min chip budget 25", got)
 	}
 	small := Task{FromChip: 0, ToChip: 1, Bits: 10}
-	if got := Bandwidth(small, budget); got != 10 {
+	if got := Bandwidth(small.Bits, small.Chips(), budget); got != 10 {
 		t.Fatalf("Bandwidth capped at payload: %d", got)
 	}
 	extIn := Task{FromChip: External, ToChip: 1, Bits: 100}
-	if got := Bandwidth(extIn, budget); got != 25 {
+	if got := Bandwidth(extIn.Bits, extIn.Chips(), budget); got != 25 {
 		t.Fatalf("external endpoint must not limit: %d", got)
 	}
 	starved := Task{FromChip: 0, ToChip: 1, Bits: 10}
-	if got := Bandwidth(starved, map[int]int{0: 0, 1: 9}); got != 0 {
+	if got := Bandwidth(starved.Bits, starved.Chips(), []int{0, 9}); got != 0 {
 		t.Fatalf("zero budget must give 0: %d", got)
 	}
 }
