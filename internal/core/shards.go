@@ -43,7 +43,7 @@ type ShardPlan struct {
 // requested shard count, while enumeration plans only match at the shard
 // count they were planned with.
 func PlanShards(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, shards int) (ShardPlan, error) {
-	pl, err := planSearch(cfg, preds, h, shards)
+	pl, err := planSearch(p, cfg, preds, h, shards)
 	if err != nil {
 		return ShardPlan{}, err
 	}
@@ -65,7 +65,7 @@ func PlanShards(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, sh
 func SearchShards(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic,
 	shards int, indices []int) (map[int]*SearchResult, error) {
 
-	pl, err := planSearch(cfg, preds, h, shards)
+	pl, err := planSearch(p, cfg, preds, h, shards)
 	if err != nil {
 		return nil, err
 	}
