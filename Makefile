@@ -62,7 +62,10 @@ chaos:
 # trace-smoke exercises distributed tracing end to end across two real
 # processes: chop serve -trace and a traced chop submit, stitched with
 # chop trace -fail-on-orphans (fails on broken parent links) and exported
-# as TRACE_SMOKE_DIR/perfetto.json for ui.perfetto.dev.
+# as TRACE_SMOKE_DIR/perfetto.json for ui.perfetto.dev. It also fails unless
+# the server trace's `chop explain -stats` shows 100% trial coverage over
+# the trials `chop explain` counts, the one check of the phase fold inside
+# a running chop serve.
 TRACE_SMOKE_DIR ?= trace-smoke
 trace-smoke:
 	TRACE_SMOKE_DIR=$(TRACE_SMOKE_DIR) ./scripts/trace-smoke.sh

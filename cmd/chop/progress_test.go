@@ -16,9 +16,8 @@ import (
 func TestProgressContent(t *testing.T) {
 	stats, phases := obs.NewRunStats("test"), obs.NewPhaseAccounter()
 	p := &progress{stats: stats, phases: phases, start: time.Unix(1000, 0), last: time.Unix(1000, 0)}
-	g := phases.Global()
-	g.End(g.Begin(), obs.PhasePredict)
-	g.End(g.Begin(), obs.PhasePredict)
+	phases.End(phases.Begin(), obs.PhasePredict)
+	phases.End(phases.Begin(), obs.PhasePredict)
 	line := p.line(time.Unix(1001, 0))
 	for _, want := range []string{"chop: PredictPartitions ", "predictions=2", "trials=0 ", "elapsed=1s"} {
 		if !strings.Contains(line, want) {

@@ -24,6 +24,7 @@ package bad
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"chop/internal/alloc"
@@ -156,9 +157,9 @@ type Config struct {
 	// Phases, when non-nil, books Predict's cost into the profiling
 	// plane: cache key computation + probing as the cache-lookup phase,
 	// the design-space sweep itself as the predict phase (cache misses
-	// only — hits never reach the sweep). Core sets it to the run
-	// accounter's global handle.
-	Phases *obs.PhaseHandle
+	// only — hits never reach the sweep). Core sets it to the run's
+	// accounter.
+	Phases *obs.PhaseAccounter
 }
 
 // Design is one predicted implementation of a partition.
@@ -597,13 +598,9 @@ func finish(g *dfg.Graph, set lib.ModuleSet, cycles map[dfg.Op]int, fus map[dfg.
 	area := stats.Sum(stats.Exact(cellArea), routing, plaArea)
 
 	// Clock overhead: register setup + mux tree + wiring + controller.
-	muxLevels := int(math.Ceil(math.Log2(float64(maxShare))))
-	if muxLevels < 1 {
-		muxLevels = 1
-	}
 	overhead := stats.Sum(
 		stats.Exact(l.Register.Delay),
-		stats.Exact(float64(muxLevels)*l.Mux.Delay),
+		stats.Exact(float64(muxLevels(maxShare))*l.Mux.Delay),
 		wire.Delay(area.ML),
 		pla.Delay(),
 	)
@@ -635,6 +632,12 @@ func finish(g *dfg.Graph, set lib.ModuleSet, cycles map[dfg.Op]int, fus map[dfg.
 		Power:         stats.Spread(power, 0.10, 0.20),
 		MemBits:       memBits,
 	}
+}
+
+// muxLevels is the depth of the mux tree in front of an FU shared by
+// maxShare (>= 1) operations: ceil(log2(maxShare)), at least one level.
+func muxLevels(maxShare int) int {
+	return max(1, bits.Len(uint(maxShare-1)))
 }
 
 // paretoFilter removes inferior designs: a design is inferior when another

@@ -410,3 +410,25 @@ func TestForceDirectedFindsComparableDesigns(t *testing.T) {
 		t.Fatalf("schedulers diverge: list %v vs fds %v", cb, cf)
 	}
 }
+
+// TestMuxLevelsMatchesFloatForm: the integer muxLevels agrees with the
+// float ceil(log2) it replaced, over every share count from 1 (finish's
+// floor) to 2^20 and at 2^k-1, 2^k and 2^k+1 for k <= 48.
+func TestMuxLevelsMatchesFloatForm(t *testing.T) {
+	float := func(maxShare int) int {
+		return max(1, int(math.Ceil(math.Log2(float64(maxShare)))))
+	}
+	check := func(maxShare int) {
+		if got, want := muxLevels(maxShare), float(maxShare); got != want {
+			t.Fatalf("muxLevels(%d) = %d, float form %d", maxShare, got, want)
+		}
+	}
+	for maxShare := 1; maxShare <= 1<<20; maxShare++ {
+		check(maxShare)
+	}
+	for k := 0; k <= 48; k++ {
+		check(max(1, 1<<k-1))
+		check(1 << k)
+		check(1<<k + 1)
+	}
+}

@@ -258,12 +258,8 @@ func (c *checkpointer) finish() {
 // checkpoint durability is best-effort by design. Runs without the mutex;
 // trySave guarantees a single writer at a time.
 func (c *checkpointer) save(snap ShardSnapshot) {
-	// Checkpoint I/O is booked on the accounter's global cell: the writer
-	// is an elected worker goroutine, but the cost belongs to the
-	// checkpoint phase, not to whichever shard drew the short straw.
-	ph := c.cfg.Phases.Global()
-	tok := ph.Begin()
-	defer ph.End(tok, obs.PhaseCheckpoint)
+	tok := c.cfg.Phases.Begin()
+	defer c.cfg.Phases.End(tok, obs.PhaseCheckpoint)
 	if err := SaveShardSnapshot(c.cfg.Ctx, c.cfg.CheckpointPath, c.cfg.Inject, snap); err != nil {
 		c.cfg.Metrics.Inc("resilience.checkpoint_save_failed")
 		if c.sp != nil {

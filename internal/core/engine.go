@@ -149,8 +149,10 @@ func runShards(it *integrator, cfg Config, pl *searchPlan, order []int, outs []s
 	var cursor atomic.Int64 // next unclaimed position in order
 	var aborted atomic.Bool
 	work := func() {
-		// Per-worker trial scratch, reused across the worker's shards.
+		// Per-worker trial scratch and recorder, reused across the
+		// worker's shards.
 		sc := it.newScratch()
+		rec := newRecorder(cfg, sp)
 		for {
 			oi := int(cursor.Add(1)) - 1
 			if oi >= len(order) || aborted.Load() {
@@ -158,14 +160,13 @@ func runShards(it *integrator, cfg Config, pl *searchPlan, order []int, outs []s
 			}
 			si := order[oi]
 			out := &outs[si]
-			rec := newRecorder(cfg, sp, si)
 			body := func() error {
 				if pl.h == Iterative {
-					rec.start(0)
+					rec.start(si, 0)
 					return iterativeInterval(it, cfg, pl.lists, pl.intervals[si], &out.res, rec, sc)
 				}
 				lo, hi := shardRange(pl.total, pl.shards, si)
-				rec.start(int64(hi - lo))
+				rec.start(si, int64(hi-lo))
 				decodeCombination(lo, pl.lists, sc.idx)
 				for k := lo; k < hi; k++ {
 					if err := cfg.canceled(); err != nil {
@@ -187,6 +188,9 @@ func runShards(it *integrator, cfg Config, pl *searchPlan, order []int, outs []s
 			obs.DoLabeled(cfg.Ctx, func(context.Context) {
 				err = guard(cfg.Metrics, "core.search", body)
 			}, "shard", strconv.Itoa(si))
+			// Publish the shard's tally whichever way it ended, so the
+			// planes agree on failed and interrupted shards too.
+			rec.flush()
 			if err == errShardInterrupted {
 				return
 			}
@@ -225,7 +229,6 @@ func runSearch(it *integrator, cfg Config, preds []bad.Result, h Heuristic, sp *
 	}
 	pl.announce(sp)
 	cfg.Stats.StartSearch(pl.shards, pl.trialTotal())
-	cfg.Phases.StartSearch(pl.shards)
 	outs := make([]shardOut, pl.shards)
 	cp, err := newCheckpointer(it.p, cfg, &pl, outs, sp)
 	if err != nil {

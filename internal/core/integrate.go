@@ -466,8 +466,7 @@ func (it *integrator) integrate(sc *trialScratch, choice []bad.Design, l int, re
 // integrateBus is integrate at a fixed bus-width cap (0 = maximum possible
 // bandwidth), in b. rec brackets the schedule and xfer sections; a
 // rejection inside a bracketed section abandons the bracket, so its time
-// falls into the trial's integrate remainder instead (see
-// PhaseHandle.EndTrial).
+// falls into the trial's integrate remainder instead (see recorder.end).
 func (it *integrator) integrateBus(b *busScratch, choice []bad.Design, l, busCap int, rec *recorder) (*GlobalDesign, error) {
 	p, cfg := it.p, it.cfg
 	g := &b.g

@@ -266,13 +266,15 @@ type Config struct {
 	// published with one atomic add per trial (no hot-loop locks). The
 	// serve layer polls it for /stats and SSE; `chop top` renders it.
 	// Stats never influence the search: results with stats attached are
-	// byte-identical to results without.
+	// byte-identical to results without. Metrics and Phases get a search
+	// worker's trials in batches, at every shard end and every few
+	// thousand trials.
 	Stats *obs.RunStats
-	// Phases, when non-nil, attributes trial cost to named phases
-	// (predict, cache-lookup, schedule, xfer, integrate, checkpoint) by
-	// wall time. Like Stats, phase accounting never influences the search
-	// — results with phases attached are byte-identical to results
-	// without.
+	// Phases, when non-nil, attributes cost to named phases (predict,
+	// cache-lookup, schedule, xfer, integrate, checkpoint) by wall time,
+	// accumulating across searches. Like Stats, phase accounting never
+	// influences the search — results with phases attached are
+	// byte-identical to results without.
 	Phases *obs.PhaseAccounter
 }
 
@@ -301,7 +303,7 @@ func (c Config) badConfig(chips chip.Set) bad.Config {
 		Metrics: c.Metrics,
 		Cache:   c.PredictCache,
 		Inject:  c.Inject,
-		Phases:  c.Phases.Global(),
+		Phases:  c.Phases,
 	}
 }
 

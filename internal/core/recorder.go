@@ -6,42 +6,58 @@ import (
 	"chop/internal/obs"
 )
 
-// recorder books one search shard's trials into every telemetry plane the
-// Config attaches: the trace (integrate span, trial/prune/serialize
-// points), the metrics registry (core.* counters, integrate and urgency
-// histograms), the shard's RunStats cell with its slow-trial exemplars,
-// and the shard's phase cell (trial, schedule and xfer brackets). It is
-// the only per-trial code that calls into obs.
+// recorder books one search worker's trials into every telemetry plane the
+// Config attaches. The trace (integrate span, trial/prune/serialize points)
+// and the current shard's RunStats cell with its slow-trial exemplars are
+// written per trial. The metrics registry (core.* counters, integrate and
+// urgency histograms) and the phase accounter (trial, schedule and xfer
+// time) are fed from a tally the recorder keeps in plain fields and
+// publishes with flush. It is the only per-trial code that calls into obs.
 //
-// runShards builds one per shard; it is nil when no plane is attached,
-// and every method is a no-op on a nil receiver, so a bare search pays a
-// nil check per call site. A shard runs on one goroutine and its trials
-// never nest, so the in-flight trial's state lives in the recorder.
+// runShards builds one per worker and points it at each shard the worker
+// claims; it is nil when no plane is attached, and every method is a no-op
+// on a nil receiver, so a bare search pays a nil check per call site. A
+// worker runs one trial at a time, so the in-flight trial's state lives in
+// the recorder.
 type recorder struct {
 	sp      *obs.Span // the Search span; nil when tracing is off
 	m       *obs.Metrics
-	ss      *obs.ShardStats
-	ph      *obs.PhaseHandle
+	stats   *obs.RunStats
+	ph      *obs.PhaseAccounter
 	keepAll bool
+	ss      *obs.ShardStats // the claimed shard's RunStats cell
 
 	// The trial between begin and end: its interval, start instant,
-	// integrate span and phase bracket.
-	l    int
-	t0   time.Time
-	tsp  *obs.Span
-	ptok obs.TrialToken
+	// integrate span, and the time its schedule and xfer brackets took.
+	l         int
+	t0        time.Time
+	tsp       *obs.Span
+	bracketed time.Duration
+
+	n tally // booked since the last flush
 }
 
-// newRecorder returns shard si's recorder, or nil when cfg attaches no
+// tally is what a recorder has counted since its last flush.
+type tally struct {
+	trials, feasible, serializations         int64
+	rejects                                  [numReasons]int64
+	integrateUS, urgencyTasks, urgencyCycles obs.Histogram
+	phases                                   obs.PhaseTally
+}
+
+// flushTrials is the trial count at which a recorder publishes its tally
+// without waiting for the shard to end, so the metric counters and the
+// phase block of a long shard keep moving (about 10 ms of one-worker
+// Figure 7 trials).
+const flushTrials = 4096
+
+// newRecorder returns a worker's recorder, or nil when cfg attaches no
 // telemetry plane and sp is nil.
-func newRecorder(cfg Config, sp *obs.Span, si int) *recorder {
+func newRecorder(cfg Config, sp *obs.Span) *recorder {
 	if sp == nil && cfg.Metrics == nil && cfg.Stats == nil && cfg.Phases == nil {
 		return nil
 	}
-	return &recorder{
-		sp: sp, m: cfg.Metrics, keepAll: cfg.KeepAll,
-		ss: cfg.Stats.ShardStats(si), ph: cfg.Phases.Shard(si),
-	}
+	return &recorder{sp: sp, m: cfg.Metrics, stats: cfg.Stats, ph: cfg.Phases, keepAll: cfg.KeepAll}
 }
 
 // rejectMetric names each Reason's core.reject.<reason> counter, built
@@ -53,10 +69,12 @@ var rejectMetric = func() (names [numReasons]string) {
 	return names
 }()
 
-// start marks the shard claimed with its planned trial count (0: unknown)
-// and done marks it complete.
-func (r *recorder) start(total int64) {
+// start points the recorder at shard si's RunStats cell and marks the
+// shard claimed with its planned trial count (0: unknown); done marks it
+// complete.
+func (r *recorder) start(si int, total int64) {
 	if r != nil {
+		r.ss = r.stats.ShardStats(si)
 		r.ss.Start(total)
 	}
 }
@@ -76,21 +94,20 @@ func (r *recorder) begin(l int) {
 	if r.sp != nil {
 		r.tsp = r.sp.Child("integrate", obs.F("ii", l))
 	}
+	r.bracketed = 0
 	r.t0 = time.Now()
-	r.ptok = r.ph.BeginTrial(r.t0)
 }
 
 // end closes the trial opened by begin with its outcome. One clock pair
-// times the trial for the phase bracket, the exemplar and
-// core.integrate_us. A trial whose integration failed (err != nil) is
-// booked but not reported as pruned.
+// times the trial for the phase tally, the exemplar and core.integrate_us.
+// A trial whose integration failed (err != nil) is booked but not reported
+// as pruned.
 func (r *recorder) end(g *GlobalDesign, err error) {
 	if r == nil {
 		return
 	}
-	t1 := time.Now()
-	r.ph.EndTrial(r.ptok, t1)
-	us := float64(t1.Sub(r.t0).Nanoseconds()) / 1e3
+	dur := time.Since(r.t0)
+	us := float64(dur.Nanoseconds()) / 1e3
 	reason := g.ReasonCode.String()
 	if r.sp != nil {
 		r.tsp.End(obs.F("feasible", g.Feasible), obs.F("reason", reason))
@@ -110,29 +127,47 @@ func (r *recorder) end(g *GlobalDesign, err error) {
 		reason = ""
 	}
 	r.ss.Trial(us, r.l, g.Feasible, reason)
+	n := &r.n
+	n.trials++
+	if g.Feasible {
+		n.feasible++
+	} else {
+		n.rejects[g.ReasonCode]++
+	}
 	if r.m != nil {
-		r.m.Inc("core.trials")
-		r.m.Observe("core.integrate_us", us)
-		if g.Feasible {
-			r.m.Inc("core.trials_feasible")
-		} else {
-			r.m.Inc(rejectMetric[g.ReasonCode])
-		}
+		n.integrateUS.Observe(us)
+	}
+	if r.ph != nil {
+		// The trial time the schedule and xfer brackets did not take is
+		// integrate's, so the three sum to the trial time exactly; a
+		// bracket abandoned by an early rejection lands here too.
+		ph := &n.phases
+		ph.NS[obs.PhaseIntegrate] += int64(dur - r.bracketed)
+		ph.Count[obs.PhaseIntegrate]++
+		ph.TrialNS += int64(dur)
+		ph.Trials++
+	}
+	if n.trials == flushTrials {
+		r.flush()
 	}
 }
 
 // phase opens a schedule or xfer bracket inside the current trial, and
-// endPhase books it against p.
-func (r *recorder) phase() obs.PhaseToken {
-	if r == nil {
-		return obs.PhaseToken{}
+// endPhase books it against p. Neither reads the clock when no phase
+// accounter is attached.
+func (r *recorder) phase() time.Time {
+	if r == nil || r.ph == nil {
+		return time.Time{}
 	}
-	return r.ph.Begin()
+	return time.Now()
 }
 
-func (r *recorder) endPhase(tok obs.PhaseToken, p obs.Phase) {
-	if r != nil {
-		r.ph.End(tok, p)
+func (r *recorder) endPhase(t0 time.Time, p obs.Phase) {
+	if r != nil && r.ph != nil {
+		d := time.Since(t0)
+		r.bracketed += d
+		r.n.phases.NS[p] += int64(d)
+		r.n.phases.Count[p]++
 	}
 }
 
@@ -141,8 +176,8 @@ func (r *recorder) endPhase(tok obs.PhaseToken, p obs.Phase) {
 // Cycles).
 func (r *recorder) urgency(tasks, cycles int) {
 	if r != nil && r.m != nil {
-		r.m.Observe("core.urgency_tasks", float64(tasks))
-		r.m.Observe("core.urgency_cycles", float64(cycles))
+		r.n.urgencyTasks.Observe(float64(tasks))
+		r.n.urgencyCycles.Observe(float64(cycles))
 	}
 }
 
@@ -155,5 +190,35 @@ func (r *recorder) serialize(l, partition, delay int) {
 	if r.sp != nil {
 		r.sp.Point("serialize", obs.F("ii", l), obs.F("partition", partition+1), obs.F("delay", delay))
 	}
-	r.m.Inc("core.serializations")
+	r.n.serializations++
+}
+
+// flush publishes the tally and empties it: one Metrics Add per nonzero
+// counter and one merge per nonempty histogram, so nothing is created at
+// zero, and one Add into the phase accounter. runShards calls it after
+// every shard, whichever way the shard ended; end calls it every
+// flushTrials trials.
+func (r *recorder) flush() {
+	if r == nil {
+		return
+	}
+	n := &r.n
+	if r.m != nil {
+		add := func(name string, v int64) {
+			if v != 0 {
+				r.m.Add(name, v)
+			}
+		}
+		add("core.trials", n.trials)
+		add("core.trials_feasible", n.feasible)
+		for reason, v := range n.rejects {
+			add(rejectMetric[reason], v)
+		}
+		add("core.serializations", n.serializations)
+		r.m.MergeHistogram("core.integrate_us", &n.integrateUS)
+		r.m.MergeHistogram("core.urgency_tasks", &n.urgencyTasks)
+		r.m.MergeHistogram("core.urgency_cycles", &n.urgencyCycles)
+	}
+	r.ph.Add(&n.phases)
+	*n = tally{}
 }

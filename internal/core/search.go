@@ -354,7 +354,7 @@ func partitionsOnChips(dst []int, p *Partitioning, chips []int) []int {
 
 // record books a trial into the search result, applying level-2 pruning:
 // infeasible global predictions are discarded immediately unless KeepAll
-// (the shard's recorder reports the pruning decision). g points into trial
+// (the worker's recorder reports the pruning decision). g points into trial
 // scratch: a kept design is copied out by own, and a space point copies
 // scalars.
 //

@@ -319,7 +319,7 @@ func TestRecordEmitsPruneEvents(t *testing.T) {
 	book := func(cfg Config, designs ...GlobalDesign) *obs.CountingSink {
 		cs := obs.NewCountingSink()
 		sp := obs.New(cs).Span("Search")
-		rec := newRecorder(cfg, sp, 0)
+		rec := newRecorder(cfg, sp)
 		for i := range designs {
 			rec.begin(1)
 			rec.end(&designs[i], nil)

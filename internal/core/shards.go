@@ -91,7 +91,6 @@ func SearchShards(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic,
 	// with what other executors of the same plan report; only the shards
 	// this call runs get populated.
 	cfg.Stats.StartSearch(shards, pl.trialTotal())
-	cfg.Phases.StartSearch(shards)
 	outs := make([]shardOut, shards)
 	runShards(it, cfg, &pl, order, outs, nil, nil)
 	done := make(map[int]*SearchResult, len(order))

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"chop/internal/obs"
+	"chop/internal/resilience"
 )
 
 // updateGolden rewrites the goldens under testdata/ instead of comparing
@@ -208,6 +209,45 @@ func TestPlanesAgree(t *testing.T) {
 			if !reflect.DeepEqual(rep.Reasons, w1.Reasons) || !reflect.DeepEqual(rep.ChipReasons, w1.ChipReasons) ||
 				rep.Serializations != w1.Serializations {
 				t.Fatalf("%s: rejection accounting differs from one worker", label)
+			}
+		}
+	}
+}
+
+// TestPlanesAgreeOnFailedShards: a search that fails mid-flight, on an
+// injected trial error or panic at one worker or four, leaves the three
+// counting planes agreeing: the core.trials counter, the RunStats fold and
+// the phase accounter book the same trials, including those of the shards
+// that failed or were interrupted.
+func TestPlanesAgreeOnFailedShards(t *testing.T) {
+	p, base := planesProblem(t)
+	preds, err := PredictPartitions(p, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Search(p, base, preds, Enumeration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fault := range []string{"error", "panic"} {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s/w%d", fault, workers)
+			cfg := base
+			cfg.Workers = workers
+			cfg.Metrics = obs.NewMetrics()
+			cfg.Stats = obs.NewRunStats("failed")
+			cfg.Phases = obs.NewPhaseAccounter()
+			cfg.Inject = resilience.MustParse(fmt.Sprintf("core.trial=%s:@%d", fault, ref.Trials/2))
+			if _, err := Search(p, cfg, preds, Enumeration); err == nil {
+				t.Fatalf("%s: the search did not fail", label)
+			}
+			metrics := cfg.Metrics.Counter("core.trials")
+			stats := cfg.Stats.Snapshot().Trials
+			phases := cfg.Phases.Snapshot().Trials
+			t.Logf("%s: core.trials %d, stats fold %d, accounter %d", label, metrics, stats, phases)
+			if metrics == 0 || metrics != stats || metrics != phases {
+				t.Fatalf("%s: core.trials %d, stats fold %d, accounter %d; want equal and > 0",
+					label, metrics, stats, phases)
 			}
 		}
 	}

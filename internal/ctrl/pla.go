@@ -6,7 +6,7 @@ package ctrl
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"chop/internal/stats"
 )
@@ -64,12 +64,13 @@ func (s Spec) Delay() stats.Triplet {
 	return stats.Spread(ml, 0.05, 0.10)
 }
 
-// StateBits returns ceil(log2(states)), minimum 1.
+// StateBits returns ceil(log2(states)), minimum 1: the bit length of
+// states-1.
 func StateBits(states int) int {
 	if states <= 1 {
 		return 1
 	}
-	return int(math.Ceil(math.Log2(float64(states))))
+	return bits.Len(uint(states - 1))
 }
 
 // ForFSM sizes the PLA of a Moore-style finite-state controller with the

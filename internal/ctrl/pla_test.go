@@ -1,6 +1,7 @@
 package ctrl
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -71,6 +72,31 @@ func TestStateBits(t *testing.T) {
 		if got := StateBits(states); got != want {
 			t.Errorf("StateBits(%d) = %d, want %d", states, got, want)
 		}
+	}
+}
+
+// TestStateBitsMatchesFloatForm: the integer StateBits agrees with the
+// float ceil(log2) it replaced, over every count up to 2^20 and at 2^k-1,
+// 2^k and 2^k+1 for k <= 48 (the float form first errs at 2^49+1).
+func TestStateBitsMatchesFloatForm(t *testing.T) {
+	float := func(states int) int {
+		if states <= 1 {
+			return 1
+		}
+		return int(math.Ceil(math.Log2(float64(states))))
+	}
+	check := func(states int) {
+		if got, want := StateBits(states), float(states); got != want {
+			t.Fatalf("StateBits(%d) = %d, float form %d", states, got, want)
+		}
+	}
+	for states := 0; states <= 1<<20; states++ {
+		check(states)
+	}
+	for k := 0; k <= 48; k++ {
+		check(1<<k - 1)
+		check(1 << k)
+		check(1<<k + 1)
 	}
 }
 

@@ -150,3 +150,30 @@ func TestMergeUnderConcurrentWriters(t *testing.T) {
 		t.Fatalf("aggregate's own counter = %d, want %d", got, writers*perWriter)
 	}
 }
+
+// TestMergeHistogramMatchesObserve: samples observed into a Histogram
+// value and folded into a registry, in two batches, give the same
+// snapshot as observing them into the registry one by one, and an empty
+// Histogram creates no entry.
+func TestMergeHistogramMatchesObserve(t *testing.T) {
+	direct, folded := NewMetrics(), NewMetrics()
+	var h Histogram
+	folded.MergeHistogram("x_us", &h)
+	if _, ok := folded.Snapshot().Histograms["x_us"]; ok {
+		t.Fatal("an empty Histogram created a registry entry")
+	}
+	samples := []float64{0.5, 3, 3, 17, 1000, 2, 64, 65}
+	for i, v := range samples {
+		direct.Observe("x_us", v)
+		h.Observe(v)
+		if i == 3 {
+			folded.MergeHistogram("x_us", &h)
+			h = Histogram{}
+		}
+	}
+	folded.MergeHistogram("x_us", &h)
+	got, want := folded.Snapshot().Histograms["x_us"], direct.Snapshot().Histograms["x_us"]
+	if got != want {
+		t.Fatalf("folded histogram %+v, observed %+v", got, want)
+	}
+}

@@ -180,29 +180,8 @@ func (m *Metrics) Merge(other *Metrics) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.hists == nil && len(hists) > 0 {
-		m.hists = make(map[string]*hist)
-	}
 	for k, oh := range hists {
-		h := m.hists[k]
-		if h == nil {
-			cp := oh
-			m.hists[k] = &cp
-			continue
-		}
-		if oh.count > 0 {
-			if h.count == 0 || oh.min < h.min {
-				h.min = oh.min
-			}
-			if h.count == 0 || oh.max > h.max {
-				h.max = oh.max
-			}
-			h.count += oh.count
-			h.sum += oh.sum
-			for b := range oh.buckets {
-				h.buckets[b] += oh.buckets[b]
-			}
-		}
+		m.histLocked(k).merge(&oh)
 	}
 }
 
@@ -214,6 +193,34 @@ func (m *Metrics) Observe(name string, v float64) {
 		return
 	}
 	m.mu.Lock()
+	m.histLocked(name).observe(v)
+	m.mu.Unlock()
+}
+
+// Histogram is a histogram value with the registry's bucket scheme and no
+// lock: one writer observes into it on a hot path and folds it into a
+// registry with MergeHistogram. The zero value is empty.
+type Histogram struct {
+	h hist
+}
+
+// Observe records one sample.
+func (h *Histogram) Observe(v float64) { h.h.observe(v) }
+
+// MergeHistogram folds h into the named histogram bucket-wise, as Merge
+// does. An empty h creates nothing.
+func (m *Metrics) MergeHistogram(name string, h *Histogram) {
+	if m == nil || h.h.count == 0 {
+		return
+	}
+	m.mu.Lock()
+	m.histLocked(name).merge(&h.h)
+	m.mu.Unlock()
+}
+
+// histLocked returns the named histogram, creating it empty. m.mu must be
+// held.
+func (m *Metrics) histLocked(name string) *hist {
 	if m.hists == nil {
 		m.hists = make(map[string]*hist)
 	}
@@ -222,8 +229,7 @@ func (m *Metrics) Observe(name string, v float64) {
 		h = &hist{}
 		m.hists[name] = h
 	}
-	h.observe(v)
-	m.mu.Unlock()
+	return h
 }
 
 // Timer starts a latency measurement; calling the returned function
@@ -259,6 +265,25 @@ func (h *hist) observe(v float64) {
 	h.count++
 	h.sum += v
 	h.buckets[bucketOf(v)]++
+}
+
+// merge folds o into h: count, sum, min, max and bucket occupancy all
+// combine.
+func (h *hist) merge(o *hist) {
+	if o.count == 0 {
+		return
+	}
+	if h.count == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	if h.count == 0 || o.max > h.max {
+		h.max = o.max
+	}
+	h.count += o.count
+	h.sum += o.sum
+	for b := range o.buckets {
+		h.buckets[b] += o.buckets[b]
+	}
 }
 
 func bucketOf(v float64) int {

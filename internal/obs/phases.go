@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -23,12 +22,13 @@ const (
 	PhaseXfer
 	// PhaseIntegrate is the remainder of a trial after schedule and
 	// xfer: selection decode, pin/memory budgeting, clock adjustment,
-	// feasibility checks. Booked as trialTotal − schedule − xfer so
-	// attribution covers the whole trial by construction.
+	// feasibility checks. The search recorder books it as trialTotal −
+	// schedule − xfer, so attribution covers the whole trial by
+	// construction.
 	PhaseIntegrate
 	// PhaseCheckpoint is search-checkpoint serialization + persistence.
 	PhaseCheckpoint
-	// NumPhases bounds the per-cell counter arrays.
+	// NumPhases bounds the per-phase counter arrays.
 	NumPhases int = iota
 )
 
@@ -48,160 +48,72 @@ func (p Phase) String() string {
 	return phaseNames[p]
 }
 
-// phaseCell is one writer's private counter block. In parallel searches
-// each shard worker owns a cell, so the hot path is plain atomic adds
-// with no sharing; Snapshot folds the cells.
-type phaseCell struct {
-	ns    [NumPhases]atomic.Int64
-	count [NumPhases]atomic.Int64
-	// trialNS accumulates whole-trial wall time (BeginTrial..EndTrial),
-	// the denominator for attribution coverage.
+// PhaseTally is a block of phase totals that one writer owns: a search
+// worker's recorder counts trials into it with plain adds and folds it into
+// the run's accounter with Add.
+type PhaseTally struct {
+	NS    [NumPhases]int64
+	Count [NumPhases]int64
+	// TrialNS is whole-trial wall time, the denominator of attribution
+	// coverage, over Trials trials.
+	TrialNS int64
+	Trials  int64
+}
+
+// PhaseAccounter attributes search cost to named phases. It is one set of
+// atomic counters that accumulates across searches (a benchmark loop runs
+// many iterations of one workload): out-of-trial code such as BAD
+// prediction and checkpoint saves brackets its phases with Begin and End,
+// and search workers fold their trial tallies in with Add. All methods are
+// safe on a nil receiver, so instrumented code pays nothing when profiling
+// is off.
+type PhaseAccounter struct {
+	ns      [NumPhases]atomic.Int64
+	count   [NumPhases]atomic.Int64
 	trialNS atomic.Int64
 	trials  atomic.Int64
 }
 
-// PhaseAccounter attributes search cost to named phases. Same shape as
-// RunStats: a global cell plus per-shard cells sized by StartSearch, all
-// methods safe on a nil receiver so instrumented code pays nothing when
-// profiling is off.
-type PhaseAccounter struct {
-	mu     sync.Mutex
-	shards []phaseCell
-	global phaseCell
-}
-
-// NewPhaseAccounter returns an accounter with a global cell and no
-// shard cells yet; StartSearch sizes the shard table.
+// NewPhaseAccounter returns an empty accounter.
 func NewPhaseAccounter() *PhaseAccounter {
 	return &PhaseAccounter{}
 }
 
-// StartSearch sizes the per-shard cell table for a search with the given
-// shard count. Counters accumulate across repeated searches on the same
-// accounter (a benchmark loop runs many iterations of one workload).
-func (a *PhaseAccounter) StartSearch(shards int) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if shards > len(a.shards) {
-		grown := make([]phaseCell, shards)
-		// Cells are monotonically accumulated and folded by Snapshot;
-		// carrying old cells over keeps prior iterations' totals.
-		for i := range a.shards {
-			copyPhaseCell(&grown[i], &a.shards[i])
-		}
-		a.shards = grown
-	}
-}
-
-func copyPhaseCell(dst, src *phaseCell) {
-	for p := 0; p < NumPhases; p++ {
-		dst.ns[p].Store(src.ns[p].Load())
-		dst.count[p].Store(src.count[p].Load())
-	}
-	dst.trialNS.Store(src.trialNS.Load())
-	dst.trials.Store(src.trials.Load())
-}
-
-// Global returns the handle writers outside any shard use (serial
-// engines, BAD prediction, checkpointing).
-func (a *PhaseAccounter) Global() *PhaseHandle {
-	if a == nil {
-		return nil
-	}
-	return &PhaseHandle{cell: &a.global}
-}
-
-// Shard returns the handle for shard si, or the global handle when the
-// index is out of range.
-func (a *PhaseAccounter) Shard(si int) *PhaseHandle {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if si < 0 || si >= len(a.shards) {
-		return &PhaseHandle{cell: &a.global}
-	}
-	return &PhaseHandle{cell: &a.shards[si]}
-}
-
-// PhaseHandle is one writer's view of the accounter: Begin/End bracket a
-// phase, BeginTrial/EndTrial bracket a whole trial and book the
-// unattributed remainder as PhaseIntegrate. Nil-safe throughout.
-type PhaseHandle struct {
-	cell *phaseCell
-}
-
-// PhaseToken carries a phase's entry state from Begin to End.
+// PhaseToken carries a phase's start from Begin to End.
 type PhaseToken struct {
-	startNS int64
+	start time.Time
 }
 
 // Begin opens a phase bracket. The token is a value; nesting distinct
 // phases is fine as long as each Begin has a matching End.
-func (h *PhaseHandle) Begin() PhaseToken {
-	if h == nil {
+func (a *PhaseAccounter) Begin() PhaseToken {
+	if a == nil {
 		return PhaseToken{}
 	}
-	return PhaseToken{startNS: time.Now().UnixNano()}
+	return PhaseToken{start: time.Now()}
 }
 
 // End closes a bracket opened by Begin, booking the elapsed time against
 // phase p.
-func (h *PhaseHandle) End(tok PhaseToken, p Phase) {
-	if h == nil || p < 0 || int(p) >= NumPhases {
+func (a *PhaseAccounter) End(tok PhaseToken, p Phase) {
+	if a == nil || p < 0 || int(p) >= NumPhases {
 		return
 	}
-	h.cell.ns[p].Add(time.Now().UnixNano() - tok.startNS)
-	h.cell.count[p].Add(1)
+	a.ns[p].Add(int64(time.Since(tok.start)))
+	a.count[p].Add(1)
 }
 
-// TrialToken carries a trial's entry state from BeginTrial to EndTrial:
-// the start time plus the cell's own schedule/xfer counters, so the
-// remainder can be computed without any cross-goroutine reads (the
-// worker owns its cell).
-type TrialToken struct {
-	startNS int64
-	schedNS int64
-	xferNS  int64
-}
-
-// BeginTrial opens a whole-trial bracket starting at now. The caller
-// passes the instant so one clock read can time the trial for several
-// consumers.
-func (h *PhaseHandle) BeginTrial(now time.Time) TrialToken {
-	if h == nil {
-		return TrialToken{}
-	}
-	return TrialToken{
-		startNS: now.UnixNano(),
-		schedNS: h.cell.ns[PhaseSchedule].Load(),
-		xferNS:  h.cell.ns[PhaseXfer].Load(),
-	}
-}
-
-// EndTrial closes a trial bracket at now: total wall time goes to
-// trialNS, and the portion not already booked to schedule or xfer during
-// the trial is booked as PhaseIntegrate. Attribution therefore sums to the
-// measured trial time by construction.
-func (h *PhaseHandle) EndTrial(tok TrialToken, now time.Time) {
-	if h == nil {
+// Add folds a writer's tally into the accounter.
+func (a *PhaseAccounter) Add(t *PhaseTally) {
+	if a == nil {
 		return
 	}
-	total := now.UnixNano() - tok.startNS
-	h.cell.trialNS.Add(total)
-	h.cell.trials.Add(1)
-	rest := total -
-		(h.cell.ns[PhaseSchedule].Load() - tok.schedNS) -
-		(h.cell.ns[PhaseXfer].Load() - tok.xferNS)
-	if rest < 0 {
-		rest = 0
+	for p := range t.NS {
+		a.ns[p].Add(t.NS[p])
+		a.count[p].Add(t.Count[p])
 	}
-	h.cell.ns[PhaseIntegrate].Add(rest)
-	h.cell.count[PhaseIntegrate].Add(1)
+	a.trialNS.Add(t.TrialNS)
+	a.trials.Add(t.Trials)
 }
 
 // PhaseStat is one phase's folded totals.
@@ -239,37 +151,20 @@ func (s *PhaseSnapshot) PhaseNS(name string) int64 {
 	return 0
 }
 
-// Snapshot folds the global and shard cells into a consistent-enough
-// view for display (individual counters are atomically read; the set is
-// not a transaction, same contract as RunStats).
+// Snapshot reads the accounter for display. Each counter is read
+// atomically; the set is not a transaction, the same contract as RunStats.
 func (a *PhaseAccounter) Snapshot() *PhaseSnapshot {
 	if a == nil {
 		return nil
 	}
-	a.mu.Lock()
-	cells := make([]*phaseCell, 0, len(a.shards)+1)
-	cells = append(cells, &a.global)
-	for i := range a.shards {
-		cells = append(cells, &a.shards[i])
-	}
-	a.mu.Unlock()
-
 	var ns, count [NumPhases]int64
-	var trialNS, trials int64
-	for _, c := range cells {
-		for p := 0; p < NumPhases; p++ {
-			ns[p] += c.ns[p].Load()
-			count[p] += c.count[p].Load()
-		}
-		trialNS += c.trialNS.Load()
-		trials += c.trials.Load()
-	}
-
 	var totalNS int64
-	for p := 0; p < NumPhases; p++ {
+	for p := range ns {
+		ns[p], count[p] = a.ns[p].Load(), a.count[p].Load()
 		totalNS += ns[p]
 	}
-	snap := &PhaseSnapshot{Trials: trials, TrialNS: trialNS}
+	trialNS := a.trialNS.Load()
+	snap := &PhaseSnapshot{Trials: a.trials.Load(), TrialNS: trialNS}
 	for p := 0; p < NumPhases; p++ {
 		if count[p] == 0 && ns[p] == 0 {
 			continue

@@ -1,24 +1,15 @@
 package obs
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
 func TestNilPhaseAccounterIsNoOp(t *testing.T) {
 	var a *PhaseAccounter
-	a.StartSearch(4)
-	if h := a.Global(); h != nil {
-		t.Fatal("nil accounter returned a global handle")
-	}
-	if h := a.Shard(0); h != nil {
-		t.Fatal("nil accounter returned a shard handle")
-	}
-	var h *PhaseHandle
-	tok := h.Begin()
-	h.End(tok, PhasePredict)
-	tt := h.BeginTrial(time.Now())
-	h.EndTrial(tt, time.Now())
+	a.End(a.Begin(), PhasePredict)
+	a.Add(&PhaseTally{Trials: 1})
 	if snap := a.Snapshot(); snap != nil {
 		t.Fatalf("nil accounter snapshot = %+v, want nil", snap)
 	}
@@ -29,12 +20,9 @@ func TestNilPhaseAccounterIsNoOp(t *testing.T) {
 
 func TestPhaseBracketing(t *testing.T) {
 	a := NewPhaseAccounter()
-	a.StartSearch(1)
-	h := a.Shard(0)
-
-	tok := h.Begin()
+	tok := a.Begin()
 	time.Sleep(time.Millisecond)
-	h.End(tok, PhasePredict)
+	a.End(tok, PhasePredict)
 
 	snap := a.Snapshot()
 	if got := snap.PhaseNS(PhasePredict.String()); got <= 0 {
@@ -51,95 +39,47 @@ func TestPhaseBracketing(t *testing.T) {
 	}
 }
 
-// TestTrialRemainderSumsToTrialTime: the integrate remainder is defined as
-// trial total minus the schedule and xfer booked inside the trial, so the
-// three in-trial phases must sum exactly to the measured trial time
-// (coverage 100% by construction).
-func TestTrialRemainderSumsToTrialTime(t *testing.T) {
+// TestPhaseAccounterAddAccumulates: tallies folded in by concurrent
+// writers over repeated searches (a profiling loop) all accumulate, and
+// the snapshot derives shares and coverage from the sums.
+func TestPhaseAccounterAddAccumulates(t *testing.T) {
 	a := NewPhaseAccounter()
-	a.StartSearch(1)
-	h := a.Shard(0)
-
-	for i := 0; i < 5; i++ {
-		tt := h.BeginTrial(time.Now())
-		st := h.Begin()
-		time.Sleep(200 * time.Microsecond)
-		h.End(st, PhaseSchedule)
-		xt := h.Begin()
-		time.Sleep(100 * time.Microsecond)
-		h.End(xt, PhaseXfer)
-		time.Sleep(100 * time.Microsecond) // unbracketed: must land in integrate
-		h.EndTrial(tt, time.Now())
+	tally := PhaseTally{TrialNS: 100, Trials: 2}
+	tally.NS[PhaseSchedule], tally.Count[PhaseSchedule] = 30, 2
+	tally.NS[PhaseXfer], tally.Count[PhaseXfer] = 20, 4
+	tally.NS[PhaseIntegrate], tally.Count[PhaseIntegrate] = 50, 2
+	const searches, writers = 3, 4
+	for s := 0; s < searches; s++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a.Add(&tally)
+			}()
+		}
+		wg.Wait()
 	}
-
+	const n = searches * writers
 	snap := a.Snapshot()
-	if snap.Trials != 5 {
-		t.Fatalf("trials = %d, want 5", snap.Trials)
+	if snap.Trials != 2*n || snap.TrialNS != 100*n {
+		t.Fatalf("trials %d over %d ns, want %d over %d", snap.Trials, snap.TrialNS, 2*n, 100*n)
 	}
-	inTrial := snap.PhaseNS("schedule") + snap.PhaseNS("xfer") + snap.PhaseNS("integrate")
-	if inTrial != snap.TrialNS {
-		t.Fatalf("in-trial phases sum to %d ns, trial time is %d ns", inTrial, snap.TrialNS)
+	want := []PhaseStat{
+		{Phase: "schedule", Count: 2 * n, NS: 30 * n, TimePct: 30},
+		{Phase: "xfer", Count: 4 * n, NS: 20 * n, TimePct: 20},
+		{Phase: "integrate", Count: 2 * n, NS: 50 * n, TimePct: 50},
 	}
-	if snap.CoveragePct < 99.9 || snap.CoveragePct > 100.1 {
+	if len(snap.Phases) != len(want) {
+		t.Fatalf("phases %+v, want %+v", snap.Phases, want)
+	}
+	for i, st := range snap.Phases {
+		if st != want[i] {
+			t.Fatalf("phase %d = %+v, want %+v", i, st, want[i])
+		}
+	}
+	if snap.CoveragePct != 100 {
 		t.Fatalf("coverage = %.2f%%, want 100%%", snap.CoveragePct)
-	}
-	if snap.PhaseNS("integrate") <= 0 {
-		t.Fatal("no remainder booked to integrate")
-	}
-}
-
-// TestStartSearchGrowsAndCarries: repeated searches on one accounter (a
-// profiling loop) must accumulate — growing the shard table carries the old
-// cells, and a smaller later search must not drop them.
-func TestStartSearchGrowsAndCarries(t *testing.T) {
-	a := NewPhaseAccounter()
-	a.StartSearch(1)
-	h := a.Shard(0)
-	tok := h.Begin()
-	h.End(tok, PhaseSchedule)
-
-	a.StartSearch(4)
-	h3 := a.Shard(3)
-	tok = h3.Begin()
-	h3.End(tok, PhaseSchedule)
-
-	a.StartSearch(2) // shrink request: table must keep its 4 cells
-	h3b := a.Shard(3)
-	tok = h3b.Begin()
-	h3b.End(tok, PhaseSchedule)
-
-	snap := a.Snapshot()
-	var count int64
-	for _, p := range snap.Phases {
-		if p.Phase == "schedule" {
-			count = p.Count
-		}
-	}
-	if count != 3 {
-		t.Fatalf("schedule count = %d, want 3 (accumulated across searches)", count)
-	}
-}
-
-// TestShardOutOfRangeFallsBackToGlobal: an index beyond the table books on
-// the global cell instead of dropping the measurement.
-func TestShardOutOfRangeFallsBackToGlobal(t *testing.T) {
-	a := NewPhaseAccounter()
-	a.StartSearch(1)
-	h := a.Shard(99)
-	if h == nil {
-		t.Fatal("out-of-range shard returned nil")
-	}
-	tok := h.Begin()
-	h.End(tok, PhaseCheckpoint)
-	snap := a.Snapshot()
-	var count int64
-	for _, p := range snap.Phases {
-		if p.Phase == "checkpoint" {
-			count = p.Count
-		}
-	}
-	if count != 1 {
-		t.Fatalf("checkpoint count = %d, want 1", count)
 	}
 }
 
@@ -151,10 +91,9 @@ func TestRunStatsSnapshotCarriesPhases(t *testing.T) {
 		t.Fatal("phases present before attach")
 	}
 	a := NewPhaseAccounter()
-	a.StartSearch(1)
-	h := a.Shard(0)
-	tok := h.Begin()
-	h.End(tok, PhaseSchedule)
+	var tally PhaseTally
+	tally.NS[PhaseSchedule], tally.Count[PhaseSchedule] = 5, 1
+	a.Add(&tally)
 	s.AttachPhases(a)
 	s.AttachPhases(NewPhaseAccounter()) // loser: first attach wins
 

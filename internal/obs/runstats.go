@@ -11,9 +11,10 @@ import (
 // cell, and readers (the serve /stats endpoints, the Snapshotter, `chop
 // top`) fold the cells into a consistent point-in-time snapshot on demand.
 // The hot path — one atomic add per trial — takes no locks and shares no
-// cache line with other shards' hot counters beyond Go's natural layout, so
-// stats-on searches stay within noise of stats-off throughput (the
-// allocation side is gated by core's TestTelemetryTax).
+// cache line with other shards' hot counters. On 2 µs trials it still
+// costs: stats alone slowed a one-worker Figure 7 slice search 1.04–1.16x
+// (2-vCPU VM, go1.24.0). The allocation side is gated by core's
+// TestTelemetryTax.
 //
 // A nil *RunStats is valid and makes every method a no-op, following the
 // package convention: instrumented engines call it unconditionally.

@@ -7,8 +7,9 @@
 # the text waterfall must contain the cross-process chain and
 # -fail-on-orphans makes broken parent links fatal. Then replays the
 # server trace with `chop explain` and `chop explain -stats`, failing if
-# either errors or sees no trials. Finally exports perfetto.json for
-# ui.perfetto.dev (uploaded as a CI artifact).
+# either errors or sees no trials, or if the phase attribution the server's
+# search folded does not cover all of the trials explain counts. Finally
+# exports perfetto.json for ui.perfetto.dev (uploaded as a CI artifact).
 set -euo pipefail
 
 DIR="${TRACE_SMOKE_DIR:-trace-smoke}"
@@ -59,6 +60,14 @@ for mode in "" "-stats"; do
 		exit 1
 	fi
 done
+# The "phases" point is the server's phase accounter after the search's
+# recorders folded their tallies into it: its trial count must equal the
+# trials explain examined, with every nanosecond of them attributed.
+examined=$(sed -n 's/^trials: \([0-9]*\) examined.*/\1/p' "$DIR/explain.txt")
+if ! grep -q "trial coverage: 100\.0% .*(${examined} trials)" "$DIR/explain-stats.txt"; then
+	echo "FAIL: chop explain -stats phase fold does not cover the ${examined} examined trials" >&2
+	exit 1
+fi
 
 echo "== exporting Perfetto JSON"
 "$DIR/chop" trace -fail-on-orphans -o perfetto -out "$DIR/perfetto.json" \
