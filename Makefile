@@ -24,11 +24,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# alloc-gates runs the allocation budgets of the search hot path and the
-# telemetry tax without -race: the race detector allocates on its own, so
-# those tests skip themselves under it and `make race` never checks them.
+# alloc-gates runs the allocation budgets of the search hot path, of one
+# BAD prediction and the telemetry tax without -race: the race detector
+# allocates on its own, so those tests skip themselves under it and `make
+# race` never checks them.
 alloc-gates:
-	$(GO) test -count=1 -run 'AllocBudget|TelemetryTax' ./internal/core
+	$(GO) test -count=1 -run 'AllocBudget|TelemetryTax' ./internal/core ./internal/bad
 
 # bench-test runs the benchmark module's golden tests: the paper's Tables
 # 3-6 rows, the Figure 7 points sha256 and the stress6 digest, pinned in

@@ -563,14 +563,7 @@ func eval(args []string) error {
 	// Designer guidance, as in paper section 3.1.
 	best := res.Best[0]
 	fmt.Println("\nguideline for the fastest implementation:")
-	for pi, d := range best.Choice {
-		fmt.Printf("  partition %d: %s style, %d stage(s), modules %s,",
-			pi+1, d.Style, d.Stages, d.ModuleSet.ID())
-		for op, nfu := range d.FUs {
-			fmt.Printf(" %d %s FU(s)", nfu, op)
-		}
-		fmt.Printf(", %d register bits, %d 1-bit muxes\n", d.RegBits, d.Mux1Bit)
-	}
+	printGuideline(os.Stdout, best.Choice)
 	for _, m := range best.Modules {
 		fmt.Printf("  transfer %-14s wait=%d xfer=%d cycles, buffer=%d bits, bus=%d pins\n",
 			m.Task.Name, m.Wait, m.Transfer, m.BufferBits, m.Pins)
@@ -580,6 +573,20 @@ func eval(args []string) error {
 		fmt.Print(viz.Gantt(best, 64))
 	}
 	return nil
+}
+
+// printGuideline writes the implementation guideline of each partition's
+// chosen design, its FU counts in sorted op order so the text is the same
+// on every run.
+func printGuideline(w io.Writer, choice []bad.Design) {
+	for pi, d := range choice {
+		fmt.Fprintf(w, "  partition %d: %s style, %d stage(s), modules %s,",
+			pi+1, d.Style, d.Stages, d.ModuleSet.ID())
+		for _, op := range d.FUOps() {
+			fmt.Fprintf(w, " %d %s FU(s)", d.FUs[op], op)
+		}
+		fmt.Fprintf(w, ", %d register bits, %d 1-bit muxes\n", d.RegBits, d.Mux1Bit)
+	}
 }
 
 // advise starts an interactive advisor session over a spec file, reading

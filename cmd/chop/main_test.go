@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"chop/internal/bad"
 	"chop/internal/core"
+	"chop/internal/dfg"
 )
 
 // parseObs builds an obsFlags the way every run-style command does.
@@ -131,5 +133,29 @@ func TestLogFlagsLevels(t *testing.T) {
 func TestVersionCmd(t *testing.T) {
 	if err := version(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPrintGuidelineSortsFUs: the eval guideline lists a design's FU
+// counts in sorted op order on every run, not in map order.
+func TestPrintGuidelineSortsFUs(t *testing.T) {
+	d := bad.Design{
+		Style:  bad.NonPipelined,
+		Stages: 1,
+		FUs: map[dfg.Op]int{
+			dfg.OpSub: 1, dfg.OpMul: 2, dfg.OpAdd: 3, dfg.OpCmp: 4, dfg.OpDiv: 5,
+		},
+		RegBits: 64,
+		Mux1Bit: 16,
+	}
+	want := "  partition 1: non-pipelined style, 1 stage(s), modules ," +
+		" 3 add FU(s) 4 cmp FU(s) 5 div FU(s) 2 mul FU(s) 1 sub FU(s)," +
+		" 64 register bits, 16 1-bit muxes\n"
+	for run := 0; run < 20; run++ {
+		var b strings.Builder
+		printGuideline(&b, []bad.Design{d})
+		if b.String() != want {
+			t.Fatalf("run %d:\n got %q\nwant %q", run, b.String(), want)
+		}
 	}
 }

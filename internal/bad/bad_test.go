@@ -1,7 +1,10 @@
 package bad
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"chop/internal/chip"
@@ -60,14 +63,16 @@ func TestClocksValidate(t *testing.T) {
 
 func TestOpCyclesSingleCycleRejectsSlowModules(t *testing.T) {
 	l := lib.Table1Library()
+	mul := []dfg.Op{dfg.OpMul}
+	cycles := make([]int, 1)
 	mul3 := l.ModulesFor(dfg.OpMul)[2] // 7370 ns
 	set := lib.ModuleSet{dfg.OpMul: mul3}
-	if _, ok := opCycles(set, Style{MultiCycle: false}, 3000); ok {
+	if opCycles(set, mul, Style{MultiCycle: false}, 3000, cycles) {
 		t.Fatal("mul3 must not fit a 3000 ns single-cycle datapath")
 	}
 	mul2 := l.ModulesFor(dfg.OpMul)[1] // 2950 ns
-	cycles, ok := opCycles(lib.ModuleSet{dfg.OpMul: mul2}, Style{MultiCycle: false}, 3000)
-	if !ok || cycles[dfg.OpMul] != 1 {
+	ok := opCycles(lib.ModuleSet{dfg.OpMul: mul2}, mul, Style{MultiCycle: false}, 3000, cycles)
+	if !ok || cycles[0] != 1 {
 		t.Fatalf("mul2 single-cycle = %v ok=%v", cycles, ok)
 	}
 }
@@ -78,11 +83,11 @@ func TestOpCyclesMultiCycle(t *testing.T) {
 		dfg.OpMul: l.ModulesFor(dfg.OpMul)[1], // 2950 -> 10 cycles @300
 		dfg.OpAdd: l.ModulesFor(dfg.OpAdd)[0], // 34 -> 1 cycle
 	}
-	cycles, ok := opCycles(set, Style{MultiCycle: true}, 300)
-	if !ok {
+	cycles := make([]int, 2)
+	if !opCycles(set, []dfg.Op{dfg.OpAdd, dfg.OpMul}, Style{MultiCycle: true}, 300, cycles) {
 		t.Fatal("multi-cycle must accept any module")
 	}
-	if cycles[dfg.OpMul] != 10 || cycles[dfg.OpAdd] != 1 {
+	if cycles[1] != 10 || cycles[0] != 1 {
 		t.Fatalf("cycles = %v", cycles)
 	}
 }
@@ -225,7 +230,7 @@ func TestPredictClockNearPaperValues(t *testing.T) {
 	for _, d := range res.Designs {
 		clk := d.AdjustedClockNS(exp1Clocks()).ML
 		if clk < 305 || clk > 410 {
-			t.Fatalf("adjusted clock %v ns out of band for %v", clk, d.key())
+			t.Fatalf("adjusted clock %v ns out of band for %+v", clk, d)
 		}
 	}
 }
@@ -430,5 +435,50 @@ func TestMuxLevelsMatchesFloatForm(t *testing.T) {
 		check(max(1, 1<<k-1))
 		check(1 << k)
 		check(1<<k + 1)
+	}
+}
+
+// TestPredictHonoursContext: a done context stops Predict with its error
+// wrapped, and the partial result is never cached.
+func TestPredictHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := exp2Config()
+	cfg.Ctx = ctx
+	cfg.Cache = NewPredictCache(0)
+	res, err := Predict(dfg.ARLatticeFilter(16), cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Total != 0 || len(res.Designs) != 0 {
+		t.Fatalf("canceled Predict returned %d designs of %d", len(res.Designs), res.Total)
+	}
+	if n := cfg.Cache.Len(); n != 0 {
+		t.Fatalf("canceled Predict cached %d results", n)
+	}
+}
+
+// TestPredictDeterministicFractionalAreas: FU area and power are summed in
+// sorted op order, so a library with fractional module areas gives the
+// same bytes on every run.
+func TestPredictDeterministicFractionalAreas(t *testing.T) {
+	cfg := exp2Config()
+	cfg.Lib = lib.ExtendedLibrary()
+	for i := range cfg.Lib.Modules {
+		cfg.Lib.Modules[i].Area += 0.1 * float64(i)
+	}
+	g := dfg.DiffEq(16)
+	want, err := Predict(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 10; run++ {
+		got, err := Predict(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d differs from the first", run)
+		}
 	}
 }

@@ -106,6 +106,37 @@ func TestDeadlineExpiresDuringLastPrediction(t *testing.T) {
 	}
 }
 
+// TestPredictPartitionsHonoursDeadline: BAD checks the context at every
+// module set and sweep step, so an experiment-2 prediction of a 160-tap
+// FIR partition, hundreds of milliseconds of work, stops soon after a 1 ms
+// deadline with the deadline's error.
+func TestPredictPartitionsHonoursDeadline(t *testing.T) {
+	g := dfg.FIR(160, 16)
+	p := &Partitioning{
+		Graph:    g,
+		Parts:    dfg.LevelPartitions(g, 1),
+		PartChip: []int{0},
+		Chips:    chip.NewUniformSet(1, chip.MOSISPackages()[1], 4),
+	}
+	bound := 50 * time.Millisecond
+	if raceEnabled {
+		bound *= 5
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	cfg := exp2Config()
+	cfg.Ctx = ctx
+	start := time.Now()
+	_, err := PredictPartitions(p, cfg)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v after %v, want context.DeadlineExceeded", err, elapsed)
+	}
+	if elapsed > bound {
+		t.Fatalf("prediction returned %v after a 1 ms deadline, bound %v", elapsed, bound)
+	}
+}
+
 // mustPredict produces predictions without a context so the cancellation
 // under test hits the search stage, not the prediction stage.
 func mustPredict(t *testing.T, n int) []bad.Result {

@@ -304,6 +304,7 @@ func (c Config) badConfig(chips chip.Set) bad.Config {
 		Cache:   c.PredictCache,
 		Inject:  c.Inject,
 		Phases:  c.Phases,
+		Ctx:     c.Ctx,
 	}
 }
 

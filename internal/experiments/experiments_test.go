@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"chop/internal/core"
+	"chop/internal/obs"
 )
 
 func TestNewValidates(t *testing.T) {
@@ -115,6 +117,58 @@ func TestResultsShapes(t *testing.T) {
 				if pt.ClockNS < 305 || pt.ClockNS > 410 {
 					t.Fatalf("exp %d: clock %v out of band", expN, pt.ClockNS)
 				}
+			}
+		}
+	}
+}
+
+// TestResultsMemoScopedToCall: Results predicts through a memo that lives
+// for one call, so its 16 predictions cost 6 sweeps. Two calls on one
+// Experiment make the same number of memo misses, which a memo outliving
+// the first call would not, and the rows equal an unmemoized run in every
+// field but CPU.
+func TestResultsMemoScopedToCall(t *testing.T) {
+	for _, expN := range []int{1, 2} {
+		e := New(expN)
+		m := obs.NewMetrics()
+		e.Cfg.Metrics = m
+		var calls [2][]ResultRow
+		var misses, hits [2]int64
+		for c := range calls {
+			missBefore, hitBefore := m.Counter("bad.predict_cache_miss"), m.Counter("bad.predict_cache_hit")
+			rows, err := e.Results()
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls[c] = rows
+			misses[c] = m.Counter("bad.predict_cache_miss") - missBefore
+			hits[c] = m.Counter("bad.predict_cache_hit") - hitBefore
+		}
+		if misses != [2]int64{6, 6} || hits != [2]int64{10, 10} {
+			t.Fatalf("exp %d: memo misses %v hits %v per call, want 6 and 10 each", expN, misses, hits)
+		}
+		plain := New(expN)
+		var want []ResultRow
+		for _, rc := range resultConfigs {
+			for _, h := range []core.Heuristic{core.Enumeration, core.Iterative} {
+				res, _, err := core.Run(plain.Partitioning(rc.n, rc.pkg), plain.Cfg, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				row := ResultRow{Partitions: rc.n, Package: rc.pkg, Heuristic: h.String(),
+					Trials: res.Trials, FeasibleTrials: res.FeasibleTrials}
+				for _, b := range res.Best {
+					row.Points = append(row.Points, DesignPoint{II: b.IIMain, Delay: b.DelayMain, ClockNS: b.Clock.ML})
+				}
+				want = append(want, row)
+			}
+		}
+		for c, rows := range calls {
+			for i := range rows {
+				rows[i].CPU = 0
+			}
+			if !reflect.DeepEqual(rows, want) {
+				t.Fatalf("exp %d call %d: memoized rows differ from an unmemoized run:\n%+v\n%+v", expN, c, rows, want)
 			}
 		}
 	}

@@ -68,10 +68,13 @@ func List(g TaskGraph) (ListResult, error) {
 	return w.List(g)
 }
 
-// Workspace is List's working memory, kept for reuse across calls. The
-// zero value is ready to use. A Workspace serves one goroutine at a time.
+// Workspace is the working memory of List and Modulo, kept for reuse
+// across calls. The zero value is ready to use. A Workspace serves one
+// goroutine at a time.
 type Workspace struct {
 	start, buf []int
+	instance   []int
+	wheels     [][]bool
 }
 
 // List is the package-level List computed in w's memory, which grows to

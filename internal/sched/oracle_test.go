@@ -661,6 +661,7 @@ func TestListScheduleMatchesOracle(t *testing.T) {
 
 func TestPipelinedScheduleMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var ws Workspace
 	feasible := 0
 	for c := 0; c < 20000; c++ {
 		p := randomProblem(rng, int64(c%3000))
@@ -686,6 +687,15 @@ func TestPipelinedScheduleMatchesOracle(t *testing.T) {
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) || gok != wok || !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d (%s, ii %d, limits %v): %+v ok %v err %v, oracle %+v ok %v err %v",
 				c, p.G.Name, ii, p.Limit, got, gok, gerr, want, wok, werr)
+		}
+		// The same case on one Workspace reused across all cases: wheels
+		// left by an earlier interval or allocation must not leak in.
+		if mg, err := moduloGraph(p); err == nil && werr == nil && checkLimits(p) == nil {
+			got, gok = ws.Modulo(mg, ii)
+			if gok != wok || (wok && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("case %d (%s, ii %d, limits %v): reused workspace %+v ok %v, oracle %+v ok %v",
+					c, p.G.Name, ii, p.Limit, got, gok, want, wok)
+			}
 		}
 		if wok {
 			feasible++
