@@ -495,7 +495,7 @@ var (
 // farms one planned search across a fleet of serve workers and merges the
 // results byte-identically to a serial run, through worker failures,
 // stragglers (epoch-fenced reassignment, work stealing) and coordinator
-// restarts (signed checkpoints). `chop search -distributed` is the CLI
+// restarts (the signed shard log). `chop search -distributed` is the CLI
 // front end.
 type (
 	// DistOptions configures a DistCoordinator: the fleet, lease timing
@@ -528,10 +528,10 @@ var (
 )
 
 // Fault-tolerance types (package resilience): panic isolation, retries
-// with backoff, versioned checkpoints and the fault-injection harness.
-// Config.CheckpointPath/Resume and Config.Inject wire them into the search
-// pipeline; ServeOptions.DefaultJobTimeout and ServeOptions.Inject into the
-// service plane.
+// with backoff and the fault-injection harness. Config.Inject wires them
+// into the search pipeline (Config.CheckpointPath/Resume its shard log),
+// ServeOptions.DefaultJobTimeout and ServeOptions.Inject into the service
+// plane.
 type (
 	// Injector injects faults (errors, panics, stalls) at named sites for
 	// chaos testing; a nil *Injector is inert.
@@ -566,10 +566,6 @@ var (
 	ParseInjector = resilience.Parse
 	// InjectorFromEnv parses $CHOP_FAULT_INJECT.
 	InjectorFromEnv = resilience.FromEnv
-	// SaveCheckpoint / LoadCheckpoint read and write versioned, atomically
-	// replaced JSON checkpoint files.
-	SaveCheckpoint = resilience.SaveCheckpoint
-	LoadCheckpoint = resilience.LoadCheckpoint
 )
 
 // ErrJobTimeout is the failure cause of a served run that exhausted its

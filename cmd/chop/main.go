@@ -51,7 +51,6 @@ import (
 	"chop/internal/hlspec"
 	"chop/internal/obs"
 	"chop/internal/resilience"
-	"chop/internal/rtl"
 	"chop/internal/sim"
 	"chop/internal/spec"
 	"chop/internal/viz"
@@ -168,9 +167,10 @@ eval, synth, exp1, exp2 and advise also accept:
                        all cores); parallel results are identical to serial
   -predict-cache n     memoize BAD predictions in an n-entry LRU cache
                        (0 disables, negative selects the default capacity)
-  -checkpoint file     snapshot search progress to this file (removed on success)
-  -resume              resume from a matching -checkpoint snapshot; mismatched
-                       or missing snapshots fall back to a fresh start
+  -checkpoint file     append each completed search shard to this log
+                       (removed on success)
+  -resume              resume from a matching -checkpoint log; mismatched
+                       or missing logs fall back to a fresh start
   -inject spec         inject faults for chaos testing, e.g.
                        'seed=1,core.trial=error:@10,bad.predict=panic:0.01'
                        (sites: bad.predict, core.trial, serve.job, sink.write,
@@ -311,8 +311,8 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 		blockprofile:  fs.String("blockprofile", "", "write a goroutine-blocking profile to this file"),
 		workers:       fs.Int("workers", 1, "search worker goroutines (1 = serial, 0 or negative = all cores); results are identical at any worker count"),
 		predictCache:  fs.Int("predict-cache", 0, "memoize BAD predictions in an LRU cache of this many entries (0 disables, negative = default capacity)"),
-		checkpoint:    fs.String("checkpoint", "", "snapshot search progress to this file; removed on success"),
-		resume:        fs.Bool("resume", false, "resume from a matching -checkpoint snapshot (fresh start if absent or mismatched)"),
+		checkpoint:    fs.String("checkpoint", "", "append each completed search shard to this log; removed on success"),
+		resume:        fs.Bool("resume", false, "resume from a matching -checkpoint log (fresh start if absent or mismatched)"),
 		inject:        fs.String("inject", "", "fault-injection spec, e.g. 'seed=1,core.trial=error:@10' (default: $"+resilience.EnvFaultInject+")"),
 		traceparent:   fs.String("traceparent", "", "W3C traceparent of the calling span; this run's trace joins that distributed trace"),
 	}
@@ -747,56 +747,27 @@ func synth(args []string) error {
 	if err != nil {
 		return err
 	}
-	var chosen *core.GlobalDesign
-	for i := range res.Best {
-		ok := true
-		for _, d := range res.Best[i].Choice {
-			if d.Style != bad.NonPipelined {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			chosen = &res.Best[i]
-			break
-		}
+	syn, err := cosim.Synthesize(prob.Partitioning, prob.Config, res.Best)
+	if err != nil {
+		return err
 	}
-	if chosen == nil {
-		return fmt.Errorf("synth: no feasible all-non-pipelined global design")
-	}
+	chosen := syn.Design
 	fmt.Fprintf(os.Stderr, "synthesizing design: interval=%d delay=%d clock=%.0fns\n",
 		chosen.IIMain, chosen.DelayMain, chosen.Clock.ML)
-
-	// Functional sign-off on a handful of deterministic vectors.
-	g := prob.Partitioning.Graph
-	for seed := int64(1); seed <= 3; seed++ {
-		inputs := map[string]int64{}
-		for i, id := range g.Inputs() {
-			inputs[g.Nodes[id].Name] = (seed*31 + int64(i)*17) % 97
-		}
-		if err := cosim.Verify(prob.Partitioning, prob.Config, chosen.Choice, inputs, nil); err != nil {
-			return fmt.Errorf("synth: verification failed: %w", err)
-		}
-	}
 	fmt.Fprintln(os.Stderr, "multi-chip co-simulation against the golden model: PASS")
 
-	subs := prob.Partitioning.Subgraphs()
-	for pi, d := range chosen.Choice {
-		cyc := rtl.OpCyclesFor(d, prob.Config.Style.MultiCycle, prob.Config.Clocks.DatapathNS())
-		nl, err := rtl.Bind(subs[pi], d, prob.Config.Lib, cyc)
-		if err != nil {
-			return fmt.Errorf("synth: partition %d: %w", pi+1, err)
-		}
-		fmt.Printf("// ---- partition %d of %d ----\n%s\n", pi+1, len(chosen.Choice), nl.Verilog(subs[pi]))
+	for pi, nl := range syn.Netlists {
+		sub := syn.Subgraphs[pi]
+		fmt.Printf("// ---- partition %d of %d ----\n%s\n", pi+1, len(syn.Netlists), nl.Verilog(sub))
 		// Self-checking testbench with golden-model vectors baked in.
 		vectors := make([]map[string]int64, 2)
 		for vi := range vectors {
 			vectors[vi] = map[string]int64{}
-			for i, id := range subs[pi].Inputs() {
-				vectors[vi][subs[pi].Nodes[id].Name] = int64((vi+1)*7 + i*3)
+			for i, id := range sub.Inputs() {
+				vectors[vi][sub.Nodes[id].Name] = int64((vi+1)*7 + i*3)
 			}
 		}
-		tb, err := sim.Testbench(subs[pi], nl, vectors, nil)
+		tb, err := sim.Testbench(sub, nl, vectors, nil)
 		if err != nil {
 			return fmt.Errorf("synth: partition %d testbench: %w", pi+1, err)
 		}

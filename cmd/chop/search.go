@@ -115,7 +115,7 @@ func searchCmd(args []string) error {
 				m.Counter("dist.leases.granted"), m.Counter("dist.leases.renewed"),
 				m.Counter("dist.leases.expired"), m.Counter("dist.leases.stolen"),
 				m.Counter("dist.shards.reassigned"), m.Counter("dist.shards.stolen"),
-				m.Counter("dist.shards.resumed"))
+				m.Counter("resilience.checkpoint_resumed_shards"))
 			fmt.Fprintf(os.Stderr,
 				"results: accepted=%d superseded=%d duplicate=%d missing=%d; workers: failed=%d quarantined=%d\n",
 				m.Counter("dist.results.accepted"), m.Counter("dist.results.rejected.superseded"),

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -16,70 +17,239 @@ import (
 	"chop/internal/resilience"
 )
 
-// This file implements checkpoint/resume for the shard engine. The unit of
+// This file implements checkpoint/resume for sharded searches. The unit of
 // durability is the shard: a shard's private SearchResult depends only on
-// its own slice of the plan, so a snapshot of the completed shards plus the
-// plan signature is enough to restart a search exactly where it stopped.
+// its own slice of the plan, so the plan signature plus the completed
+// shards is enough to restart a search exactly where it stopped.
 // Incomplete shards are simply re-run; completed ones are restored verbatim
 // and merged in the usual shard order, which makes a resumed result
 // byte-identical to an uninterrupted one (enforced by
-// TestCheckpointResumeByteIdentical). The in-process checkpointer below and
-// the distributed coordinator (internal/dist) persist the same payload,
-// ShardSnapshot, through the same load and save helpers.
+// TestCheckpointResumeByteIdentical). The in-process engine and the
+// distributed coordinator (internal/dist) both persist through ShardLog.
 
-// ShardSnapshotKind tags the shard snapshot inside the versioned
-// resilience envelope.
-const ShardSnapshotKind = "chop/search-shards"
+// The shard log is one JSON line of header followed by one JSON line per
+// completed shard:
+//
+//	{"version":1,"kind":"chop/shard-log","signature":"…","shards":N}
+//	{"shard":si,"result":<SearchResult>}
+//
+// Each shard is encoded once, when it completes, and appended once.
+const (
+	shardLogVersion = 1
+	shardLogKind    = "chop/shard-log"
+)
 
-// ShardSnapshot is the checkpoint payload of a sharded search: the
-// completed shards of one shard plan.
-type ShardSnapshot struct {
-	// Signature is the plan signature (ShardPlan.Signature): problem
-	// content, search knobs and shard geometry.
+// shardLogHeader is the log's first line.
+type shardLogHeader struct {
+	Version   int    `json:"version"`
+	Kind      string `json:"kind"`
 	Signature string `json:"signature"`
-	// Shards is the plan's shard count.
-	Shards int `json:"shards"`
-	// Done maps completed shard indices to their private results.
-	Done map[int]*SearchResult `json:"done"`
+	Shards    int    `json:"shards"`
 }
 
-// ErrSnapshotMismatch reports a shard snapshot written for a different
-// plan: its signature or shard count differs.
-var ErrSnapshotMismatch = errors.New("core: shard snapshot belongs to a different plan")
-
-// LoadShardSnapshot reads the snapshot at path for the plan with this
-// signature and shard count, and returns its done-set without nil or
-// out-of-range entries. A missing, foreign-kind or undecodable file returns
-// the resilience load error, a snapshot of another plan
-// ErrSnapshotMismatch; callers treat both as "start fresh".
-func LoadShardSnapshot(path, signature string, shards int) (map[int]*SearchResult, error) {
-	var snap ShardSnapshot
-	if err := resilience.LoadCheckpoint(path, ShardSnapshotKind, &snap); err != nil {
-		return nil, err
-	}
-	if snap.Signature != signature || snap.Shards != shards {
-		return nil, ErrSnapshotMismatch
-	}
-	for si, res := range snap.Done {
-		if si < 0 || si >= shards || res == nil {
-			delete(snap.Done, si)
-		}
-	}
-	return snap.Done, nil
+// shardLogRecord is one completed shard.
+type shardLogRecord struct {
+	Shard  int           `json:"shard"`
+	Result *SearchResult `json:"result"`
 }
 
-// SaveShardSnapshot writes snap atomically to path. Up to three attempts
-// with a short backoff absorb transient I/O failures and injected
-// "checkpoint.save" faults; the error of the last attempt is returned.
-func SaveShardSnapshot(ctx context.Context, path string, inject *resilience.Injector, snap ShardSnapshot) error {
-	return resilience.Retry(ctx, resilience.RetryPolicy{
-		Attempts: 3, BaseDelay: 5 * time.Millisecond, Seed: 1,
-	}, func() error {
-		if err := inject.Fire("checkpoint.save"); err != nil {
-			return err
+// shardLogRetry absorbs transient I/O failures and injected
+// "checkpoint.save" faults.
+var shardLogRetry = resilience.RetryPolicy{Attempts: 3, BaseDelay: 5 * time.Millisecond, Seed: 1}
+
+// ShardLog is the append-only checkpoint of one sharded search. All methods
+// are nil-safe, so callers use a nil log when checkpointing is off.
+// Appends are best-effort: a failure is counted in
+// resilience.checkpoint_save_failed and never stops the search.
+type ShardLog struct {
+	mu     sync.Mutex
+	f      *os.File
+	size   int64 // bytes up to the end of the last whole record
+	shards int   // shard records in the file
+	cfg    Config
+	sp     *obs.Span
+}
+
+// OpenShardLog opens the shard log at cfg.CheckpointPath for the plan with
+// this signature and shard count, or returns nil when the path is empty.
+// With cfg.Resume set it restores the longest valid prefix of a matching
+// log, returns its shards keyed by index and appends after them. A missing
+// or foreign file (resilience.checkpoint_load_skipped) and another plan's
+// log (resilience.checkpoint_mismatch) are not errors: like a search
+// without Resume, they start a fresh log. The log reads cfg's Inject,
+// Metrics, Stats and Phases hooks and traces resume decisions on sp.
+func OpenShardLog(cfg Config, signature string, shards int, sp *obs.Span) (*ShardLog, map[int]*SearchResult) {
+	if cfg.CheckpointPath == "" {
+		return nil, nil
+	}
+	l := &ShardLog{cfg: cfg, sp: sp}
+	want := shardLogHeader{Version: shardLogVersion, Kind: shardLogKind, Signature: signature, Shards: shards}
+	if cfg.Resume {
+		if done := l.resume(want); done != nil {
+			return l, done
 		}
-		return resilience.SaveCheckpoint(path, ShardSnapshotKind, snap)
-	})
+	}
+	header, err := json.Marshal(want)
+	if err == nil {
+		header = append(header, '\n')
+		err = resilience.Retry(context.Background(), shardLogRetry, func() error { return l.start(header) })
+	}
+	if err != nil {
+		// Without a header no record can be appended: search on without.
+		l.failed(err)
+		return nil, nil
+	}
+	return l, nil
+}
+
+// resume restores a matching log's valid prefix, truncates the file to it
+// and keeps it open for appending. It returns nil when the search must
+// start fresh.
+func (l *ShardLog) resume(want shardLogHeader) map[int]*SearchResult {
+	m := l.cfg.Metrics
+	f, err := os.OpenFile(l.cfg.CheckpointPath, os.O_RDWR, 0)
+	if err != nil {
+		m.Inc("resilience.checkpoint_load_skipped")
+		return nil
+	}
+	data, err := io.ReadAll(f)
+	line, rest, whole := bytes.Cut(data, []byte{'\n'})
+	var have shardLogHeader
+	if err != nil || !whole || json.Unmarshal(line, &have) != nil ||
+		have.Version != want.Version || have.Kind != want.Kind {
+		f.Close()
+		m.Inc("resilience.checkpoint_load_skipped")
+		return nil
+	}
+	if have != want {
+		f.Close()
+		m.Inc("resilience.checkpoint_mismatch")
+		l.sp.Point("checkpoint", obs.F("resumed", false), obs.F("reason", "signature-mismatch"))
+		return nil
+	}
+	// Records run up to the first line that does not decode: the torn
+	// tail of an interrupted append.
+	size := int64(len(line) + 1)
+	done := make(map[int]*SearchResult)
+	for {
+		line, next, whole := bytes.Cut(rest, []byte{'\n'})
+		var rec shardLogRecord
+		if !whole || json.Unmarshal(line, &rec) != nil {
+			break
+		}
+		if rec.Shard >= 0 && rec.Shard < want.Shards && rec.Result != nil && done[rec.Shard] == nil {
+			done[rec.Shard] = rec.Result
+		}
+		size += int64(len(line) + 1)
+		rest = next
+	}
+	if err := f.Truncate(size); err != nil {
+		f.Close()
+		l.failed(err)
+		return nil
+	}
+	l.f, l.size, l.shards = f, size, len(done)
+	m.Add("resilience.checkpoint_resumed_shards", int64(len(done)))
+	l.sp.Point("checkpoint", obs.F("resumed", true), obs.F("shards", len(done)))
+	return done
+}
+
+// start creates (or truncates) the file with header as its only line.
+func (l *ShardLog) start(header []byte) error {
+	f, err := os.OpenFile(l.cfg.CheckpointPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(header); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	l.f, l.size = f, int64(len(header))
+	return nil
+}
+
+// Append records completed shard si. The record is encoded before the
+// log's mutex is taken; the append and its fsync run under it, retried
+// after truncating back to the last whole record. The retries ignore the
+// search's cancellation, so a shard that completed before a cancel still
+// lands on disk. The error is the last attempt's, already counted.
+func (l *ShardLog) Append(si int, res *SearchResult) error {
+	if l == nil {
+		return nil
+	}
+	tok := l.cfg.Phases.Begin()
+	defer l.cfg.Phases.End(tok, obs.PhaseCheckpoint)
+	rec, err := json.Marshal(shardLogRecord{Shard: si, Result: res})
+	if err != nil {
+		l.failed(err)
+		return err
+	}
+	rec = append(rec, '\n')
+	l.mu.Lock()
+	err = resilience.Retry(context.Background(), shardLogRetry, func() error { return l.write(rec) })
+	shards := l.shards
+	l.mu.Unlock()
+	if err != nil {
+		l.failed(err)
+		return err
+	}
+	l.cfg.Metrics.Inc("resilience.checkpoint_saves")
+	l.cfg.Stats.NoteCheckpointSave(shards)
+	return nil
+}
+
+// write appends one record behind the last whole one; on failure the file
+// is truncated back so the next attempt starts clean. Called with mu held.
+func (l *ShardLog) write(rec []byte) error {
+	if err := l.cfg.Inject.Fire("checkpoint.save"); err != nil {
+		return err
+	}
+	_, err := l.f.WriteAt(rec, l.size)
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		// Should the truncate fail too, the next write still lands at
+		// l.size, and a resume stops at any torn bytes left behind it.
+		l.f.Truncate(l.size)
+		return err
+	}
+	l.size += int64(len(rec))
+	l.shards++
+	return nil
+}
+
+// failed books a write that did not succeed.
+func (l *ShardLog) failed(err error) {
+	l.cfg.Metrics.Inc("resilience.checkpoint_save_failed")
+	l.sp.Point("checkpoint", obs.F("save", "failed"), obs.F("error", err.Error()))
+}
+
+// Close closes the log and leaves it on disk, for an aborted search to
+// resume from. Every record was fsynced when appended, so a close error
+// loses nothing.
+func (l *ShardLog) Close() {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.f.Close()
+}
+
+// Remove closes and deletes the log after a successful search: its shards
+// are consumed, and a later unrelated run must not resume from them.
+func (l *ShardLog) Remove() {
+	if l == nil {
+		return
+	}
+	l.Close()
+	if err := os.Remove(l.cfg.CheckpointPath); err != nil && !os.IsNotExist(err) {
+		l.cfg.Metrics.Inc("resilience.checkpoint_remove_failed")
+	}
 }
 
 // planSignature fingerprints everything that determines a shard's content:
@@ -122,151 +292,4 @@ func planSignature(p *Partitioning, cfg Config, pl *searchPlan) (string, error) 
 	}
 	sum := sha256.Sum256(blob)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// checkpointer coordinates periodic snapshots of one search. Workers report
-// completed shards through markDone; every cfg-selected number of
-// completions the done-set is written atomically. All methods are nil-safe
-// so the engine calls them unconditionally.
-type checkpointer struct {
-	mu      sync.Mutex
-	cfg     Config
-	sig     string
-	shards  int
-	every   int
-	pending int  // completions since the last save
-	saving  bool // a goroutine is writing a snapshot (outside the lock)
-	done    map[int]*SearchResult
-	sp      *obs.Span
-}
-
-// newCheckpointer builds the checkpointer for one search, or returns nil
-// when cfg has no CheckpointPath — the plan signature is only computed
-// past that check. With cfg.Resume set it restores a matching snapshot:
-// the restored shards' results land in outs, marked restored. Load
-// problems — missing file, foreign kind/version, signature mismatch — are
-// not errors: the search starts fresh and the stale file is overwritten by
-// the first save.
-func newCheckpointer(p *Partitioning, cfg Config, pl *searchPlan, outs []shardOut, sp *obs.Span) (*checkpointer, error) {
-	if cfg.CheckpointPath == "" {
-		return nil, nil
-	}
-	sig, err := planSignature(p, cfg, pl)
-	if err != nil {
-		return nil, err
-	}
-	c := &checkpointer{
-		cfg: cfg, sig: sig, shards: pl.shards, every: max(cfg.CheckpointEvery, 1),
-		done: make(map[int]*SearchResult), sp: sp,
-	}
-	if !cfg.Resume {
-		return c, nil
-	}
-	done, err := LoadShardSnapshot(cfg.CheckpointPath, sig, pl.shards)
-	switch {
-	case errors.Is(err, ErrSnapshotMismatch):
-		cfg.Metrics.Inc("resilience.checkpoint_mismatch")
-		if sp != nil {
-			sp.Point("checkpoint", obs.F("resumed", false), obs.F("reason", "signature-mismatch"))
-		}
-		return c, nil
-	case err != nil:
-		cfg.Metrics.Inc("resilience.checkpoint_load_skipped")
-		return c, nil
-	}
-	for si, res := range done {
-		outs[si] = shardOut{res: *res, restored: true}
-		c.done[si] = res
-	}
-	cfg.Metrics.Add("resilience.checkpoint_resumed_shards", int64(len(done)))
-	if sp != nil {
-		sp.Point("checkpoint", obs.F("resumed", true), obs.F("shards", len(done)))
-	}
-	return c, nil
-}
-
-// markDone records a completed shard and snapshots when the cadence is due.
-// Called concurrently by workers; the bookkeeping happens under the mutex
-// but the file write (which retries with backoff) does not, so a slow or
-// failing checkpoint disk never serializes the pool at shard completion.
-func (c *checkpointer) markDone(si int, res *SearchResult) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.done[si] = res
-	c.pending++
-	c.mu.Unlock()
-	c.trySave(false)
-}
-
-// flush forces a snapshot of whatever has completed — called on the way out
-// of an aborted search so a cancelled or failed run leaves its maximal
-// resumable state behind.
-func (c *checkpointer) flush() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	force := c.pending > 0 || len(c.done) > 0
-	c.mu.Unlock()
-	c.trySave(force)
-}
-
-// trySave writes snapshots while one is due (pending has reached the
-// cadence, or force), electing the calling goroutine as the single writer:
-// concurrent callers see the saving flag and return immediately, their
-// completions folded into the writer's next loop iteration. The done-map is
-// copied under the lock so the write itself — retried with backoff sleeps —
-// runs unlocked and never stalls workers reporting new shards.
-func (c *checkpointer) trySave(force bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.saving {
-		return // the in-flight writer will pick the new pending work up
-	}
-	for force || c.pending >= c.every {
-		force = false
-		c.pending = 0
-		snap := ShardSnapshot{Signature: c.sig, Shards: c.shards, Done: make(map[int]*SearchResult, len(c.done))}
-		for si, res := range c.done {
-			snap.Done[si] = res
-		}
-		c.saving = true
-		c.mu.Unlock()
-		c.save(snap)
-		c.mu.Lock()
-		c.saving = false
-	}
-}
-
-// finish removes the checkpoint after a successful search: the snapshot is
-// consumed, and a later unrelated run must not resume from it.
-func (c *checkpointer) finish() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := os.Remove(c.cfg.CheckpointPath); err != nil && !os.IsNotExist(err) {
-		c.cfg.Metrics.Inc("resilience.checkpoint_remove_failed")
-	}
-}
-
-// save writes one snapshot. A save that still fails after
-// SaveShardSnapshot's retries is recorded but does not kill the search —
-// checkpoint durability is best-effort by design. Runs without the mutex;
-// trySave guarantees a single writer at a time.
-func (c *checkpointer) save(snap ShardSnapshot) {
-	tok := c.cfg.Phases.Begin()
-	defer c.cfg.Phases.End(tok, obs.PhaseCheckpoint)
-	if err := SaveShardSnapshot(c.cfg.Ctx, c.cfg.CheckpointPath, c.cfg.Inject, snap); err != nil {
-		c.cfg.Metrics.Inc("resilience.checkpoint_save_failed")
-		if c.sp != nil {
-			c.sp.Point("checkpoint", obs.F("save", "failed"), obs.F("error", err.Error()))
-		}
-		return
-	}
-	c.cfg.Metrics.Inc("resilience.checkpoint_saves")
-	c.cfg.Stats.NoteCheckpointSave(len(snap.Done))
 }

@@ -144,7 +144,7 @@ func guard(m *obs.Metrics, site string, fn func() error) error {
 // raises the abort flag: idle workers stop claiming, running enumeration
 // shards stop at their next trial, and completed shards keep their results.
 func runShards(it *integrator, cfg Config, pl *searchPlan, order []int, outs []shardOut,
-	cp *checkpointer, sp *obs.Span) {
+	ckpt *ShardLog, sp *obs.Span) {
 
 	var cursor atomic.Int64 // next unclaimed position in order
 	var aborted atomic.Bool
@@ -200,7 +200,7 @@ func runShards(it *integrator, cfg Config, pl *searchPlan, order []int, outs []s
 				return
 			}
 			rec.done()
-			cp.markDone(si, &out.res)
+			_ = ckpt.Append(si, &out.res) // best-effort: Append counts a failure, the search goes on
 		}
 	}
 	var wg sync.WaitGroup
@@ -230,9 +230,17 @@ func runSearch(it *integrator, cfg Config, preds []bad.Result, h Heuristic, sp *
 	pl.announce(sp)
 	cfg.Stats.StartSearch(pl.shards, pl.trialTotal())
 	outs := make([]shardOut, pl.shards)
-	cp, err := newCheckpointer(it.p, cfg, &pl, outs, sp)
-	if err != nil {
-		return SearchResult{Heuristic: h}, err
+	var ckpt *ShardLog
+	if cfg.CheckpointPath != "" {
+		sig, err := planSignature(it.p, cfg, &pl)
+		if err != nil {
+			return SearchResult{Heuristic: h}, err
+		}
+		var done map[int]*SearchResult
+		ckpt, done = OpenShardLog(cfg, sig, pl.shards, sp)
+		for si, res := range done {
+			outs[si] = shardOut{res: *res, restored: true}
+		}
 	}
 	order := make([]int, 0, pl.shards)
 	for si := range outs {
@@ -245,14 +253,14 @@ func runSearch(it *integrator, cfg Config, preds []bad.Result, h Heuristic, sp *
 		}
 		order = append(order, si)
 	}
-	runShards(it, cfg, &pl, order, outs, cp, sp)
+	runShards(it, cfg, &pl, order, outs, ckpt, sp)
 	res, err := mergeShards(h, outs)
 	if err != nil {
-		cp.flush() // leave the maximal resumable state behind
+		ckpt.Close() // every completed shard is already on disk
 		return res, err
 	}
 	finishSearch(&res)
-	cp.finish()
+	ckpt.Remove()
 	return res, nil
 }
 

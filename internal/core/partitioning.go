@@ -222,29 +222,25 @@ type Config struct {
 	// re-predicting unchanged partitions. Safe to share between
 	// concurrent runs and across differing configurations.
 	PredictCache *bad.PredictCache
-	// CheckpointPath, when set, makes the search engine periodically
-	// snapshot its progress — which shards of the combination space have
-	// completed, with their partial results — into a versioned JSON
-	// checkpoint at this path, written atomically (tmp + rename). An
-	// interrupted run (cancellation, deadline, crash after the last save)
-	// restarts from the snapshot when Resume is set. The shards are the
+	// CheckpointPath, when set, makes the search engine append every
+	// completed shard's result to an append-only shard log at this path
+	// (see ShardLog): a header line with the plan signature, then one
+	// fsynced JSON line per shard. An interrupted run (cancellation,
+	// deadline, crash) leaves the log behind and restarts from it when
+	// Resume is set; a successful run removes it. The shards are the
 	// engine's own at every worker count, so checkpointing changes nothing
 	// about the result (see DESIGN.md, "Concurrency model").
 	CheckpointPath string
-	// CheckpointEvery is the snapshot cadence in completed shards
-	// (default 1: every shard completion). Raising it trades durability
-	// for less checkpoint I/O.
-	CheckpointEvery int
 	// Resume loads CheckpointPath before searching and skips the shards
-	// it records as complete. A missing file, a different checkpoint
-	// version, or a signature mismatch (the problem, constraints or shard
-	// geometry changed) silently falls back to a fresh search — a
-	// checkpoint can only ever be replayed against the exact search that
-	// wrote it, so resumed results are byte-identical to uninterrupted
-	// ones. Enumeration shard geometry derives from Workers (Workers × 4
-	// shards, one worker included), so an enumeration checkpoint only
-	// resumes at the worker count that wrote it; iterative shards are
-	// worker-independent and resume at any count.
+	// it records as complete. A missing file, a foreign file, or a log of
+	// another plan (the problem, constraints or shard geometry changed)
+	// silently falls back to a fresh search — a log can only ever be
+	// replayed against the exact search that wrote it, so resumed results
+	// are byte-identical to uninterrupted ones. A torn last record is
+	// dropped and its shard re-run. Enumeration shard geometry derives
+	// from Workers (Workers × 4 shards, one worker included), so an
+	// enumeration checkpoint only resumes at the worker count that wrote
+	// it; iterative shards are worker-independent and resume at any count.
 	Resume bool
 	// Inject is the fault-injection hook (chaos testing): when non-nil,
 	// the instrumented sites — bad.predict, core.trial, checkpoint.save —

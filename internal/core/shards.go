@@ -58,7 +58,7 @@ func PlanShards(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, sh
 // h, shards) and returns each shard's private result, keyed by shard index.
 // The caller supplies the plan's shard count — PlanShards with the same
 // inputs must have produced it — and any subset of [0, shards) to run.
-// Execution is Search's engine without a checkpointer: a pool of
+// Execution is Search's engine without a shard log: a pool of
 // cfg.searchWorkers() workers with the same panic isolation and
 // cancellation; the first shard error (in shard order) aborts the
 // remaining work.

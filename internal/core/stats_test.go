@@ -118,7 +118,6 @@ func TestStatsCheckpointAndResume(t *testing.T) {
 	failCfg := cfg
 	failCfg.Workers = 2
 	failCfg.CheckpointPath = ckpt
-	failCfg.CheckpointEvery = 1
 	failCfg.Inject = resilience.MustParse("core.trial=error:@20")
 	st := obs.NewRunStats("interrupted")
 	failCfg.Stats = st
@@ -134,7 +133,6 @@ func TestStatsCheckpointAndResume(t *testing.T) {
 	resCfg := cfg
 	resCfg.Workers = 2
 	resCfg.CheckpointPath = ckpt
-	resCfg.CheckpointEvery = 1
 	resCfg.Resume = true
 	st2 := obs.NewRunStats("resumed")
 	resCfg.Stats = st2

@@ -160,19 +160,68 @@ func VerifyBest(p *core.Partitioning, cfg core.Config, h core.Heuristic,
 	if err != nil {
 		return err
 	}
-	for _, g := range res.Best {
+	g := firstNonPipelined(res.Best)
+	if g == nil {
+		return fmt.Errorf("cosim: no feasible all-non-pipelined global design to verify")
+	}
+	return Verify(p, cfg, g.Choice, inputs, coef)
+}
+
+// firstNonPipelined returns the first design of best whose partitions are
+// all non-pipelined (the fastest, as a SearchResult orders Best), or nil.
+func firstNonPipelined(best []core.GlobalDesign) *core.GlobalDesign {
+	for i := range best {
 		allNP := true
-		for _, d := range g.Choice {
+		for _, d := range best[i].Choice {
 			if d.Style != bad.NonPipelined {
 				allNP = false
 				break
 			}
 		}
 		if allNP {
-			return Verify(p, cfg, g.Choice, inputs, coef)
+			return &best[i]
 		}
 	}
-	return fmt.Errorf("cosim: no feasible all-non-pipelined global design to verify")
+	return nil
+}
+
+// Synthesis is a verified implementation of one global design: every
+// partition's subgraph and its bound netlist.
+type Synthesis struct {
+	Design    *core.GlobalDesign
+	Subgraphs []*dfg.Graph
+	Netlists  []*rtl.Netlist
+}
+
+// Synthesize is the synth flow shared by `chop synth` and the service's
+// synth runs: it takes the fastest all-non-pipelined design of best,
+// co-simulates it against the golden model on three seeded input vectors,
+// and binds every partition to an RTL netlist.
+func Synthesize(p *core.Partitioning, cfg core.Config, best []core.GlobalDesign) (*Synthesis, error) {
+	chosen := firstNonPipelined(best)
+	if chosen == nil {
+		return nil, fmt.Errorf("synth: no feasible all-non-pipelined global design")
+	}
+	g := p.Graph
+	for seed := int64(1); seed <= 3; seed++ {
+		inputs := map[string]int64{}
+		for i, id := range g.Inputs() {
+			inputs[g.Nodes[id].Name] = (seed*31 + int64(i)*17) % 97
+		}
+		if err := Verify(p, cfg, chosen.Choice, inputs, nil); err != nil {
+			return nil, fmt.Errorf("synth: verification failed: %w", err)
+		}
+	}
+	syn := &Synthesis{Design: chosen, Subgraphs: p.Subgraphs()}
+	for pi, d := range chosen.Choice {
+		cyc := rtl.OpCyclesFor(d, cfg.Style.MultiCycle, cfg.Clocks.DatapathNS())
+		nl, err := rtl.Bind(syn.Subgraphs[pi], d, cfg.Lib, cyc)
+		if err != nil {
+			return nil, fmt.Errorf("synth: partition %d: %w", pi+1, err)
+		}
+		syn.Netlists = append(syn.Netlists, nl)
+	}
+	return syn, nil
 }
 
 // VerifyStream is the pipelined counterpart of Verify: it streams several

@@ -24,9 +24,9 @@
 // delivering lease's epoch equals the shard's current epoch; anything
 // else counts as a duplicate or superseded rejection. Work stealing
 // re-splits the tail of a slow lease onto idle workers under the same
-// fencing rules, so one straggler cannot dominate wall clock. Completed
-// shards are checkpointed (signed, atomic, chop-ckpt/1 envelope) so a
-// killed coordinator resumes without re-running finished shards.
+// fencing rules, so one straggler cannot dominate wall clock. Accepted
+// shards are appended to core's shard log, signed with the plan signature,
+// so a killed coordinator resumes without re-running finished shards.
 package dist
 
 import (
@@ -90,12 +90,11 @@ type Options struct {
 	// Poll is the worker status-poll cadence. Default 100ms.
 	Poll time.Duration
 
-	// CheckpointPath persists accepted shard results; Resume restores a
-	// matching snapshot so a restarted coordinator skips finished shards.
-	// CheckpointEvery sets the save cadence in accepted shards (default 1).
-	CheckpointPath  string
-	CheckpointEvery int
-	Resume          bool
+	// CheckpointPath is the shard log every accepted shard result is
+	// appended to; Resume restores a matching log so a restarted
+	// coordinator skips finished shards.
+	CheckpointPath string
+	Resume         bool
 
 	Metrics *obs.Metrics
 	Trace   *obs.Tracer
@@ -164,7 +163,7 @@ type Coordinator struct {
 	done    map[int]*core.SearchResult
 	leases  map[int64]*lease
 	nextID  int64
-	ckptDue int // accepted shards since the last checkpoint save
+	ckpt    *core.ShardLog // nil without CheckpointPath
 
 	resc chan outcome
 	wg   sync.WaitGroup
@@ -237,7 +236,16 @@ func (c *Coordinator) Run(ctx context.Context) (core.SearchResult, []bad.Result,
 
 	c.epoch = make([]int64, plan.Shards)
 	c.leases = make(map[int64]*lease)
-	c.restoreCheckpoint()
+	var done map[int]*core.SearchResult
+	c.ckpt, done = core.OpenShardLog(core.Config{
+		CheckpointPath: c.o.CheckpointPath, Resume: c.o.Resume,
+		Inject: c.o.Inject, Metrics: c.o.Metrics,
+	}, plan.Signature, plan.Shards, c.root)
+	if len(done) > 0 {
+		c.done = done
+		c.o.Log.Info("resumed from coordinator checkpoint",
+			"path", c.o.CheckpointPath, "shards", len(done))
+	}
 	for si := 0; si < plan.Shards; si++ {
 		if c.done[si] == nil {
 			c.pending = append(c.pending, si)
@@ -252,12 +260,12 @@ func (c *Coordinator) Run(ctx context.Context) (core.SearchResult, []bad.Result,
 	for len(c.done) < plan.Shards {
 		c.grantAll(lctx)
 		if err := c.checkStalled(); err != nil {
-			c.flushCheckpoint()
+			c.ckpt.Close()
 			return core.SearchResult{}, preds, err
 		}
 		select {
 		case <-ctx.Done():
-			c.flushCheckpoint()
+			c.ckpt.Close()
 			return core.SearchResult{}, preds, ctx.Err()
 		case oc := <-c.resc:
 			c.handleOutcome(oc)
@@ -266,7 +274,7 @@ func (c *Coordinator) Run(ctx context.Context) (core.SearchResult, []bad.Result,
 		}
 	}
 	c.drainGrace()
-	c.consumeCheckpoint()
+	c.ckpt.Remove()
 	res, err := core.MergeShardResults(h, plan.Shards, c.done)
 	if err == nil {
 		c.root.Point("merged", obs.F("trials", res.Trials), obs.F("best", len(res.Best)))
@@ -440,11 +448,12 @@ func (c *Coordinator) handleOutcome(o outcome) {
 				obs.F("reason", "duplicate"))
 		default:
 			c.done[si] = res
-			c.ckptDue++
 			c.o.Metrics.Inc("dist.results.accepted")
+			if err := c.ckpt.Append(si, res); err != nil {
+				c.o.Log.Warn("coordinator checkpoint save failed", "shard", si, "error", err)
+			}
 		}
 	}
-	c.maybeCheckpoint()
 }
 
 // expireAndSteal is the ticker pass: expire leases whose renewals stopped

@@ -318,7 +318,7 @@ func TestDistCoordinatorKillResume(t *testing.T) {
 	}()
 	// Kill the coordinator as soon as the first checkpoint lands.
 	deadline := time.Now().Add(30 * time.Second)
-	for counter(t, m1, "dist.checkpoint.saves") == 0 {
+	for counter(t, m1, "resilience.checkpoint_saves") == 0 {
 		if time.Now().After(deadline) {
 			cancel1()
 			t.Fatalf("no checkpoint saved before deadline")
@@ -343,7 +343,7 @@ func TestDistCoordinatorKillResume(t *testing.T) {
 	if got != want {
 		t.Fatalf("resumed result diverged from serial")
 	}
-	if r := counter(t, m2, "dist.shards.resumed"); r == 0 {
+	if r := counter(t, m2, "resilience.checkpoint_resumed_shards"); r == 0 {
 		t.Fatalf("nothing resumed from the checkpoint")
 	}
 	if acc1, acc2 := counter(t, m1, "dist.results.accepted"), counter(t, m2, "dist.results.accepted"); acc1+acc2 < 6 {
@@ -356,12 +356,11 @@ func TestDistCoordinatorKillResume(t *testing.T) {
 func TestDistResumeRefusesForeignCheckpoint(t *testing.T) {
 	w1 := startWorker(t, serve.Options{})
 	path := t.TempDir() + "/dist.ckpt"
-	if err := resilience.SaveCheckpoint(path, core.ShardSnapshotKind, core.ShardSnapshot{
-		Signature: "0000", Shards: 6,
-		Done: map[int]*core.SearchResult{0: {Trials: 999}},
-	}); err != nil {
+	foreign, _ := core.OpenShardLog(core.Config{CheckpointPath: path}, "0000", 6, nil)
+	if err := foreign.Append(0, &core.SearchResult{Trials: 999}); err != nil {
 		t.Fatal(err)
 	}
+	foreign.Close()
 	raw := exampleSpec(t, "E")
 	want := serialJSON(t, raw)
 	m := obs.NewMetrics()
@@ -373,10 +372,10 @@ func TestDistResumeRefusesForeignCheckpoint(t *testing.T) {
 	if got != want {
 		t.Fatalf("foreign checkpoint leaked into the merge")
 	}
-	if mm := counter(t, m, "dist.checkpoint.mismatch"); mm != 1 {
+	if mm := counter(t, m, "resilience.checkpoint_mismatch"); mm != 1 {
 		t.Fatalf("want 1 checkpoint mismatch, got %d", mm)
 	}
-	if r := counter(t, m, "dist.shards.resumed"); r != 0 {
+	if r := counter(t, m, "resilience.checkpoint_resumed_shards"); r != 0 {
 		t.Fatalf("foreign shards resumed: %d", r)
 	}
 }

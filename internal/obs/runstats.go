@@ -33,7 +33,7 @@ type RunStats struct {
 	startNS atomic.Int64 // search start, ns since stats epoch (0: not started)
 	epoch   time.Time    // wall-clock reference for all *NS fields
 
-	// Checkpoint bookkeeping (fed by the core checkpointer).
+	// Checkpoint bookkeeping (fed by core's shard log).
 	ckptSaves  atomic.Int64
 	ckptShards atomic.Int64 // shards covered by the last successful save
 	ckptLastNS atomic.Int64
@@ -257,7 +257,7 @@ type RunStatsSnapshot struct {
 	CacheHits    int64   `json:"cacheHits,omitempty"`
 	CacheMisses  int64   `json:"cacheMisses,omitempty"`
 	CacheHitRate float64 `json:"cacheHitRate,omitempty"`
-	// CheckpointSaves counts successful snapshot writes; CheckpointLag how
+	// CheckpointSaves counts successful shard-log appends; CheckpointLag how
 	// many completed shards the last save does not yet cover;
 	// CheckpointAgeSec the time since the last save (0 when never saved).
 	CheckpointSaves  int64   `json:"checkpointSaves,omitempty"`

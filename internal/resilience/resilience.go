@@ -1,6 +1,7 @@
 // Package resilience is CHOP's fault-tolerance layer: panic isolation,
-// context-aware retries with capped exponential backoff, versioned atomic
-// checkpoints, and a deterministic fault injector for chaos testing.
+// context-aware retries with capped exponential backoff, and a
+// deterministic fault injector for chaos testing. Search checkpoints live
+// in core (ShardLog), which retries its appends through Retry.
 //
 // The package is deliberately dependency-free (stdlib only) so every other
 // layer — core's search workers, bad's predictor, the serve registry, obs

@@ -86,7 +86,7 @@ var (
 
 // ErrPreempted is the cancellation cause of a run displaced by a
 // higher-priority submission. The registry does not terminate such a run:
-// it checkpoints whatever the search saved, requeues the run at its
+// it keeps the shards the search logged, requeues the run at its
 // original position, and resumes it when capacity frees up.
 var ErrPreempted = errors.New("preempted by a higher-priority run")
 

@@ -149,10 +149,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.reg.Get(r.PathValue("id"))
+	run, ok := s.lookupRun(w, r)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, "not-found",
-			fmt.Errorf("run %q not found", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, run.Status(true))
@@ -211,44 +209,23 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // ring drops their oldest pending events and the drop total is visible in
 // the run status as traceDropped.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.reg.Get(r.PathValue("id"))
+	run, ok := s.lookupRun(w, r)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, "not-found",
-			fmt.Errorf("run %q not found", r.PathValue("id")))
 		return
 	}
-	flusher, ok := w.(http.Flusher)
+	sse, ok := startSSE(w, r)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, "no-stream",
-			errors.New("response writer does not support streaming"))
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
-	w.WriteHeader(http.StatusOK)
-
 	replay, sub := run.Ring().Subscribe(0)
 	defer sub.Close()
 
-	seq := 0
-	send := func(event string, v any) bool {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		seq++
-		if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", event, seq, data); err != nil {
-			return false
-		}
-		return true
-	}
 	for _, ev := range replay {
-		if !send("trace", ev) {
+		if !sse.send("trace", ev) {
 			return
 		}
 	}
-	flusher.Flush()
+	sse.flush()
 	for {
 		select {
 		case <-r.Context().Done():
@@ -257,11 +234,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				// Run finished (the registry closes the ring): emit the
 				// final status and end the stream.
-				send("done", run.Status(false))
-				flusher.Flush()
+				sse.send("done", run.Status(false))
+				sse.flush()
 				return
 			}
-			if !send("trace", ev) {
+			if !sse.send("trace", ev) {
 				return
 			}
 			// Greedily drain whatever is already pending before paying
@@ -271,11 +248,71 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				if !open {
 					break
 				}
-				if !send("trace", ev) {
+				if !sse.send("trace", ev) {
 					return
 				}
 			}
-			flusher.Flush()
+			sse.flush()
 		}
 	}
 }
+
+// lookupRun resolves the request's {id} to its run, answering 404 when
+// there is none.
+func (s *Server) lookupRun(w http.ResponseWriter, r *http.Request) (*Run, bool) {
+	run, ok := s.reg.Get(r.PathValue("id"))
+	if !ok {
+		writeError(w, r, http.StatusNotFound, "not-found",
+			fmt.Errorf("run %q not found", r.PathValue("id")))
+	}
+	return run, ok
+}
+
+// sseStream writes Server-Sent Events: numbered messages whose data is one
+// JSON value. Each message is built in buf, reused across messages, so a
+// message allocates nothing beyond its JSON encoding.
+type sseStream struct {
+	w       http.ResponseWriter
+	flusher http.Flusher
+	seq     int
+	buf     []byte
+}
+
+// startSSE sends the event-stream headers, or answers 500 when w cannot
+// stream.
+func startSSE(w http.ResponseWriter, r *http.Request) (sseStream, bool) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		writeError(w, r, http.StatusInternalServerError, "no-stream",
+			errors.New("response writer does not support streaming"))
+		return sseStream{}, false
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
+	w.WriteHeader(http.StatusOK)
+	return sseStream{w: w, flusher: flusher}, true
+}
+
+// send writes one message, unflushed, and reports whether the client can
+// still be written to.
+func (s *sseStream) send(event string, v any) bool {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return false
+	}
+	s.seq++
+	b := append(s.buf[:0], "event: "...)
+	b = append(b, event...)
+	b = append(b, "\nid: "...)
+	b = strconv.AppendInt(b, int64(s.seq), 10)
+	b = append(b, "\ndata: "...)
+	b = append(b, data...)
+	b = append(b, "\n\n"...)
+	s.buf = b
+	_, err = s.w.Write(b)
+	return err == nil
+}
+
+// flush pushes the sent messages to the client.
+func (s *sseStream) flush() { s.flusher.Flush() }

@@ -10,7 +10,6 @@ import (
 	"chop/internal/core"
 	"chop/internal/cosim"
 	"chop/internal/experiments"
-	"chop/internal/rtl"
 	"chop/internal/spec"
 )
 
@@ -80,25 +79,30 @@ func runSpec(ctx context.Context, raw json.RawMessage, jc JobContext) (core.Sear
 	if err != nil {
 		return core.SearchResult{}, nil, nil, err
 	}
-	prob.Config.Ctx = ctx
-	prob.Config.Trace = jc.Tracer
-	prob.Config.Metrics = jc.Metrics
-	prob.Config.Stats = jc.Stats
-	prob.Config.Phases = jc.Phases
-	prob.Config.Inject = jc.Inject
+	jc.wire(ctx, &prob.Config)
 	if jc.Checkpoint != "" {
-		// Resume is unconditional: a matching snapshot from an interrupted
+		// Resume is unconditional: a matching log from an interrupted
 		// earlier run continues it, anything else starts fresh.
 		prob.Config.CheckpointPath = jc.Checkpoint
 		prob.Config.Resume = true
 	}
-	if prob.Config.PredictCache == nil {
-		// The spec didn't bring its own cache: share the server-wide one,
-		// so repeated evaluations of the same partitions skip BAD.
-		prob.Config.PredictCache = jc.Cache
-	}
 	res, preds, err := core.Run(prob.Partitioning, prob.Config, prob.Heuristic)
 	return res, preds, prob, err
+}
+
+// wire points cfg at the job's context, observability planes and fault
+// injector. A config that brings no prediction cache shares the
+// server-wide one, so repeated evaluations of the same partitions skip BAD.
+func (jc JobContext) wire(ctx context.Context, cfg *core.Config) {
+	cfg.Ctx = ctx
+	cfg.Trace = jc.Tracer
+	cfg.Metrics = jc.Metrics
+	cfg.Stats = jc.Stats
+	cfg.Phases = jc.Phases
+	cfg.Inject = jc.Inject
+	if cfg.PredictCache == nil {
+		cfg.PredictCache = jc.Cache
+	}
 }
 
 // summarize reduces a search result to the API form, lifting the
@@ -152,47 +156,16 @@ func synthJob(ctx context.Context, raw json.RawMessage, jc JobContext) (any, err
 		return nil, err
 	}
 	summary := summarize(res, prob, jc)
-	var chosen *core.GlobalDesign
-	for i := range res.Best {
-		ok := true
-		for _, d := range res.Best[i].Choice {
-			if d.Style != bad.NonPipelined {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			chosen = &res.Best[i]
-			break
-		}
-	}
-	if chosen == nil {
-		return nil, fmt.Errorf("synth: no feasible all-non-pipelined global design")
-	}
-	// Functional sign-off against the behavioral golden model before
-	// emitting structure, as the CLI does.
-	g := prob.Partitioning.Graph
-	for seed := int64(1); seed <= 3; seed++ {
-		inputs := map[string]int64{}
-		for i, id := range g.Inputs() {
-			inputs[g.Nodes[id].Name] = (seed*31 + int64(i)*17) % 97
-		}
-		if err := cosim.Verify(prob.Partitioning, prob.Config, chosen.Choice, inputs, nil); err != nil {
-			return nil, fmt.Errorf("synth: verification failed: %w", err)
-		}
+	syn, err := cosim.Synthesize(prob.Partitioning, prob.Config, res.Best)
+	if err != nil {
+		return nil, err
 	}
 	out := &SynthResult{EvalResult: *summary, Verified: true}
-	subs := prob.Partitioning.Subgraphs()
-	for pi, d := range chosen.Choice {
-		cyc := rtl.OpCyclesFor(d, prob.Config.Style.MultiCycle, prob.Config.Clocks.DatapathNS())
-		nl, err := rtl.Bind(subs[pi], d, prob.Config.Lib, cyc)
-		if err != nil {
-			return nil, fmt.Errorf("synth: partition %d: %w", pi+1, err)
-		}
-		out.Verilog = append(out.Verilog, nl.Verilog(subs[pi]))
+	for pi, nl := range syn.Netlists {
+		out.Verilog = append(out.Verilog, nl.Verilog(syn.Subgraphs[pi]))
 	}
 	jc.Log.Info("synthesized design", "partitions", len(out.Verilog),
-		"iiMain", chosen.IIMain, "delayMain", chosen.DelayMain)
+		"iiMain", syn.Design.IIMain, "delayMain", syn.Design.DelayMain)
 	return out, nil
 }
 
@@ -210,13 +183,7 @@ type ExpResult struct {
 func expJob(n int) JobFunc {
 	return func(ctx context.Context, _ json.RawMessage, jc JobContext) (any, error) {
 		e := experiments.New(n)
-		e.Cfg.Ctx = ctx
-		e.Cfg.Trace = jc.Tracer
-		e.Cfg.Metrics = jc.Metrics
-		e.Cfg.Stats = jc.Stats
-		e.Cfg.Phases = jc.Phases
-		e.Cfg.PredictCache = jc.Cache
-		e.Cfg.Inject = jc.Inject
+		jc.wire(ctx, &e.Cfg)
 		counts, err := e.PredictionCounts()
 		if err != nil {
 			return nil, err

@@ -71,7 +71,7 @@ type JobContext struct {
 	// into pipeline phases (predict, schedule, xfer, integrate, ...).
 	Phases *obs.PhaseAccounter
 	// Checkpoint is the run's search-checkpoint path (empty: none). Jobs
-	// that search wire it into core.Config; a matching snapshot left by an
+	// that search wire it into core.Config; a matching shard log left by an
 	// interrupted (or preempted) earlier run is resumed automatically.
 	Checkpoint string
 	// Inject is the server-wide fault-injection harness (nil in

@@ -86,15 +86,7 @@ func shardJob(ctx context.Context, raw json.RawMessage, jc JobContext) (any, err
 	if err != nil {
 		return nil, err
 	}
-	prob.Config.Ctx = ctx
-	prob.Config.Trace = jc.Tracer
-	prob.Config.Metrics = jc.Metrics
-	prob.Config.Stats = jc.Stats
-	prob.Config.Phases = jc.Phases
-	prob.Config.Inject = jc.Inject
-	if prob.Config.PredictCache == nil {
-		prob.Config.PredictCache = jc.Cache
-	}
+	jc.wire(ctx, &prob.Config)
 	preds, err := core.PredictPartitions(prob.Partitioning, prob.Config)
 	if err != nil {
 		return nil, err

@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -107,10 +104,8 @@ type RunStatsPayload struct {
 
 // handleRunStats serves one run's current aggregate and shard table.
 func (s *Server) handleRunStats(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.reg.Get(r.PathValue("id"))
+	run, ok := s.lookupRun(w, r)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, "not-found",
-			fmt.Errorf("run %q not found", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, RunStatsPayload{
@@ -131,16 +126,8 @@ const statsStreamInterval = time.Second
 // event-driven: the search publishes through atomic counters and the
 // stream folds them at the chosen cadence.
 func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.reg.Get(r.PathValue("id"))
+	run, ok := s.lookupRun(w, r)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, "not-found",
-			fmt.Errorf("run %q not found", r.PathValue("id")))
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, r, http.StatusInternalServerError, "no-stream",
-			errors.New("response writer does not support streaming"))
 		return
 	}
 	interval := statsStreamInterval
@@ -155,23 +142,9 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	if interval > time.Minute {
 		interval = time.Minute
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	seq := 0
-	send := func(event string, v any) bool {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		seq++
-		if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", event, seq, data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
+	sse, ok := startSSE(w, r)
+	if !ok {
+		return
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -180,13 +153,15 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 		if status.State.Terminal() {
 			// One last sample so the client ends with the final counters,
 			// then the terminal status.
-			send("stats", RunStatsPayload{Run: status, Stats: run.Stats().Snapshot()})
-			send("done", status)
+			sse.send("stats", RunStatsPayload{Run: status, Stats: run.Stats().Snapshot()})
+			sse.send("done", status)
+			sse.flush()
 			return
 		}
-		if !send("stats", RunStatsPayload{Run: status, Stats: run.Stats().Snapshot()}) {
+		if !sse.send("stats", RunStatsPayload{Run: status, Stats: run.Stats().Snapshot()}) {
 			return
 		}
+		sse.flush()
 		select {
 		case <-r.Context().Done():
 			return
