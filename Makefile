@@ -93,5 +93,8 @@ cover:
 serve:
 	$(GO) run ./cmd/chop serve -addr :8080 -log-level debug
 
-# ci is what .github/workflows/ci.yml runs.
+# ci runs the gofmt, vet, build, race-test, allocation-gate and
+# benchmark-golden steps of .github/workflows/ci.yml. CI also runs the
+# benchmark smoke, fuzz, chaos, trace-smoke, dist-smoke and coverage steps,
+# which ci leaves out.
 ci: lint build race alloc-gates bench-test

@@ -403,7 +403,7 @@ func BenchmarkSynthesisAndVerify(b *testing.B) {
 		b.Skip("no non-pipelined design")
 	}
 	cyc := chop.OpCyclesFor(d, true, cfg.Clocks.DatapathNS())
-	vec := map[string]int64{"x1": 3, "x2": -5, "x3": 7, "x4": 11}
+	vec := []map[string]int64{{"x1": 3, "x2": -5, "x3": 7, "x4": 11}}
 	var regRatio, muxRatio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -472,7 +472,7 @@ func BenchmarkCosim(b *testing.B) {
 		if len(res.Best) == 0 {
 			b.Fatal("no feasible design")
 		}
-		if err := chop.CosimVerifyStream(p, cfg, res.Best[0].Choice, streams, nil); err != nil {
+		if err := chop.CosimVerify(p, cfg, res.Best[0].Choice, streams, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

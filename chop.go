@@ -262,24 +262,23 @@ type (
 var (
 	// Bind synthesizes a predicted design into an RTL netlist.
 	Bind = rtl.Bind
-	// CosimVerify synthesizes one design per partition and checks the
-	// composed multi-chip system against the behavioral golden model.
+	// CosimVerify synthesizes one design per partition, pipelined or not,
+	// streams samples through the composed multi-chip system and checks
+	// each against the behavioral golden model.
 	CosimVerify = cosim.Verify
 	// CosimVerifyBest runs CHOP and verifies its fastest all-non-pipelined
 	// feasible design end to end.
 	CosimVerifyBest = cosim.VerifyBest
-	// CosimVerifyStream streams samples through a multi-chip system whose
-	// partitions may be pipelined.
-	CosimVerifyStream = cosim.VerifyStream
 	// OpCyclesFor derives the per-op cycle counts a design was predicted
 	// with, for use with Bind.
 	OpCyclesFor = rtl.OpCyclesFor
 	// Evaluate executes a behavior on concrete inputs (golden model).
 	Evaluate = sim.Evaluate
-	// RunNetlist interprets a bound netlist cycle by cycle.
-	RunNetlist = sim.RunNetlist
-	// VerifyNetlist checks a netlist against the golden model.
-	VerifyNetlist = sim.VerifyNetlist
+	// RunNetlist streams samples through a bound netlist cycle by cycle.
+	RunNetlist = sim.Run
+	// VerifyNetlist checks every sample a netlist computes against the
+	// golden model.
+	VerifyNetlist = sim.Verify
 )
 
 // Observability types (package obs). All are nil-safe: a Config with a nil
@@ -360,8 +359,7 @@ var (
 	// nil when none remain, which disables tracing).
 	NewTeeSink = obs.NewTeeSink
 	// NewMetrics returns an empty metrics registry. Its WriteProm/PromText
-	// methods render Prometheus text exposition; Vars renders an
-	// expvar-style flat map.
+	// methods render Prometheus text exposition.
 	NewMetrics = obs.NewMetrics
 	// StartProfiler starts the profiles named in a ProfileConfig and
 	// returns a Profiler whose Stop writes them out (nil-safe when the

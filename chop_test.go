@@ -111,7 +111,7 @@ func TestSynthesisFacade(t *testing.T) {
 			Delay: chop.Constraint{Bound: 30000, MinProb: 0.8},
 		},
 	}
-	inputs := map[string]int64{"x1": 5, "x2": -3, "x3": 8, "x4": 2}
+	inputs := []map[string]int64{{"x1": 5, "x2": -3, "x3": 8, "x4": 2}}
 	if err := chop.CosimVerifyBest(p, cfg, chop.Iterative, inputs, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 	"time"
@@ -74,9 +76,10 @@ type ShardLog struct {
 // this signature and shard count, or returns nil when the path is empty.
 // With cfg.Resume set it restores the longest valid prefix of a matching
 // log, returns its shards keyed by index and appends after them. A missing
-// or foreign file (resilience.checkpoint_load_skipped) and another plan's
-// log (resilience.checkpoint_mismatch) are not errors: like a search
-// without Resume, they start a fresh log. The log reads cfg's Inject,
+// file (counted nowhere), a file that exists but cannot be used
+// (resilience.checkpoint_load_skipped) and another plan's log
+// (resilience.checkpoint_mismatch) are not errors: like a search without
+// Resume, they start a fresh log. The log reads cfg's Inject,
 // Metrics, Stats and Phases hooks and traces resume decisions on sp.
 func OpenShardLog(cfg Config, signature string, shards int, sp *obs.Span) (*ShardLog, map[int]*SearchResult) {
 	if cfg.CheckpointPath == "" {
@@ -108,6 +111,9 @@ func OpenShardLog(cfg Config, signature string, shards int, sp *obs.Span) (*Shar
 func (l *ShardLog) resume(want shardLogHeader) map[int]*SearchResult {
 	m := l.cfg.Metrics
 	f, err := os.OpenFile(l.cfg.CheckpointPath, os.O_RDWR, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil // a first run: nothing to resume, nothing wrong
+	}
 	if err != nil {
 		m.Inc("resilience.checkpoint_load_skipped")
 		return nil

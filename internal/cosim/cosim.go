@@ -19,16 +19,45 @@ import (
 )
 
 // Verify synthesizes choice (one design per partition, e.g. a GlobalDesign's
-// Choice) and checks the composed system against the whole-behavior golden
-// model on the given inputs. Only non-pipelined partition designs can be
-// verified this way (the single-sample netlist interpreter); pipelined
-// partitions report an unsupported error.
+// Choice) and streams the samples through the composed system: every
+// partition runs its own netlist, pipelined or not, exactly as CHOP's
+// selection rules allow, and each sample's outputs must match the
+// whole-behavior golden model.
 func Verify(p *core.Partitioning, cfg core.Config, choice []bad.Design,
-	inputs map[string]int64, coef sim.Coeffs) error {
+	samples []map[string]int64, coef sim.Coeffs) error {
 
 	if len(choice) != p.NumParts() {
 		return fmt.Errorf("cosim: %d designs for %d partitions", len(choice), p.NumParts())
 	}
+	subs := p.Subgraphs()
+	nets, err := bind(subs, cfg, choice)
+	if err != nil {
+		return err
+	}
+	return route(p, subs, nets, samples, coef)
+}
+
+// bind synthesizes every partition's design once.
+func bind(subs []*dfg.Graph, cfg core.Config, choice []bad.Design) ([]*rtl.Netlist, error) {
+	nets := make([]*rtl.Netlist, len(choice))
+	for pi, d := range choice {
+		cyc := rtl.OpCyclesFor(d, cfg.Style.MultiCycle, cfg.Clocks.DatapathNS())
+		nl, err := rtl.Bind(subs[pi], d, cfg.Lib, cyc)
+		if err != nil {
+			return nil, fmt.Errorf("cosim: partition %d: %w", pi+1, err)
+		}
+		nets[pi] = nl
+	}
+	return nets, nil
+}
+
+// route runs the samples through the partitions' netlists in dependency
+// order, routing values across the chip boundaries per sample exactly as the
+// data-transfer tasks would, and compares the system's outputs with the
+// golden model.
+func route(p *core.Partitioning, subs []*dfg.Graph, nets []*rtl.Netlist,
+	samples []map[string]int64, coef sim.Coeffs) error {
+
 	if coef == nil {
 		coef = sim.DefaultCoeffs
 	}
@@ -44,52 +73,49 @@ func Verify(p *core.Partitioning, cfg core.Config, choice []bad.Design,
 		}
 		return coef(n)
 	}
-
-	golden, err := sim.Evaluate(p.Graph, inputs, coef)
-	if err != nil {
-		return err
-	}
-
-	// Values available in the "system": primary inputs plus every value
-	// transferred between chips, keyed by producer name.
-	produced := make(map[string]int64, len(inputs))
-	for _, id := range p.Graph.Inputs() {
-		name := p.Graph.Nodes[id].Name
-		produced[name] = inputs[name]
-	}
-
 	order, err := partitionOrder(p)
 	if err != nil {
 		return err
 	}
-	subs := p.Subgraphs()
+
+	golden := make([]map[string]int64, len(samples))
+	// produced[k][name] is sample k's value of the named producer: its
+	// primary inputs plus every value transferred between chips.
+	produced := make([]map[string]int64, len(samples))
+	for k, in := range samples {
+		if golden[k], err = sim.Evaluate(p.Graph, in, coef); err != nil {
+			return err
+		}
+		produced[k] = map[string]int64{}
+		for _, id := range p.Graph.Inputs() {
+			name := p.Graph.Nodes[id].Name
+			produced[k][name] = in[name]
+		}
+	}
+
 	for _, pi := range order {
 		sub := subs[pi]
-		d := choice[pi]
-		if d.Style != bad.NonPipelined {
-			return fmt.Errorf("cosim: partition %d uses a pipelined design; use the stream testbench", pi+1)
-		}
-		cyc := rtl.OpCyclesFor(d, cfg.Style.MultiCycle, cfg.Clocks.DatapathNS())
-		nl, err := rtl.Bind(sub, d, cfg.Lib, cyc)
-		if err != nil {
-			return fmt.Errorf("cosim: partition %d: %w", pi+1, err)
-		}
-		ins := map[string]int64{}
-		for _, id := range sub.Inputs() {
-			name := sub.Nodes[id].Name
-			v, ok := produced[name]
-			if !ok {
-				return fmt.Errorf("cosim: partition %d needs %q before it was produced (schedule order broken)",
-					pi+1, name)
+		streams := make([]map[string]int64, len(samples))
+		for k := range samples {
+			streams[k] = map[string]int64{}
+			for _, id := range sub.Inputs() {
+				name := sub.Nodes[id].Name
+				v, ok := produced[k][name]
+				if !ok {
+					return fmt.Errorf("cosim: partition %d sample %d needs %q before it was produced (schedule order broken)",
+						pi+1, k, name)
+				}
+				streams[k][name] = v
 			}
-			ins[name] = v
 		}
-		outs, err := sim.RunNetlist(sub, nl, ins, coefByName)
+		outs, err := sim.Run(sub, nets[pi], streams, coefByName)
 		if err != nil {
 			return fmt.Errorf("cosim: partition %d: %w", pi+1, err)
 		}
-		for name, v := range outs {
-			produced[strings.TrimPrefix(name, "out:")] = v
+		for k := range samples {
+			for name, v := range outs[k] {
+				produced[k][strings.TrimPrefix(name, "out:")] = v
+			}
 		}
 	}
 
@@ -101,13 +127,15 @@ func Verify(p *core.Partitioning, cfg core.Config, choice []bad.Design,
 		if len(src) != 1 {
 			return fmt.Errorf("cosim: output %q has %d producers", out.Name, len(src))
 		}
-		got, ok := produced[p.Graph.Nodes[src[0]].Name]
-		if !ok {
-			return fmt.Errorf("cosim: output %q never produced", out.Name)
-		}
-		if got != golden[out.Name] {
-			return fmt.Errorf("cosim: output %q = %d, golden model says %d",
-				out.Name, got, golden[out.Name])
+		for k := range samples {
+			got, ok := produced[k][p.Graph.Nodes[src[0]].Name]
+			if !ok {
+				return fmt.Errorf("cosim: sample %d output %q never produced", k, out.Name)
+			}
+			if got != golden[k][out.Name] {
+				return fmt.Errorf("cosim: sample %d output %q = %d, golden model says %d",
+					k, out.Name, got, golden[k][out.Name])
+			}
 		}
 	}
 	return nil
@@ -151,10 +179,10 @@ func partitionOrder(p *core.Partitioning) ([]int, error) {
 }
 
 // VerifyBest is a convenience: run CHOP, take the fastest feasible global
-// design whose partitions are all non-pipelined, and verify it. It returns
-// an error when no such design exists.
+// design whose partitions are all non-pipelined, and verify it on the
+// samples. It returns an error when no such design exists.
 func VerifyBest(p *core.Partitioning, cfg core.Config, h core.Heuristic,
-	inputs map[string]int64, coef sim.Coeffs) error {
+	samples []map[string]int64, coef sim.Coeffs) error {
 
 	res, _, err := core.Run(p, cfg, h)
 	if err != nil {
@@ -164,7 +192,7 @@ func VerifyBest(p *core.Partitioning, cfg core.Config, h core.Heuristic,
 	if g == nil {
 		return fmt.Errorf("cosim: no feasible all-non-pipelined global design to verify")
 	}
-	return Verify(p, cfg, g.Choice, inputs, coef)
+	return Verify(p, cfg, g.Choice, samples, coef)
 }
 
 // firstNonPipelined returns the first design of best whose partitions are
@@ -194,13 +222,18 @@ type Synthesis struct {
 }
 
 // Synthesize is the synth flow shared by `chop synth` and the service's
-// synth runs: it takes the fastest all-non-pipelined design of best,
-// co-simulates it against the golden model on three seeded input vectors,
-// and binds every partition to an RTL netlist.
+// synth runs: it takes the fastest all-non-pipelined design of best, binds
+// every partition to an RTL netlist once, and co-simulates those netlists
+// against the golden model on three seeded input vectors, one at a time.
 func Synthesize(p *core.Partitioning, cfg core.Config, best []core.GlobalDesign) (*Synthesis, error) {
 	chosen := firstNonPipelined(best)
 	if chosen == nil {
 		return nil, fmt.Errorf("synth: no feasible all-non-pipelined global design")
+	}
+	subs := p.Subgraphs()
+	nets, err := bind(subs, cfg, chosen.Choice)
+	if err != nil {
+		return nil, fmt.Errorf("synth: verification failed: %w", err)
 	}
 	g := p.Graph
 	for seed := int64(1); seed <= 3; seed++ {
@@ -208,119 +241,9 @@ func Synthesize(p *core.Partitioning, cfg core.Config, best []core.GlobalDesign)
 		for i, id := range g.Inputs() {
 			inputs[g.Nodes[id].Name] = (seed*31 + int64(i)*17) % 97
 		}
-		if err := Verify(p, cfg, chosen.Choice, inputs, nil); err != nil {
+		if err := route(p, subs, nets, []map[string]int64{inputs}, nil); err != nil {
 			return nil, fmt.Errorf("synth: verification failed: %w", err)
 		}
 	}
-	syn := &Synthesis{Design: chosen, Subgraphs: p.Subgraphs()}
-	for pi, d := range chosen.Choice {
-		cyc := rtl.OpCyclesFor(d, cfg.Style.MultiCycle, cfg.Clocks.DatapathNS())
-		nl, err := rtl.Bind(syn.Subgraphs[pi], d, cfg.Lib, cyc)
-		if err != nil {
-			return nil, fmt.Errorf("synth: partition %d: %w", pi+1, err)
-		}
-		syn.Netlists = append(syn.Netlists, nl)
-	}
-	return syn, nil
-}
-
-// VerifyStream is the pipelined counterpart of Verify: it streams several
-// samples through the composed system with every partition running its own
-// (possibly pipelined) netlist, one new sample entering each partition every
-// system interval. Values are routed between partitions per sample; each
-// sample's outputs must match the golden model. Partition designs may mix
-// pipelined and non-pipelined styles, exactly as CHOP's selection rules
-// allow.
-func VerifyStream(p *core.Partitioning, cfg core.Config, choice []bad.Design,
-	inputs []map[string]int64, coef sim.Coeffs) error {
-
-	if len(choice) != p.NumParts() {
-		return fmt.Errorf("cosim: %d designs for %d partitions", len(choice), p.NumParts())
-	}
-	if len(inputs) == 0 {
-		return nil
-	}
-	if coef == nil {
-		coef = sim.DefaultCoeffs
-	}
-	byName := make(map[string]dfg.Node, len(p.Graph.Nodes))
-	for _, n := range p.Graph.Nodes {
-		byName[n.Name] = n
-	}
-	coefByName := func(n dfg.Node) int64 {
-		if orig, ok := byName[n.Name]; ok {
-			return coef(orig)
-		}
-		return coef(n)
-	}
-
-	// produced[k][name] is sample k's value of the named producer.
-	produced := make([]map[string]int64, len(inputs))
-	for k, in := range inputs {
-		produced[k] = map[string]int64{}
-		for _, id := range p.Graph.Inputs() {
-			name := p.Graph.Nodes[id].Name
-			produced[k][name] = in[name]
-		}
-	}
-
-	order, err := partitionOrder(p)
-	if err != nil {
-		return err
-	}
-	subs := p.Subgraphs()
-	for _, pi := range order {
-		sub := subs[pi]
-		d := choice[pi]
-		cyc := rtl.OpCyclesFor(d, cfg.Style.MultiCycle, cfg.Clocks.DatapathNS())
-		nl, err := rtl.Bind(sub, d, cfg.Lib, cyc)
-		if err != nil {
-			return fmt.Errorf("cosim: partition %d: %w", pi+1, err)
-		}
-		streams := make([]map[string]int64, len(inputs))
-		for k := range inputs {
-			streams[k] = map[string]int64{}
-			for _, id := range sub.Inputs() {
-				name := sub.Nodes[id].Name
-				v, ok := produced[k][name]
-				if !ok {
-					return fmt.Errorf("cosim: partition %d sample %d needs %q before it was produced",
-						pi+1, k, name)
-				}
-				streams[k][name] = v
-			}
-		}
-		outs, err := sim.RunPipelined(sub, nl, streams, coefByName)
-		if err != nil {
-			return fmt.Errorf("cosim: partition %d: %w", pi+1, err)
-		}
-		for k := range inputs {
-			for name, v := range outs[k] {
-				produced[k][strings.TrimPrefix(name, "out:")] = v
-			}
-		}
-	}
-
-	for k, in := range inputs {
-		golden, err := sim.Evaluate(p.Graph, in, coef)
-		if err != nil {
-			return err
-		}
-		for _, id := range p.Graph.Outputs() {
-			out := p.Graph.Nodes[id]
-			src := p.Graph.Preds(id)
-			if len(src) != 1 {
-				return fmt.Errorf("cosim: output %q has %d producers", out.Name, len(src))
-			}
-			got, ok := produced[k][p.Graph.Nodes[src[0]].Name]
-			if !ok {
-				return fmt.Errorf("cosim: sample %d output %q never produced", k, out.Name)
-			}
-			if got != golden[out.Name] {
-				return fmt.Errorf("cosim: sample %d output %q = %d, golden model says %d",
-					k, out.Name, got, golden[out.Name])
-			}
-		}
-	}
-	return nil
+	return &Synthesis{Design: chosen, Subgraphs: subs, Netlists: nets}, nil
 }

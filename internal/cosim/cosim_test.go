@@ -44,12 +44,18 @@ func arPartitioning(t *testing.T, n int) *core.Partitioning {
 	return p
 }
 
-func arInputs(seed int64) map[string]int64 {
-	rng := rand.New(rand.NewSource(seed))
-	return map[string]int64{
-		"x1": int64(rng.Intn(200) - 100), "x2": int64(rng.Intn(200) - 100),
-		"x3": int64(rng.Intn(200) - 100), "x4": int64(rng.Intn(200) - 100),
+// arSamples returns n AR-filter input vectors, sample k drawn from seed
+// first+k.
+func arSamples(first int64, n int) []map[string]int64 {
+	out := make([]map[string]int64, n)
+	for k := range out {
+		rng := rand.New(rand.NewSource(first + int64(k)))
+		out[k] = map[string]int64{
+			"x1": int64(rng.Intn(200) - 100), "x2": int64(rng.Intn(200) - 100),
+			"x3": int64(rng.Intn(200) - 100), "x4": int64(rng.Intn(200) - 100),
+		}
 	}
+	return out
 }
 
 // TestMultiChipSystemMatchesGolden is the end-to-end reproduction check:
@@ -59,43 +65,48 @@ func arInputs(seed int64) map[string]int64 {
 func TestMultiChipSystemMatchesGolden(t *testing.T) {
 	for n := 1; n <= 3; n++ {
 		p := arPartitioning(t, n)
-		for seed := int64(1); seed <= 4; seed++ {
-			if err := VerifyBest(p, exp2Config(), core.Iterative, arInputs(seed), nil); err != nil {
-				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
-			}
+		if err := VerifyBest(p, exp2Config(), core.Iterative, arSamples(1, 4), nil); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
+	}
+}
+
+// TestSynthesize: the synth flow returns a bound netlist per partition of
+// the fastest all-non-pipelined design, and a partition that cannot be
+// bound fails as a verification failure naming the partition.
+func TestSynthesize(t *testing.T) {
+	p := arPartitioning(t, 2)
+	cfg := exp2Config()
+	res, _, err := core.Run(p, cfg, core.Iterative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := Synthesize(p, cfg, res.Best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(syn.Netlists) != 2 || len(syn.Subgraphs) != 2 {
+		t.Fatalf("%d netlists, %d subgraphs for 2 partitions", len(syn.Netlists), len(syn.Subgraphs))
+	}
+	for pi, nl := range syn.Netlists {
+		if err := nl.Validate(syn.Subgraphs[pi]); err != nil {
+			t.Errorf("partition %d: %v", pi+1, err)
+		}
+	}
+
+	broken := *syn.Design
+	broken.Choice = append([]bad.Design(nil), broken.Choice...)
+	broken.Choice[1].ModuleSet = lib.ModuleSet{}
+	_, err = Synthesize(p, cfg, []core.GlobalDesign{broken})
+	if err == nil || !strings.HasPrefix(err.Error(), "synth: verification failed: cosim: partition 2: ") {
+		t.Fatalf("unbindable partition: %v", err)
 	}
 }
 
 func TestVerifyRejectsWrongChoiceCount(t *testing.T) {
 	p := arPartitioning(t, 2)
-	if err := Verify(p, exp2Config(), nil, arInputs(1), nil); err == nil {
+	if err := Verify(p, exp2Config(), nil, arSamples(1, 1), nil); err == nil {
 		t.Fatal("empty choice accepted")
-	}
-}
-
-func TestVerifyRejectsPipelinedChoice(t *testing.T) {
-	p := arPartitioning(t, 2)
-	cfg := exp2Config()
-	cfg.Style.NoPipelined = false
-	preds, err := core.PredictPartitions(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pip *bad.Design
-	for i := range preds[0].Designs {
-		if preds[0].Designs[i].Style == bad.Pipelined {
-			pip = &preds[0].Designs[i]
-			break
-		}
-	}
-	if pip == nil {
-		t.Skip("no pipelined design")
-	}
-	choice := []bad.Design{*pip, preds[1].Designs[0]}
-	err = Verify(p, cfg, choice, arInputs(1), nil)
-	if err == nil || !strings.Contains(err.Error(), "pipelined") {
-		t.Fatalf("pipelined choice accepted: %v", err)
 	}
 }
 
@@ -118,7 +129,7 @@ func TestMultiChipRandomBehaviors(t *testing.T) {
 		for _, id := range g.Inputs() {
 			inputs[g.Nodes[id].Name] = int64(rng.Intn(201) - 100)
 		}
-		err := VerifyBest(p, cfg, core.Iterative, inputs, nil)
+		err := VerifyBest(p, cfg, core.Iterative, []map[string]int64{inputs}, nil)
 		if err != nil && strings.Contains(err.Error(), "no feasible") {
 			continue // constraints can be unreachable for odd graphs
 		}
@@ -128,38 +139,37 @@ func TestMultiChipRandomBehaviors(t *testing.T) {
 	}
 }
 
-// TestStreamedMultiChipPipelinedSystem runs the experiment-2 2-partition
-// best design — which typically selects pipelined partition implementations
-// — as a streamed multi-chip system and checks every sample against the
-// golden model.
+// TestStreamedMultiChipPipelinedSystem streams samples through the AR
+// filter on 1, 2 and 3 chips, every partition that has a pipelined design
+// running one, and checks every sample against the golden model.
 func TestStreamedMultiChipPipelinedSystem(t *testing.T) {
-	p := arPartitioning(t, 2)
 	cfg := exp2Config()
-	cfg.Style.NoPipelined = false // allow pipelined partition designs
-	res, _, err := core.Run(p, cfg, core.Enumeration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Best) == 0 {
-		t.Fatal("no feasible design")
-	}
-	// Prefer a design with at least one pipelined partition to make the
-	// test meaningful; fall back to the fastest otherwise.
-	chosen := res.Best[0]
-	for _, g := range res.Best {
-		for _, d := range g.Choice {
-			if d.Style == bad.Pipelined {
-				chosen = g
-				break
+	cfg.Style.NoPipelined = false
+	cfg.KeepAll = true // level-1 pruning drops every pipelined design at this area
+	for n := 1; n <= 3; n++ {
+		p := arPartitioning(t, n)
+		preds, err := core.PredictPartitions(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		choice := make([]bad.Design, n)
+		pipelined := 0
+		for pi, r := range preds {
+			choice[pi] = r.Designs[0]
+			for _, d := range r.Designs {
+				if d.Style == bad.Pipelined {
+					choice[pi] = d
+					pipelined++
+					break
+				}
 			}
 		}
-	}
-	streams := make([]map[string]int64, 6)
-	for k := range streams {
-		streams[k] = arInputs(int64(k + 11))
-	}
-	if err := VerifyStream(p, cfg, chosen.Choice, streams, nil); err != nil {
-		t.Fatal(err)
+		if pipelined == 0 {
+			t.Fatalf("n=%d: no partition has a pipelined design", n)
+		}
+		if err := Verify(p, cfg, choice, arSamples(11, 6), nil); err != nil {
+			t.Fatalf("n=%d (%d pipelined partitions): %v", n, pipelined, err)
+		}
 	}
 }
 
@@ -171,11 +181,11 @@ func TestVerifyStreamEmptyAndMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := []bad.Design{preds[0].Designs[0], preds[1].Designs[0]}
-	if err := VerifyStream(p, cfg, full, nil, nil); err != nil {
+	if err := Verify(p, cfg, full, nil, nil); err != nil {
 		t.Fatalf("empty stream must be a no-op: %v", err)
 	}
 	short := full[:1] // wrong count
-	if err := VerifyStream(p, cfg, short, []map[string]int64{arInputs(1)}, nil); err == nil {
+	if err := Verify(p, cfg, short, arSamples(1, 1), nil); err == nil {
 		t.Fatal("wrong choice count accepted")
 	}
 }
@@ -191,11 +201,7 @@ func TestVerifyStreamThreeChips(t *testing.T) {
 	if len(res.Best) == 0 {
 		t.Skip("no feasible 3-chip design")
 	}
-	streams := make([]map[string]int64, 5)
-	for k := range streams {
-		streams[k] = arInputs(int64(k + 40))
-	}
-	if err := VerifyStream(p, cfg, res.Best[0].Choice, streams, nil); err != nil {
+	if err := Verify(p, cfg, res.Best[0].Choice, arSamples(40, 5), nil); err != nil {
 		t.Fatal(err)
 	}
 }

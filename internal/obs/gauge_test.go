@@ -48,8 +48,8 @@ chop_serve_http_in_flight 2
 	if snap.Gauges[`build_info{go_version="go1.24.0",vcs_revision="abc123"}`] != 1 {
 		t.Errorf("labeled gauge missing from snapshot: %v", snap.Gauges)
 	}
-	if v := m.Vars()["serve.http.in_flight"]; v != 2.0 {
-		t.Errorf("Vars gauge = %v", v)
+	if v := m.Gauge("serve.http.in_flight"); v != 2 {
+		t.Errorf("Gauge = %v", v)
 	}
 }
 

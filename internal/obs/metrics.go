@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -445,9 +444,4 @@ func (m *Metrics) Text() string {
 		return "no metrics recorded\n"
 	}
 	return b.String()
-}
-
-// JSON renders the registry snapshot as indented JSON.
-func (m *Metrics) JSON() ([]byte, error) {
-	return json.MarshalIndent(m.Snapshot(), "", "  ")
 }

@@ -145,30 +145,3 @@ func (m *Metrics) PromText() string {
 	m.WriteProm(&b) // strings.Builder never errors
 	return b.String()
 }
-
-// Vars flattens the registry into an expvar-style map: counters and gauges
-// under their registry name, histograms expanded into <name>.count/.sum/.min/.max/
-// .mean/.p50/.p90/.p99 entries. Marshalling the result produces a
-// /debug/vars-shaped JSON document with deterministically sorted keys.
-// Safe on a nil registry (returns an empty map).
-func (m *Metrics) Vars() map[string]any {
-	out := make(map[string]any)
-	s := m.Snapshot()
-	for k, v := range s.Counters {
-		out[k] = v
-	}
-	for k, v := range s.Gauges {
-		out[k] = v
-	}
-	for k, h := range s.Histograms {
-		out[k+".count"] = h.Count
-		out[k+".sum"] = h.Sum
-		out[k+".min"] = h.Min
-		out[k+".max"] = h.Max
-		out[k+".mean"] = h.Mean
-		out[k+".p50"] = h.P50
-		out[k+".p90"] = h.P90
-		out[k+".p99"] = h.P99
-	}
-	return out
-}

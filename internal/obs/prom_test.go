@@ -126,27 +126,4 @@ func TestPromNilAndEmpty(t *testing.T) {
 	if got := NewMetrics().PromText(); got != "" {
 		t.Errorf("empty registry exposed %q", got)
 	}
-	if got := nilM.Vars(); len(got) != 0 {
-		t.Errorf("nil registry Vars = %v", got)
-	}
-}
-
-func TestVars(t *testing.T) {
-	m := NewMetrics()
-	m.Add("core.trials", 3)
-	m.Observe("core.integrate_us", 10)
-	m.Observe("core.integrate_us", 20)
-	v := m.Vars()
-	if v["core.trials"] != int64(3) {
-		t.Errorf("core.trials = %v", v["core.trials"])
-	}
-	if v["core.integrate_us.count"] != int64(2) {
-		t.Errorf("count = %v", v["core.integrate_us.count"])
-	}
-	if v["core.integrate_us.sum"] != 30.0 {
-		t.Errorf("sum = %v", v["core.integrate_us.sum"])
-	}
-	if _, ok := v["core.integrate_us.p99"]; !ok {
-		t.Error("missing p99 entry")
-	}
 }

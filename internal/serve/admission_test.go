@@ -361,7 +361,7 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 	// land deterministically.
 	ckptDir := t.TempDir()
 	m := obs.NewMetrics()
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 1,
 		Jobs:          searchJobs(),
 		Metrics:       m,
@@ -434,7 +434,7 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 func TestPreemptionOnlyVictimizesCheckpointable(t *testing.T) {
 	leakCheck(t)
 	started := make(chan string, 2)
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 1,
 		Jobs:          blockingJobs(started),
 		Tenants: []TenantConfig{
@@ -475,7 +475,7 @@ func TestPreemptionOnlyVictimizesCheckpointable(t *testing.T) {
 func TestAdmissionChaos(t *testing.T) {
 	leakCheck(t)
 	m := obs.NewMetrics()
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 2, QueueDepth: 16,
 		Jobs:          chaosJobs(),
 		Metrics:       m,
@@ -627,7 +627,7 @@ func TestTenantQuotaProperty(t *testing.T) {
 	for i := 0; i < iterations; i++ {
 		seed := base + int64(i)
 		prng := rand.New(rand.NewSource(seed))
-		r := NewRegistry(RegistryOptions{
+		r := NewRegistry(Options{
 			MaxConcurrent: 4, QueueDepth: 32, Jobs: jobs,
 			Tenants: []TenantConfig{
 				{Name: "q1", Key: "k1", MaxRunning: 1},
@@ -666,7 +666,7 @@ func TestTenantQuotaProperty(t *testing.T) {
 func TestPriorityDispatchOrder(t *testing.T) {
 	leakCheck(t)
 	started := make(chan string, 8)
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 1,
 		Jobs:          blockingJobs(started),
 		Tenants: []TenantConfig{

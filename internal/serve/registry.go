@@ -247,50 +247,6 @@ var (
 // cancellation (marked canceled) and from preemption (requeued).
 var ErrJobTimeout = errors.New("job deadline exceeded")
 
-// RegistryOptions parameterizes NewRegistry. Zero values select defaults.
-type RegistryOptions struct {
-	// MaxConcurrent bounds the worker pool (default: runtime.NumCPU()).
-	MaxConcurrent int
-	// QueueDepth bounds the queued-run backlog (default 64); submissions
-	// beyond it fail fast with ErrQueueFull.
-	QueueDepth int
-	// RingCapacity bounds each run's trace replay ring (default 4096).
-	RingCapacity int
-	// Jobs maps run kinds to implementations (default DefaultJobs()).
-	Jobs map[string]Job
-	// Metrics is the server-wide registry; per-run registries merge into
-	// it as runs finish. Nil creates a private one.
-	Metrics *obs.Metrics
-	// Log receives run-transition records. Nil discards.
-	Log *slog.Logger
-	// PredictCache sizes the server-wide BAD prediction cache shared by
-	// every run: positive is a capacity in entries, 0 (the default)
-	// selects the default capacity, negative disables caching.
-	PredictCache int
-	// DefaultJobTimeout bounds every run's wall clock unless the
-	// submission carries its own timeout. 0 (the default) means unbounded.
-	DefaultJobTimeout time.Duration
-	// CheckpointDir is the directory search checkpoints live in. Submissions
-	// name their checkpoint with a plain relative path that is resolved
-	// inside this directory — never an arbitrary filesystem path, because
-	// the server writes (and on success deletes) the resolved file with its
-	// own privileges. Empty (the default) rejects any submission that asks
-	// for a checkpoint.
-	CheckpointDir string
-	// Tenants turns on multi-tenant admission control: submissions must
-	// carry a configured API key and are subject to the tenant's quotas,
-	// rate limit and priority class. Empty (the default) keeps the
-	// registry open-access with FIFO scheduling and no preemption.
-	Tenants []TenantConfig
-	// Inject is the fault-injection harness threaded through every job
-	// (nil in production; chaos tests and the CLI's -inject flag set it).
-	Inject *resilience.Injector
-	// TraceSink, when set, additionally records every sampled run's trace
-	// (teed off the run's replay ring) — the server's half of a distributed
-	// trace, stitched with client files by `chop trace`.
-	TraceSink obs.Sink
-}
-
 // Registry supervises runs: a priority queue feeding a fixed worker pool
 // through per-tenant admission gates, with per-run cancellation,
 // preemption of checkpointable runs, and observability. It is the non-HTTP
@@ -328,8 +284,9 @@ type Registry struct {
 	draining   atomic.Bool
 }
 
-// NewRegistry builds the registry and starts its worker pool.
-func NewRegistry(opts RegistryOptions) *Registry {
+// NewRegistry builds the registry and starts its worker pool. It ignores
+// the HTTP-side options Addr, ShutdownGrace and TraceSampleRate.
+func NewRegistry(opts Options) *Registry {
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = runtime.NumCPU()
 	}

@@ -45,7 +45,7 @@ func waitState(t *testing.T, run *Run, want State) {
 }
 
 func TestRegistryUnknownKind(t *testing.T) {
-	r := NewRegistry(RegistryOptions{MaxConcurrent: 1})
+	r := NewRegistry(Options{MaxConcurrent: 1})
 	defer r.Shutdown(context.Background())
 	if _, err := r.Submit("bogus", nil); !errors.Is(err, ErrUnknownKind) {
 		t.Fatalf("err = %v, want ErrUnknownKind", err)
@@ -54,7 +54,7 @@ func TestRegistryUnknownKind(t *testing.T) {
 
 func TestRegistryQueueFullRejects(t *testing.T) {
 	started := make(chan string, 1)
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 1, QueueDepth: 1, Jobs: blockingJobs(started),
 	})
 	defer r.Shutdown(context.Background())
@@ -98,7 +98,7 @@ func TestRegistryConcurrencyBound(t *testing.T) {
 			return "done", nil
 		}},
 	}
-	r := NewRegistry(RegistryOptions{MaxConcurrent: limit, QueueDepth: 32, Jobs: jobs})
+	r := NewRegistry(Options{MaxConcurrent: limit, QueueDepth: 32, Jobs: jobs})
 	defer r.Shutdown(context.Background())
 	var runs []*Run
 	for i := 0; i < 8; i++ {
@@ -125,7 +125,7 @@ func TestRegistryConcurrencyBound(t *testing.T) {
 
 func TestRegistryCancelQueued(t *testing.T) {
 	started := make(chan string, 1)
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 1, QueueDepth: 4, Jobs: blockingJobs(started),
 	})
 	defer r.Shutdown(context.Background())
@@ -156,7 +156,7 @@ func TestRegistryCancelQueued(t *testing.T) {
 // zero: a run the worker already holds is finalized by that worker, not
 // also by Cancel.
 func TestRegistryCancelRacingDispatch(t *testing.T) {
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 4, Jobs: chaosJobs(),
 		Tenants: []TenantConfig{{Name: "a", Key: "ka"}},
 	})
@@ -192,7 +192,7 @@ func TestRegistryCancelRacingDispatch(t *testing.T) {
 
 func TestRegistryShutdownCancelsEverything(t *testing.T) {
 	started := make(chan string, 1)
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 1, QueueDepth: 4, Jobs: blockingJobs(started),
 	})
 	running, _ := r.Submit("block", nil)
@@ -223,7 +223,7 @@ func TestRegistryRunLifecycleMetadata(t *testing.T) {
 		"ok":   {Run: func(context.Context, json.RawMessage, JobContext) (any, error) { return 42, nil }},
 		"fail": {Run: func(context.Context, json.RawMessage, JobContext) (any, error) { return nil, errors.New("boom") }},
 	}
-	r := NewRegistry(RegistryOptions{MaxConcurrent: 2, Jobs: jobs, Metrics: obs.NewMetrics()})
+	r := NewRegistry(Options{MaxConcurrent: 2, Jobs: jobs, Metrics: obs.NewMetrics()})
 	defer r.Shutdown(context.Background())
 	ok, _ := r.Submit("ok", json.RawMessage(`{"x":1}`))
 	bad, _ := r.Submit("fail", nil)
@@ -265,7 +265,7 @@ func TestRegistryMergesRunMetrics(t *testing.T) {
 			return nil, nil
 		}},
 	}
-	r := NewRegistry(RegistryOptions{MaxConcurrent: 1, Jobs: jobs})
+	r := NewRegistry(Options{MaxConcurrent: 1, Jobs: jobs})
 	defer r.Shutdown(context.Background())
 	run, _ := r.Submit("count", nil)
 	waitState(t, run, StateDone)

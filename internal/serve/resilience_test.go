@@ -63,7 +63,7 @@ func leakCheck(t *testing.T) {
 func TestJobTimeoutFreesSlotAndFails(t *testing.T) {
 	leakCheck(t)
 	m := obs.NewMetrics()
-	r := NewRegistry(RegistryOptions{MaxConcurrent: 1, Jobs: chaosJobs(), Metrics: m})
+	r := NewRegistry(Options{MaxConcurrent: 1, Jobs: chaosJobs(), Metrics: m})
 	defer r.Shutdown(context.Background())
 
 	stuck, err := r.SubmitWith("stall", nil, SubmitOptions{Timeout: 30 * time.Millisecond})
@@ -90,7 +90,7 @@ func TestJobTimeoutFreesSlotAndFails(t *testing.T) {
 // runs whose deadline actually fired.
 func TestJobTimeoutDistinctFromCancel(t *testing.T) {
 	leakCheck(t)
-	r := NewRegistry(RegistryOptions{MaxConcurrent: 1, Jobs: chaosJobs()})
+	r := NewRegistry(Options{MaxConcurrent: 1, Jobs: chaosJobs()})
 	defer r.Shutdown(context.Background())
 	run, err := r.SubmitWith("stall", nil, SubmitOptions{Timeout: time.Hour})
 	if err != nil {
@@ -107,7 +107,7 @@ func TestJobTimeoutDistinctFromCancel(t *testing.T) {
 // when a submission carries none, and a negative per-run timeout opts out.
 func TestDefaultJobTimeoutAndOptOut(t *testing.T) {
 	leakCheck(t)
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 2, Jobs: chaosJobs(),
 		DefaultJobTimeout: 30 * time.Millisecond,
 	})
@@ -132,7 +132,7 @@ func TestDefaultJobTimeoutAndOptOut(t *testing.T) {
 func TestJobPanicIsolation(t *testing.T) {
 	leakCheck(t)
 	m := obs.NewMetrics()
-	r := NewRegistry(RegistryOptions{MaxConcurrent: 1, Jobs: chaosJobs(), Metrics: m})
+	r := NewRegistry(Options{MaxConcurrent: 1, Jobs: chaosJobs(), Metrics: m})
 	defer r.Shutdown(context.Background())
 
 	boom, err := r.Submit("explode", nil)
@@ -159,7 +159,7 @@ func TestJobPanicIsolation(t *testing.T) {
 func TestEvalTrialPanicCountedOnce(t *testing.T) {
 	leakCheck(t)
 	m := obs.NewMetrics()
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 1, Jobs: DefaultJobs(), Metrics: m,
 		Inject: resilience.MustParse("core.trial=panic:@1"),
 	})
@@ -187,7 +187,7 @@ func TestEvalTrialPanicCountedOnce(t *testing.T) {
 func TestInjectedJobFaults(t *testing.T) {
 	leakCheck(t)
 	m := obs.NewMetrics()
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 1, Jobs: chaosJobs(), Metrics: m,
 		Inject: resilience.MustParse("serve.job=error:@1"),
 	})
@@ -210,7 +210,7 @@ func TestInjectedJobFaults(t *testing.T) {
 func TestInjectedStallKilledByDeadline(t *testing.T) {
 	leakCheck(t)
 	m := obs.NewMetrics()
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 1, Jobs: chaosJobs(), Metrics: m,
 		Inject: resilience.MustParse("serve.job=stall:@1:1m"),
 	})
@@ -245,7 +245,7 @@ func TestCheckpointNameResolution(t *testing.T) {
 			return "ok", nil
 		}},
 	}
-	r := NewRegistry(RegistryOptions{MaxConcurrent: 1, Jobs: jobs, CheckpointDir: dir})
+	r := NewRegistry(Options{MaxConcurrent: 1, Jobs: jobs, CheckpointDir: dir})
 	defer r.Shutdown(context.Background())
 
 	for _, name := range []string{"/etc/passwd", "../escape.ckpt", "a/../../escape.ckpt", ".."} {
@@ -269,7 +269,7 @@ func TestCheckpointNameResolution(t *testing.T) {
 
 	// No checkpoint directory configured: naming a checkpoint is an error,
 	// not a silent write wherever the client pointed.
-	bare := NewRegistry(RegistryOptions{MaxConcurrent: 1, Jobs: jobs})
+	bare := NewRegistry(Options{MaxConcurrent: 1, Jobs: jobs})
 	defer bare.Shutdown(context.Background())
 	if _, err := bare.SubmitWith("record", nil, SubmitOptions{Checkpoint: "search.ckpt"}); !errors.Is(err, ErrBadCheckpoint) {
 		t.Errorf("no CheckpointDir: err = %v, want ErrBadCheckpoint", err)
@@ -285,7 +285,7 @@ func TestCheckpointNameResolution(t *testing.T) {
 func TestChaosRegistryConsistency(t *testing.T) {
 	leakCheck(t)
 	m := obs.NewMetrics()
-	r := NewRegistry(RegistryOptions{
+	r := NewRegistry(Options{
 		MaxConcurrent: 4, QueueDepth: 8, Jobs: chaosJobs(), Metrics: m,
 		DefaultJobTimeout: 50 * time.Millisecond,
 		Inject:            resilience.MustParse("seed=7,serve.job=panic:0.15"),
@@ -362,7 +362,7 @@ func TestChaosRegistryConsistency(t *testing.T) {
 // hang or corrupt the registry.
 func TestDrainRaceWithSubmissions(t *testing.T) {
 	leakCheck(t)
-	r := NewRegistry(RegistryOptions{MaxConcurrent: 2, QueueDepth: 4, Jobs: chaosJobs()})
+	r := NewRegistry(Options{MaxConcurrent: 2, QueueDepth: 4, Jobs: chaosJobs()})
 	var (
 		mu       sync.Mutex
 		accepted []*Run

@@ -14,14 +14,15 @@ import (
 	"chop/internal/resilience"
 )
 
-// Options parameterizes New. Zero values select sensible defaults.
+// Options parameterizes New and NewRegistry. Zero values select sensible
+// defaults.
 type Options struct {
 	// Addr is the listen address for ListenAndServe (default ":8080").
 	Addr string
 	// MaxConcurrent bounds simultaneously executing runs (default:
 	// runtime.NumCPU()); QueueDepth bounds the backlog beyond that
-	// (default 64); RingCapacity bounds each run's trace replay ring
-	// (default 4096).
+	// (default 64; submissions beyond it fail fast with ErrQueueFull);
+	// RingCapacity bounds each run's trace replay ring (default 4096).
 	MaxConcurrent int
 	QueueDepth    int
 	RingCapacity  int
@@ -112,20 +113,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{opts: opts, log: opts.Log, metrics: opts.Metrics,
 		traceSink: opts.TraceSink, sampleRate: rate}
-	s.reg = NewRegistry(RegistryOptions{
-		MaxConcurrent:     opts.MaxConcurrent,
-		QueueDepth:        opts.QueueDepth,
-		RingCapacity:      opts.RingCapacity,
-		Jobs:              opts.Jobs,
-		Metrics:           opts.Metrics,
-		Log:               opts.Log,
-		PredictCache:      opts.PredictCache,
-		DefaultJobTimeout: opts.DefaultJobTimeout,
-		CheckpointDir:     opts.CheckpointDir,
-		Tenants:           opts.Tenants,
-		Inject:            opts.Inject,
-		TraceSink:         opts.TraceSink,
-	})
+	s.reg = NewRegistry(opts)
 	s.ready.Store(true)
 	s.healthy.Store(true)
 	return s

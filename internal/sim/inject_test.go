@@ -12,13 +12,13 @@ import (
 )
 
 // vec is an input vector that excites every path of the AR filter.
-var vec = map[string]int64{"x1": 3, "x2": -5, "x3": 7, "x4": 11}
+var vec = []map[string]int64{{"x1": 3, "x2": -5, "x3": 7, "x4": 11}}
 
 func correctNetlist(t *testing.T) (*dfg.Graph, *rtl.Netlist) {
 	t.Helper()
 	g, nets := bindAR(t)
 	n := nets[0]
-	if err := VerifyNetlist(g, n, vec, nil); err != nil {
+	if err := Verify(g, n, vec, nil); err != nil {
 		t.Fatalf("baseline netlist must verify: %v", err)
 	}
 	return g, n
@@ -39,7 +39,7 @@ func TestInjectSwappedControlSteps(t *testing.T) {
 	}
 	a, b := steps[0], steps[len(steps)-1]
 	n.Control[a].Fire, n.Control[b].Fire = n.Control[b].Fire, n.Control[a].Fire
-	if err := VerifyNetlist(g, n, vec, nil); err == nil {
+	if err := Verify(g, n, vec, nil); err == nil {
 		t.Fatal("verification passed on a netlist with swapped control steps")
 	}
 }
@@ -51,7 +51,7 @@ func TestInjectDroppedLoad(t *testing.T) {
 		for reg, id := range n.Control[i].Load {
 			if g.Nodes[id].Op.NeedsFU() {
 				delete(n.Control[i].Load, reg)
-				if err := VerifyNetlist(g, n, vec, nil); err == nil {
+				if err := Verify(g, n, vec, nil); err == nil {
 					t.Fatal("verification passed on a netlist with a dropped load")
 				}
 				return
@@ -81,7 +81,7 @@ func TestInjectMisroutedLoad(t *testing.T) {
 			}
 			delete(n.Control[i].Load, reg)
 			n.Control[i].Load[wrong] = id
-			if err := VerifyNetlist(g, n, vec, nil); err == nil {
+			if err := Verify(g, n, vec, nil); err == nil {
 				t.Fatal("verification passed on a netlist with a misrouted load")
 			}
 			return
@@ -113,7 +113,7 @@ func TestInjectPrematureFire(t *testing.T) {
 	}
 	delete(n.Control[lastIdx].Fire, moveFU)
 	n.Control[0].Fire[moveFU+"_injected"] = moveID
-	if err := VerifyNetlist(g, n, vec, nil); err == nil {
+	if err := Verify(g, n, vec, nil); err == nil {
 		t.Fatal("verification passed on a netlist with a premature fire")
 	}
 }
@@ -122,7 +122,7 @@ func TestInjectDetectionIsNotVacuous(t *testing.T) {
 	// Re-run the pristine netlist after all that mutation fuzzing to prove
 	// the harness itself still accepts correct hardware.
 	g, n := correctNetlist(t)
-	if err := VerifyNetlist(g, n, vec, nil); err != nil {
+	if err := Verify(g, n, vec, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,10 +2,11 @@
 //
 //   - Evaluate: a behavioral golden model that executes a data-flow graph
 //     on concrete integer inputs;
-//   - RunNetlist: a cycle-accurate interpreter for bound RTL netlists
-//     (package rtl) driven by their control tables, used to prove that a
-//     synthesized partition implementation computes the same function as
-//     the behavior it was derived from;
+//   - Run and Verify: a cycle-accurate interpreter for bound RTL netlists
+//     (package rtl) driven by their control tables, streaming samples at the
+//     netlist's initiation interval, and its check against the golden model,
+//     used to prove that a synthesized partition implementation computes the
+//     same function as the behavior it was derived from;
 //   - StreamPeak: a multi-sample streaming simulation of a data-transfer
 //     module's buffer occupancy, used to check the paper's buffer-sizing
 //     formula B = D*(ceil(W/l) + X/l) against observed peaks.
@@ -99,49 +100,24 @@ func Evaluate(g *dfg.Graph, inputs map[string]int64, coef Coeffs) (map[string]in
 	return out, nil
 }
 
-// RunNetlist interprets a bound netlist's control table cycle by cycle:
-// register loads for values completing in a cycle happen before the fires of
-// that cycle, mirroring edge-triggered registers. It supports non-pipelined
-// netlists (one sample resident); pipelined netlists overlap samples and
-// need a stream-level testbench instead.
-//
-// It returns the final register-file view of every primary output.
-func RunNetlist(g *dfg.Graph, n *rtl.Netlist, inputs map[string]int64, coef Coeffs) (map[string]int64, error) {
+// Run streams samples through a bound netlist, sample k entering k*II
+// cycles after sample 0, so a pipelined netlist overlaps samples in its
+// datapath exactly as its modulo schedule prescribes, and a non-pipelined
+// one (II == latency) runs them back to back. Each cycle applies register
+// shifts first (every source read before any destination is written), then
+// loads, then fires: a fire reads its operand registers and completes at its
+// load, which mirrors edge-triggered registers. It returns, per sample, the
+// value each primary output's producer was loaded with.
+func Run(g *dfg.Graph, n *rtl.Netlist, samples []map[string]int64, coef Coeffs) ([]map[string]int64, error) {
 	if coef == nil {
 		coef = DefaultCoeffs
 	}
 	if err := n.Validate(g); err != nil {
 		return nil, err
 	}
-	regs := make(map[string]int64)
-	pending := make(map[int]int64) // node ID -> computed value awaiting load
-	out := make(map[string]int64)
-
-	// Outputs are latched the moment their producer's value is born: in the
-	// partitioned system the data-transfer module takes the value over right
-	// then, and the producer's register may be reused afterwards.
-	outputsOf := make(map[int][]string)
-	for _, nd := range g.Nodes {
-		if nd.Op != dfg.OpOutput {
-			continue
-		}
-		src := g.Preds(nd.ID)
-		if len(src) != 1 {
-			return nil, fmt.Errorf("sim: output %q has %d producers", nd.Name, len(src))
-		}
-		outputsOf[src[0]] = append(outputsOf[src[0]], nd.Name)
+	if len(samples) == 0 {
+		return nil, nil
 	}
-
-	// Pre-compute per-node operand registers in predecessor order (chained
-	// values resolve to the chain position matching the consumer).
-	operands := make([][]string, len(g.Nodes))
-	for _, nd := range g.Nodes {
-		for pos, p := range g.Preds(nd.ID) {
-			operands[nd.ID] = append(operands[nd.ID], n.OperandReg(nd.ID, pos, p))
-		}
-	}
-	// Topological position breaks ties among same-cycle combinational
-	// (memory) loads that chain through each other.
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -150,108 +126,155 @@ func RunNetlist(g *dfg.Graph, n *rtl.Netlist, inputs map[string]int64, coef Coef
 	for i, id := range order {
 		topoPos[id] = i
 	}
-	for _, step := range n.Control {
-		// Shifts first, with snapshot semantics (all sources read before
-		// any destination is written).
-		applyShifts(regs, step.Shift)
-		// Loads next: values completing this cycle become visible. Process
-		// in topological order so same-cycle combinational chains resolve.
-		loads := make([]int, 0, len(step.Load))
-		regFor := make(map[int]string, len(step.Load))
-		for regName, id := range step.Load {
-			loads = append(loads, id)
-			regFor[id] = regName
-		}
-		sort.Slice(loads, func(i, j int) bool { return topoPos[loads[i]] < topoPos[loads[j]] })
-		for _, id := range loads {
-			regName := regFor[id]
-			nd := g.Nodes[id]
-			if nd.Op == dfg.OpInput {
-				regs[regName] = inputs[nd.Name]
-				continue
+	// An output is recorded when its producer's value is loaded into a
+	// register, whether that producer is an FU, an input or a memory read:
+	// in the partitioned system the data-transfer module takes the value over
+	// right then, and the register may be reused afterwards.
+	outputsOf := make(map[int][]string)
+	operands := make([][]string, len(g.Nodes))
+	for _, nd := range g.Nodes {
+		preds := g.Preds(nd.ID)
+		if nd.Op == dfg.OpOutput {
+			if len(preds) != 1 {
+				return nil, fmt.Errorf("sim: output %q has %d producers", nd.Name, len(preds))
 			}
-			if !nd.Op.NeedsFU() {
-				// memory reads and writes resolve combinationally here
-				var args []int64
-				for _, r := range operands[id] {
-					args = append(args, regs[r])
+			outputsOf[preds[0]] = append(outputsOf[preds[0]], nd.Name)
+			continue
+		}
+		for pos, p := range preds {
+			operands[nd.ID] = append(operands[nd.ID], n.OperandReg(nd.ID, pos, p))
+		}
+	}
+
+	// Each control step's loads in topological order, so that same-cycle
+	// combinational (memory) loads that chain through each other resolve.
+	type load struct {
+		reg string
+		id  int
+	}
+	stepAt := make(map[int]int, len(n.Control)) // cycle -> control step
+	loads := make([][]load, len(n.Control))
+	last := 0
+	for i, step := range n.Control {
+		stepAt[step.Cycle] = i
+		last = max(last, step.Cycle)
+		for reg, id := range step.Load {
+			loads[i] = append(loads[i], load{reg, id})
+		}
+		ls := loads[i]
+		sort.Slice(ls, func(a, b int) bool {
+			if topoPos[ls[a].id] != topoPos[ls[b].id] {
+				return topoPos[ls[a].id] < topoPos[ls[b].id]
+			}
+			return ls[a].reg < ls[b].reg
+		})
+	}
+	ii := max(n.II, 1)
+
+	regs := make(map[string]int64)
+	pending := make(map[[2]int]int64) // {node ID, sample} -> fired value awaiting its load
+	outs := make([]map[string]int64, len(samples))
+	for k := range outs {
+		outs[k] = make(map[string]int64)
+	}
+	var args []int64
+	operandValues := func(id int) []int64 {
+		args = args[:0]
+		for _, r := range operands[id] {
+			args = append(args, regs[r])
+		}
+		return args
+	}
+	type active struct{ sample, step int }
+	var now []active
+	type move struct {
+		dst string
+		v   int64
+	}
+	var moves []move
+	for t := 0; t <= last+(len(samples)-1)*ii; t++ {
+		now, moves = now[:0], moves[:0]
+		for k := range samples {
+			if i, ok := stepAt[t-k*ii]; ok {
+				now = append(now, active{k, i})
+			}
+		}
+		for _, a := range now {
+			for dst, src := range n.Control[a.step].Shift {
+				moves = append(moves, move{dst, regs[src]})
+			}
+		}
+		for _, m := range moves {
+			regs[m.dst] = m.v
+		}
+		for _, a := range now {
+			for _, l := range loads[a.step] {
+				nd := g.Nodes[l.id]
+				var v int64
+				switch {
+				case nd.Op == dfg.OpInput:
+					v = samples[a.sample][nd.Name]
+				case nd.Op.NeedsFU():
+					key := [2]int{l.id, a.sample}
+					fired, ok := pending[key]
+					if !ok {
+						return nil, fmt.Errorf("sim: sample %d: register %s loads %q before it fired",
+							a.sample, l.reg, nd.Name)
+					}
+					delete(pending, key)
+					v = fired
+				default: // memory accesses resolve combinationally
+					if v, err = apply(nd, operandValues(l.id), coef); err != nil {
+						return nil, err
+					}
 				}
-				v, err := apply(nd, args, coef)
+				regs[l.reg] = v
+				for _, name := range outputsOf[l.id] {
+					outs[a.sample][name] = v
+				}
+			}
+		}
+		for _, a := range now {
+			for _, id := range n.Control[a.step].Fire {
+				v, err := apply(g.Nodes[id], operandValues(id), coef)
 				if err != nil {
 					return nil, err
 				}
-				regs[regName] = v
+				pending[[2]int{id, a.sample}] = v
+			}
+		}
+	}
+	return outs, nil
+}
+
+// Verify runs the samples through the netlist and checks every sample's
+// outputs against the golden model.
+func Verify(g *dfg.Graph, n *rtl.Netlist, samples []map[string]int64, coef Coeffs) error {
+	want := make([]map[string]int64, len(samples))
+	for k, in := range samples {
+		w, err := Evaluate(g, in, coef)
+		if err != nil {
+			return err
+		}
+		want[k] = w
+	}
+	got, err := Run(g, n, samples, coef)
+	if err != nil {
+		return err
+	}
+	for k := range samples {
+		for _, nd := range g.Nodes {
+			if nd.Op != dfg.OpOutput {
 				continue
 			}
-			v, ok := pending[id]
+			v, ok := got[k][nd.Name]
 			if !ok {
-				return nil, fmt.Errorf("sim: register %s loads %q before it fired", regName, nd.Name)
+				return fmt.Errorf("sim: sample %d output %q never loaded", k, nd.Name)
 			}
-			regs[regName] = v
-			delete(pending, id)
-			for _, name := range outputsOf[id] {
-				out[name] = v
+			if v != want[k][nd.Name] {
+				return fmt.Errorf("sim: sample %d output %q = %d, golden model says %d",
+					k, nd.Name, v, want[k][nd.Name])
 			}
-		}
-		// Fires: read operand registers now, complete later.
-		for _, id := range step.Fire {
-			nd := g.Nodes[id]
-			var args []int64
-			for _, r := range operands[id] {
-				args = append(args, regs[r])
-			}
-			v, err := apply(nd, args, coef)
-			if err != nil {
-				return nil, err
-			}
-			pending[id] = v
-		}
-	}
-	// Outputs fed directly by inputs or memory reads (no FU load path) are
-	// read from their producer's register now.
-	for src, names := range outputsOf {
-		if g.Nodes[src].Op.NeedsFU() {
-			continue
-		}
-		for _, name := range names {
-			out[name] = regs[n.RegOf(src)]
-		}
-	}
-	return out, nil
-}
-
-// applyShifts performs one cycle's register shifts with snapshot semantics.
-func applyShifts(regs map[string]int64, shifts map[string]string) {
-	if len(shifts) == 0 {
-		return
-	}
-	snap := make(map[string]int64, len(shifts))
-	for _, src := range shifts {
-		snap[src] = regs[src]
-	}
-	for dst, src := range shifts {
-		regs[dst] = snap[src]
-	}
-}
-
-// VerifyNetlist binds nothing itself: it runs both the golden model and the
-// netlist on the same inputs and reports the first mismatch.
-func VerifyNetlist(g *dfg.Graph, n *rtl.Netlist, inputs map[string]int64, coef Coeffs) error {
-	want, err := Evaluate(g, inputs, coef)
-	if err != nil {
-		return err
-	}
-	got, err := RunNetlist(g, n, inputs, coef)
-	if err != nil {
-		return err
-	}
-	for _, nd := range g.Nodes {
-		if nd.Op != dfg.OpOutput {
-			continue
-		}
-		if got[nd.Name] != want[nd.Name] {
-			return fmt.Errorf("sim: output %q = %d, golden model says %d",
-				nd.Name, got[nd.Name], want[nd.Name])
 		}
 	}
 	return nil

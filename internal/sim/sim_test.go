@@ -90,8 +90,8 @@ func TestEvaluateMemOps(t *testing.T) {
 	}
 }
 
-// bindAR binds the fastest and the most serial frontier design of the AR
-// filter under experiment-2 settings.
+// bindAR binds every frontier design of the AR filter under experiment-2
+// settings.
 func bindAR(t *testing.T) (*dfg.Graph, []*rtl.Netlist) {
 	t.Helper()
 	g := dfg.ARLatticeFilter(16)
@@ -109,9 +109,6 @@ func bindAR(t *testing.T) (*dfg.Graph, []*rtl.Netlist) {
 	}
 	var nets []*rtl.Netlist
 	for _, d := range res.Designs {
-		if d.Style != bad.NonPipelined {
-			continue // RunNetlist is single-sample; see doc comment
-		}
 		cyc := rtl.OpCyclesFor(d, true, cfg.Clocks.DatapathNS())
 		n, err := rtl.Bind(g, d, cfg.Lib, cyc)
 		if err != nil {
@@ -120,7 +117,7 @@ func bindAR(t *testing.T) (*dfg.Graph, []*rtl.Netlist) {
 		nets = append(nets, n)
 	}
 	if len(nets) == 0 {
-		t.Fatal("no non-pipelined designs to simulate")
+		t.Fatal("no designs to simulate")
 	}
 	return g, nets
 }
@@ -137,10 +134,8 @@ func TestNetlistMatchesGoldenModel(t *testing.T) {
 		{},
 	}
 	for i, n := range nets {
-		for j, vec := range vectors {
-			if err := VerifyNetlist(g, n, vec, nil); err != nil {
-				t.Fatalf("netlist %d, vector %d: %v", i, j, err)
-			}
+		if err := Verify(g, n, vectors, nil); err != nil {
+			t.Fatalf("netlist %d: %v", i, err)
 		}
 	}
 }
@@ -152,7 +147,7 @@ func TestNetlistMatchesGoldenPropertyRandomVectors(t *testing.T) {
 		vec := map[string]int64{
 			"x1": int64(a), "x2": int64(b), "x3": int64(c), "x4": int64(d),
 		}
-		return VerifyNetlist(g, n, vec, nil) == nil
+		return Verify(g, n, []map[string]int64{vec}, nil) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -189,8 +184,61 @@ func TestNetlistVerifyAllBenchmarks(t *testing.T) {
 		for i, id := range g.Inputs() {
 			inputs[g.Nodes[id].Name] = int64(i*13 - 7)
 		}
-		if err := VerifyNetlist(g, n, inputs, nil); err != nil {
+		if err := Verify(g, n, []map[string]int64{inputs}, nil); err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
+		}
+	}
+}
+
+// TestOutputsFedByInputsAndMemoryReads: an output fed straight from an
+// input or a memory read carries the value loaded for its sample, even when
+// a later value reuses the producer's register (here the a+b sum takes over
+// a's register) and when samples overlap.
+func TestOutputsFedByInputsAndMemoryReads(t *testing.T) {
+	g := dfg.New("passthrough")
+	a := g.AddNode("a", dfg.OpInput, 16)
+	b := g.AddNode("b", dfg.OpInput, 16)
+	rd := g.AddMemNode("rd", dfg.OpMemRd, 16, "M")
+	sum := g.AddNode("sum", dfg.OpAdd, 16)
+	g.MustConnect(a, sum)
+	g.MustConnect(b, sum)
+	scaled := g.AddNode("scaled", dfg.OpMul, 16)
+	g.MustConnect(sum, scaled)
+	for _, src := range []int{a, rd, scaled} {
+		o := g.AddNode("out_"+g.Nodes[src].Name, dfg.OpOutput, 16)
+		g.MustConnect(src, o)
+	}
+	l := lib.ExtendedLibrary()
+	oneCycle := func(n dfg.Node) int {
+		if n.Op.NeedsFU() {
+			return 1
+		}
+		return 0
+	}
+	samples := []map[string]int64{{"a": 3, "b": 4}, {"a": -8, "b": 5}, {"a": 11, "b": 0}, {"a": 2, "b": 9}}
+	serial := bad.Design{
+		Style: bad.NonPipelined,
+		ModuleSet: lib.ModuleSet{
+			dfg.OpAdd: l.ModulesFor(dfg.OpAdd)[0],
+			dfg.OpMul: l.ModulesFor(dfg.OpMul)[0],
+		},
+		FUs: map[dfg.Op]int{dfg.OpAdd: 1, dfg.OpMul: 1},
+	}
+	pipelined := serial
+	pipelined.Style, pipelined.II = bad.Pipelined, 1
+	for _, d := range []bad.Design{serial, pipelined} {
+		n, err := rtl.Bind(g, d, l, oneCycle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Style == bad.NonPipelined && n.RegOf(a) != n.RegOf(sum) {
+			t.Fatalf("sum does not reuse a's register (%s, %s)", n.RegOf(a), n.RegOf(sum))
+		}
+		if d.Style == bad.Pipelined && n.II >= n.Latency {
+			t.Fatalf("samples do not overlap: II=%d latency=%d", n.II, n.Latency)
+		}
+		if err := Verify(g, n, samples, nil); err != nil {
+			t.Errorf("II=%d latency=%d: %v", n.II, n.Latency, err)
 		}
 	}
 }
