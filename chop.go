@@ -321,13 +321,15 @@ type (
 	// BuildInfo is the binary's build identity (go version, VCS revision)
 	// as read from the runtime's embedded build metadata.
 	BuildInfo = obs.BuildInfo
-	// RunStats is the lock-cheap per-shard search progress tracker;
-	// attach one via Config.Stats and read it live with Snapshot while
-	// the search runs.
+	// RunStats is the per-shard search progress record; attach one via
+	// Config.Stats and read it live with Snapshot while the search runs.
+	// Search workers publish into it in batches, at every shard end and
+	// every few thousand trials.
 	RunStats = obs.RunStats
 	// RunStatsSnapshot is one consistent point-in-time fold of a
-	// RunStats: aggregate progress, rates, ETA, the per-shard table,
-	// cache traffic, checkpoint lag and the slowest-trial exemplars.
+	// RunStats: aggregate progress, rejections per reason, rates, ETA, the
+	// per-shard table, cache traffic, checkpoint lag and the slowest-trial
+	// exemplars.
 	RunStatsSnapshot = obs.RunStatsSnapshot
 	// ShardSnapshot is one shard's row in a RunStatsSnapshot.
 	ShardSnapshot = obs.ShardSnapshot

@@ -362,17 +362,9 @@ func (o *obsFlags) attach(cfg *core.Config) (func() error, error) {
 	} else if *o.resume {
 		return nil, fmt.Errorf("-resume requires -checkpoint")
 	}
-	// Fault injection: the flag wins, the environment variable is the
-	// fallback (so CI chaos runs can inject without touching invocations).
-	// Parse errors surface here, before anything is opened.
-	if *o.inject != "" {
-		inj, err := resilience.Parse(*o.inject)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Inject = inj
-	} else if inj, err := resilience.FromEnv(); err != nil {
-		return nil, fmt.Errorf("$%s: %w", resilience.EnvFaultInject, err)
+	// Fault injection parse errors surface here, before anything is opened.
+	if inj, err := resilience.FromFlagOrEnv(*o.inject); err != nil {
+		return nil, err
 	} else if inj != nil {
 		cfg.Inject = inj
 	}
@@ -433,12 +425,13 @@ func (o *obsFlags) attach(cfg *core.Config) (func() error, error) {
 		cfg.Metrics = m
 	}
 	// -stats-out and -progress read one run-stats fold published by the
-	// search, with phase accounting riding along: the search attaches the
-	// accounter to the run stats, so every sampled snapshot carries the
-	// per-phase breakdown chop top and chop explain -stats render.
+	// search, with phase accounting riding along: the accounter is attached
+	// now, so every snapshot from the first prediction on carries the
+	// per-phase breakdown chop top, chop explain -stats and -progress read.
 	if statsFile != nil || *o.progress {
 		cfg.Stats = obs.NewRunStats(o.fs.Name())
 		cfg.Phases = obs.NewPhaseAccounter()
+		cfg.Stats.AttachPhases(cfg.Phases)
 	}
 	// The stats time series: a periodic snapshotter appending one JSONL
 	// record per interval, started now so the series covers prediction as
@@ -452,7 +445,7 @@ func (o *obsFlags) attach(cfg *core.Config) (func() error, error) {
 	}
 	var prog *progress
 	if *o.progress {
-		prog = startProgress(os.Stderr, cfg.Stats, cfg.Phases)
+		prog = startProgress(os.Stderr, cfg.Stats)
 	}
 	return func() error {
 		var first error

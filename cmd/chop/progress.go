@@ -12,13 +12,13 @@ import (
 const progressInterval = 500 * time.Millisecond
 
 // progress prints the -progress lines, one every progressInterval and a
-// last one at finish, from the run's RunStats fold and phase accounter
-// (the pair -stats-out samples; no tracer). RunStats resets per search, so
-// a multi-search run (exp1, exp2) reports the search in flight.
+// last one at finish, from one snapshot of the run's RunStats each (the
+// fold -stats-out samples; no tracer), whose phases block carries the
+// prediction counts. RunStats resets per search, so a multi-search run
+// (exp1, exp2) reports the search in flight.
 type progress struct {
 	w          io.Writer
 	stats      *obs.RunStats
-	phases     *obs.PhaseAccounter
 	start      time.Time
 	last       time.Time // previous line, the trial-rate window start
 	lastTrials int64
@@ -26,9 +26,9 @@ type progress struct {
 }
 
 // startProgress begins printing progress lines for the run to w.
-func startProgress(w io.Writer, stats *obs.RunStats, phases *obs.PhaseAccounter) *progress {
+func startProgress(w io.Writer, stats *obs.RunStats) *progress {
 	now := time.Now()
-	p := &progress{w: w, stats: stats, phases: phases, start: now, last: now,
+	p := &progress{w: w, stats: stats, start: now, last: now,
 		stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(p.done)
@@ -66,8 +66,8 @@ func (p *progress) line(now time.Time) string {
 	// A prediction opens a cache-lookup bracket when a predictor cache is
 	// attached, and a predict bracket on a miss or without a cache.
 	var preds int64
-	if ps := p.phases.Snapshot(); ps != nil {
-		for _, st := range ps.Phases {
+	if sn.Phases != nil {
+		for _, st := range sn.Phases.Phases {
 			if st.Phase == obs.PhasePredict.String() || st.Phase == obs.PhaseCacheLookup.String() {
 				preds = max(preds, st.Count)
 			}

@@ -11,11 +11,12 @@ import (
 )
 
 // TestProgressContent: the line reports the prediction stage from the
-// phase accounter until a search starts, then the search's trials against
-// the planned total, its feasible count and the trial rate.
+// snapshot's phases block until a search starts, then the search's trials
+// against the planned total, its feasible count and the trial rate.
 func TestProgressContent(t *testing.T) {
 	stats, phases := obs.NewRunStats("test"), obs.NewPhaseAccounter()
-	p := &progress{stats: stats, phases: phases, start: time.Unix(1000, 0), last: time.Unix(1000, 0)}
+	stats.AttachPhases(phases)
+	p := &progress{stats: stats, start: time.Unix(1000, 0), last: time.Unix(1000, 0)}
 	phases.End(phases.Begin(), obs.PhasePredict)
 	phases.End(phases.Begin(), obs.PhasePredict)
 	line := p.line(time.Unix(1001, 0))
@@ -26,10 +27,8 @@ func TestProgressContent(t *testing.T) {
 	}
 
 	stats.StartSearch(2, 40)
-	sh := stats.ShardStats(0)
-	for i := 0; i < 9; i++ {
-		sh.Trial(1, 1, i%3 == 0, "area")
-	}
+	stats.StartShard(0, 20)
+	stats.Add(obs.ShardTally{Shard: 0, Trials: 9, Feasible: 3})
 	line = p.line(time.Unix(1003, 0))
 	for _, want := range []string{"chop: Search ", "predictions=2", "trials=9/40", "feasible=3", "(4 trials/s)", "elapsed=3s"} {
 		if !strings.Contains(line, want) {
@@ -38,9 +37,10 @@ func TestProgressContent(t *testing.T) {
 	}
 }
 
-// TestProgressWithoutTraceBuildsNoTracer: -progress reads the RunStats and
-// phase pair -stats-out samples, so it attaches no tracer; given both
-// flags, the two share one pair.
+// TestProgressWithoutTraceBuildsNoTracer: -progress reads the RunStats
+// fold -stats-out samples, so it attaches no tracer; given both flags, the
+// two share one. The phase accounter is attached to the RunStats from the
+// start, so a prediction shows in the fold before any search runs.
 func TestProgressWithoutTraceBuildsNoTracer(t *testing.T) {
 	for _, args := range [][]string{
 		{"-progress"},
@@ -61,6 +61,10 @@ func TestProgressWithoutTraceBuildsNoTracer(t *testing.T) {
 		if cfg.Stats == nil || cfg.Phases == nil {
 			t.Fatalf("%v attached no RunStats/PhaseAccounter pair", args)
 		}
+		cfg.Phases.End(cfg.Phases.Begin(), obs.PhasePredict)
+		if ps := cfg.Stats.Snapshot().Phases; ps == nil || ps.Trials != 0 || len(ps.Phases) != 1 || ps.Phases[0].Count != 1 {
+			t.Fatalf("%v: the fold's phases block %+v, want one predict bracket", args, ps)
+		}
 	}
 }
 
@@ -80,7 +84,7 @@ func TestProgressThrottle(t *testing.T) {
 	// block the goroutine finish waits for.
 	lines := make(lineWriter, 16)
 	start := time.Now()
-	p := startProgress(lines, obs.NewRunStats("test"), obs.NewPhaseAccounter())
+	p := startProgress(lines, obs.NewRunStats("test"))
 	<-lines
 	if d := time.Since(start); d < progressInterval {
 		t.Fatalf("first line after %v, inside the %v interval", d, progressInterval)

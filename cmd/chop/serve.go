@@ -73,14 +73,9 @@ func serveCmd(args []string) error {
 	}
 	slog.SetDefault(log)
 
-	inject, err := resilience.Parse(*injectSpec)
+	inject, err := resilience.FromFlagOrEnv(*injectSpec)
 	if err != nil {
 		return err
-	}
-	if inject == nil {
-		if inject, err = resilience.FromEnv(); err != nil {
-			return fmt.Errorf("$%s: %w", resilience.EnvFaultInject, err)
-		}
 	}
 	if inject != nil {
 		log.Warn("fault injection ACTIVE", "spec", inject.String())

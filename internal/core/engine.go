@@ -247,8 +247,7 @@ func runSearch(it *integrator, cfg Config, preds []bad.Result, h Heuristic, sp *
 		if outs[si].restored {
 			// Publish restored shards so a resumed run reports the full
 			// picture without re-executing them.
-			cfg.Stats.ShardStats(si).Restored(
-				int64(outs[si].res.Trials), int64(outs[si].res.FeasibleTrials))
+			cfg.Stats.RestoreShard(si, int64(outs[si].res.Trials), int64(outs[si].res.FeasibleTrials))
 			continue
 		}
 		order = append(order, si)

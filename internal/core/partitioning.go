@@ -258,13 +258,13 @@ type Config struct {
 	// designs per partition). Nil disables metrics collection.
 	Metrics *obs.Metrics
 	// Stats, when non-nil, receives live per-shard search progress —
-	// trials done/total, feasible counts, throughput, checkpoint lag —
-	// published with one atomic add per trial (no hot-loop locks). The
-	// serve layer polls it for /stats and SSE; `chop top` renders it.
-	// Stats never influence the search: results with stats attached are
-	// byte-identical to results without. Metrics and Phases get a search
-	// worker's trials in batches, at every shard end and every few
-	// thousand trials.
+	// trials done/total, feasible counts, rejections per reason, the
+	// slowest trials, throughput, checkpoint lag. It gets a search
+	// worker's trials in batches, as Metrics and Phases do: at every shard
+	// end and every few thousand trials, never per trial. The serve layer
+	// polls it for /stats; `chop top` renders it. Stats never influence
+	// the search: results with stats attached are byte-identical to
+	// results without.
 	Stats *obs.RunStats
 	// Phases, when non-nil, attributes cost to named phases (predict,
 	// cache-lookup, schedule, xfer, integrate, checkpoint) by wall time,

@@ -8,11 +8,12 @@ import (
 
 // recorder books one search worker's trials into every telemetry plane the
 // Config attaches. The trace (integrate span, trial/prune/serialize points)
-// and the current shard's RunStats cell with its slow-trial exemplars are
-// written per trial. The metrics registry (core.* counters, integrate and
-// urgency histograms) and the phase accounter (trial, schedule and xfer
-// time) are fed from a tally the recorder keeps in plain fields and
-// publishes with flush. It is the only per-trial code that calls into obs.
+// is written per trial. Everything else is counted in a tally the recorder
+// keeps in plain fields and publishes with flush: the metrics registry
+// (core.* counters, integrate and urgency histograms), the run stats
+// (the shard's trial, feasible and per-reason counts and its slowest
+// trials) and the phase accounter (trial, schedule and xfer time). It is
+// the only per-trial code that calls into obs.
 //
 // runShards builds one per worker and points it at each shard the worker
 // claims; it is nil when no plane is attached, and every method is a no-op
@@ -25,7 +26,7 @@ type recorder struct {
 	stats   *obs.RunStats
 	ph      *obs.PhaseAccounter
 	keepAll bool
-	ss      *obs.ShardStats // the claimed shard's RunStats cell
+	si      int // the claimed shard
 
 	// The trial between begin and end: its interval, start instant,
 	// integrate span, and the time its schedule and xfer brackets took.
@@ -37,18 +38,20 @@ type recorder struct {
 	n tally // booked since the last flush
 }
 
-// tally is what a recorder has counted since its last flush.
+// tally is what a recorder has counted since its last flush, all in the
+// shard it has claimed.
 type tally struct {
 	trials, feasible, serializations         int64
 	rejects                                  [numReasons]int64
 	integrateUS, urgencyTasks, urgencyCycles obs.Histogram
+	slow                                     obs.SlowTrials
 	phases                                   obs.PhaseTally
 }
 
 // flushTrials is the trial count at which a recorder publishes its tally
-// without waiting for the shard to end, so the metric counters and the
-// phase block of a long shard keep moving (about 10 ms of one-worker
-// Figure 7 trials).
+// without waiting for the shard to end, so the metric counters, the run
+// stats and the phase block of a long shard keep moving (about 10 ms of
+// one-worker Figure 7 trials).
 const flushTrials = 4096
 
 // newRecorder returns a worker's recorder, or nil when cfg attaches no
@@ -60,28 +63,28 @@ func newRecorder(cfg Config, sp *obs.Span) *recorder {
 	return &recorder{sp: sp, m: cfg.Metrics, stats: cfg.Stats, ph: cfg.Phases, keepAll: cfg.KeepAll}
 }
 
-// rejectMetric names each Reason's core.reject.<reason> counter, built
-// once so booking a rejection concatenates nothing.
-var rejectMetric = func() (names [numReasons]string) {
+// reasonName and rejectMetric name each Reason and its core.reject.<reason>
+// counter, built once so booking a rejection concatenates nothing.
+var reasonName, rejectMetric = func() (names, metrics [numReasons]string) {
 	for r := range names {
-		names[r] = "core.reject." + Reason(r).String()
+		names[r] = Reason(r).String()
+		metrics[r] = "core.reject." + names[r]
 	}
-	return names
+	return names, metrics
 }()
 
-// start points the recorder at shard si's RunStats cell and marks the
-// shard claimed with its planned trial count (0: unknown); done marks it
-// complete.
+// start points the recorder at shard si and marks the shard claimed with
+// its planned trial count (0: unknown); done marks it complete.
 func (r *recorder) start(si int, total int64) {
 	if r != nil {
-		r.ss = r.stats.ShardStats(si)
-		r.ss.Start(total)
+		r.si = si
+		r.stats.StartShard(si, total)
 	}
 }
 
 func (r *recorder) done() {
 	if r != nil {
-		r.ss.Done()
+		r.stats.EndShard(r.si)
 	}
 }
 
@@ -99,9 +102,10 @@ func (r *recorder) begin(l int) {
 }
 
 // end closes the trial opened by begin with its outcome. One clock pair
-// times the trial for the phase tally, the exemplar and core.integrate_us.
-// A trial whose integration failed (err != nil) is booked but not reported
-// as pruned.
+// times the trial for the phase tally, the slow trials and
+// core.integrate_us. A trial whose integration failed (err != nil) is
+// booked but not reported as pruned. Past the trace, it writes only the
+// tally's own fields.
 func (r *recorder) end(g *GlobalDesign, err error) {
 	if r == nil {
 		return
@@ -123,19 +127,19 @@ func (r *recorder) end(g *GlobalDesign, err error) {
 			r.sp.Point("prune", obs.F("reason", reason))
 		}
 	}
-	if g.Feasible {
-		reason = ""
-	}
-	r.ss.Trial(us, r.l, g.Feasible, reason)
 	n := &r.n
 	n.trials++
 	if g.Feasible {
 		n.feasible++
+		reason = ""
 	} else {
 		n.rejects[g.ReasonCode]++
 	}
 	if r.m != nil {
 		n.integrateUS.Observe(us)
+	}
+	if r.stats != nil {
+		n.slow.Observe(obs.Exemplar{DurUS: us, Shard: r.si, II: r.l, Feasible: g.Feasible, Reason: reason})
 	}
 	if r.ph != nil {
 		// The trial time the schedule and xfer brackets did not take is
@@ -195,9 +199,9 @@ func (r *recorder) serialize(l, partition, delay int) {
 
 // flush publishes the tally and empties it: one Metrics Add per nonzero
 // counter and one merge per nonempty histogram, so nothing is created at
-// zero, and one Add into the phase accounter. runShards calls it after
-// every shard, whichever way the shard ended; end calls it every
-// flushTrials trials.
+// zero, one Add into the run stats and one into the phase accounter.
+// runShards calls it after every shard, whichever way the shard ended; end
+// calls it every flushTrials trials.
 func (r *recorder) flush() {
 	if r == nil {
 		return
@@ -218,6 +222,12 @@ func (r *recorder) flush() {
 		r.m.MergeHistogram("core.integrate_us", &n.integrateUS)
 		r.m.MergeHistogram("core.urgency_tasks", &n.urgencyTasks)
 		r.m.MergeHistogram("core.urgency_cycles", &n.urgencyCycles)
+	}
+	if n.trials > 0 {
+		r.stats.Add(obs.ShardTally{
+			Shard: r.si, Trials: n.trials, Feasible: n.feasible,
+			Reasons: reasonName[:], Rejects: n.rejects[:], Slow: &n.slow,
+		})
 	}
 	r.ph.Add(&n.phases)
 	*n = tally{}

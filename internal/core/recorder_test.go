@@ -1,18 +1,20 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"chop/internal/obs"
 )
 
 // TestRecorderFlushPublishesTally is the hardware-independent gate on the
-// recorder's batching: a worker's trials reach Metrics and the phase
-// accounter only when its recorder flushes, which runShards does after
-// every shard and end does every flushTrials trials, so a search makes
-// O(shards + trials/flushTrials) updates to those planes instead of
-// several per trial. RunStats stays live per trial.
+// recorder's batching: a worker's trials reach Metrics, RunStats and the
+// phase accounter only when its recorder flushes, which runShards does
+// after every shard and end does every flushTrials trials, so a search
+// makes O(shards + trials/flushTrials) updates to those planes instead of
+// several per trial.
 func TestRecorderFlushPublishesTally(t *testing.T) {
 	cfg := Config{
 		Metrics: obs.NewMetrics(),
@@ -46,8 +48,8 @@ func TestRecorderFlushPublishesTally(t *testing.T) {
 	if ph := cfg.Phases.Snapshot(); ph.Trials != 0 || len(ph.Phases) != 0 {
 		t.Fatalf("phases published before flush: %+v", ph)
 	}
-	if got := cfg.Stats.Snapshot().Trials; got != 4 {
-		t.Fatalf("stats fold %d trials before flush, want 4 (published per trial)", got)
+	if st := cfg.Stats.Snapshot(); st.Trials != 0 || st.Feasible != 0 || st.Rejects != nil || st.SlowTrials != nil {
+		t.Fatalf("stats published before flush: %+v", st)
 	}
 
 	rec.flush()
@@ -71,6 +73,24 @@ func TestRecorderFlushPublishesTally(t *testing.T) {
 			t.Fatalf("%s: %d samples summing to %g, want 4 summing to %g", name, h.Count, h.Sum, sum)
 		}
 	}
+	st := cfg.Stats.Snapshot()
+	wantRejects := map[string]int64{"area": 2, "rate-mismatch": 1}
+	if st.Trials != 4 || st.Feasible != 1 || !reflect.DeepEqual(st.Rejects, wantRejects) {
+		t.Fatalf("stats fold %d/%d feasible, rejects %v; want 4/1, %v", st.Trials, st.Feasible, st.Rejects, wantRejects)
+	}
+	// Every trial is among the slowest four, slowest first; which is
+	// slowest depends on the clock, so compare them by outcome.
+	var outcomes []string
+	for i, e := range st.SlowTrials {
+		if e.Shard != 0 || e.II != 4 || (i > 0 && e.DurUS > st.SlowTrials[i-1].DurUS) {
+			t.Fatalf("slow trial %d = %+v (of %+v)", i, e, st.SlowTrials)
+		}
+		outcomes = append(outcomes, fmt.Sprintf("%v/%s", e.Feasible, e.Reason))
+	}
+	sort.Strings(outcomes)
+	if want := []string{"false/area", "false/area", "false/rate-mismatch", "true/"}; !reflect.DeepEqual(outcomes, want) {
+		t.Fatalf("slow trials %v, want %v", outcomes, want)
+	}
 	ph := cfg.Phases.Snapshot()
 	if ph.Trials != 4 {
 		t.Fatalf("accounter saw %d trials, want 4", ph.Trials)
@@ -92,6 +112,9 @@ func TestRecorderFlushPublishesTally(t *testing.T) {
 	if again := cfg.Phases.Snapshot(); !reflect.DeepEqual(again, ph) {
 		t.Fatalf("second flush changed phases: %+v", again)
 	}
+	if again := cfg.Stats.Snapshot(); again.Trials != 4 || !reflect.DeepEqual(again.SlowTrials, st.SlowTrials) {
+		t.Fatalf("second flush changed stats: %+v", again)
+	}
 
 	// flushTrials trials publish without an explicit flush.
 	for i := 0; i < flushTrials; i++ {
@@ -102,5 +125,9 @@ func TestRecorderFlushPublishesTally(t *testing.T) {
 	}
 	if got := cfg.Phases.Snapshot().Trials; got != 4+flushTrials {
 		t.Fatalf("accounter saw %d trials, want %d", got, 4+flushTrials)
+	}
+	if got := cfg.Stats.Snapshot(); got.Trials != 4+flushTrials || got.Rejects["area"] != 2+flushTrials {
+		t.Fatalf("stats fold %d trials, %d area rejects; want %d, %d",
+			got.Trials, got.Rejects["area"], 4+flushTrials, 2+flushTrials)
 	}
 }

@@ -124,7 +124,8 @@ func TestTraceGolden(t *testing.T) {
 // planes on and checks that every plane books the same trials: the trace
 // replay, the core.* metrics counters, the RunStats fold and the phase
 // accounter's trial count all equal the SearchResult, which itself equals
-// a bare run's. Per-reason and per-chip rejection counts must also agree
+// a bare run's, and the fold's rejections equal the core.reject.*
+// counters. Per-reason and per-chip rejection counts must also agree
 // between one and four workers.
 func TestPlanesAgree(t *testing.T) {
 	p, base := planesProblem(t)
@@ -198,6 +199,13 @@ func TestPlanesAgree(t *testing.T) {
 			if fold.Trials != int64(res.Trials) || fold.Feasible != int64(res.FeasibleTrials) || !fold.Done() {
 				t.Fatalf("%s: stats fold %d/%d done=%v, search %d/%d", label,
 					fold.Trials, fold.Feasible, fold.Done(), res.Trials, res.FeasibleTrials)
+			}
+			foldReasons := map[string]int{}
+			for r, n := range fold.Rejects {
+				foldReasons[r] = int(n)
+			}
+			if len(metricReasons) == 0 || !reflect.DeepEqual(foldReasons, metricReasons) {
+				t.Fatalf("%s: stats fold rejects %v, metrics %v", label, fold.Rejects, metricReasons)
 			}
 			if got := cfg.Phases.Snapshot().Trials; got != int64(res.Trials) {
 				t.Fatalf("%s: phase accounter saw %d trials, search %d", label, got, res.Trials)

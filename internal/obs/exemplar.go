@@ -1,11 +1,5 @@
 package obs
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
-
 // Exemplar is one recorded slow trial: enough context (shard, initiation
 // interval, feasibility verdict) to find the trial in a full trace without
 // shipping the trace itself.
@@ -22,77 +16,48 @@ type Exemplar struct {
 	Reason   string `json:"reason,omitempty"`
 }
 
-// ExemplarStore retains the top-k slowest observations. The common case —
-// a trial faster than the current k-th slowest — is rejected with a single
-// atomic load; only genuine candidates take the mutex, so the store adds
-// no contention to a hot search loop. The zero value is ready to use and
-// keeps ExemplarTopK entries.
-type ExemplarStore struct {
-	// floor is the math.Float64bits of the current admission threshold:
-	// 0 until the store fills, then the smallest retained duration.
-	floor atomic.Uint64
-	mu    sync.Mutex
-	top   []Exemplar // sorted slowest-first
-	k     int
+// ExemplarTopK selects how many slow-trial exemplars a run retains.
+const ExemplarTopK = 8
+
+// SlowTrials keeps the ExemplarTopK slowest trials offered to it, slowest
+// first, in a fixed array: plain fields with one writer, no lock and no
+// allocation. A search worker's recorder keeps one per flush and RunStats
+// folds it into the run's own. The zero value is empty.
+type SlowTrials struct {
+	n   int
+	top [ExemplarTopK]Exemplar
 }
 
-// NewExemplarStore returns a store retaining the k slowest observations
-// (k <= 0 selects ExemplarTopK).
-func NewExemplarStore(k int) *ExemplarStore {
-	if k <= 0 {
-		k = ExemplarTopK
+// Observe offers one trial; it is kept only if it is slower than the
+// fastest kept trial or the array is not yet full. Equal durations keep
+// the earlier trial ahead.
+func (s *SlowTrials) Observe(e Exemplar) {
+	if s.n == len(s.top) {
+		if e.DurUS <= s.top[s.n-1].DurUS {
+			return
+		}
+	} else {
+		s.n++
 	}
-	return &ExemplarStore{k: k}
-}
-
-// Observe offers one trial; it is retained only if it ranks among the k
-// slowest seen so far.
-func (s *ExemplarStore) Observe(e Exemplar) {
-	if s == nil {
-		return
-	}
-	if e.DurUS <= math.Float64frombits(s.floor.Load()) {
-		return // fast path: not slower than the current k-th slowest
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := s.k
-	if k <= 0 {
-		k = ExemplarTopK
-	}
-	// Re-check under the lock: the floor may have risen since the load.
-	if len(s.top) == k && e.DurUS <= s.top[len(s.top)-1].DurUS {
-		return
-	}
-	// Insert in place (after equal durations), dropping the fastest entry
-	// once full: no allocation after the first admission.
-	if s.top == nil {
-		s.top = make([]Exemplar, 0, k)
-	}
-	if len(s.top) < k {
-		s.top = append(s.top, e)
-	}
-	i := len(s.top) - 1
+	i := s.n - 1
 	for ; i > 0 && s.top[i-1].DurUS < e.DurUS; i-- {
 		s.top[i] = s.top[i-1]
 	}
 	s.top[i] = e
-	if len(s.top) == k {
-		s.floor.Store(math.Float64bits(s.top[len(s.top)-1].DurUS))
+}
+
+// Add offers every trial o keeps.
+func (s *SlowTrials) Add(o *SlowTrials) {
+	for _, e := range o.top[:o.n] {
+		s.Observe(e)
 	}
 }
 
-// Top returns the retained exemplars, slowest first (a copy).
-func (s *ExemplarStore) Top() []Exemplar {
-	if s == nil {
+// Trials returns a copy of the kept trials, slowest first (nil when
+// empty).
+func (s *SlowTrials) Trials() []Exemplar {
+	if s.n == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.top) == 0 {
-		return nil
-	}
-	out := make([]Exemplar, len(s.top))
-	copy(out, s.top)
-	return out
+	return append([]Exemplar(nil), s.top[:s.n]...)
 }

@@ -62,67 +62,6 @@ func TestGaugeLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestMetricsMerge(t *testing.T) {
-	a, b := NewMetrics(), NewMetrics()
-	a.Add("core.trials", 10)
-	a.Observe("core.integrate_us", 2)
-	a.Observe("core.integrate_us", 100)
-	a.SetGauge("serve.queue_depth", 1)
-
-	b.Add("core.trials", 5)
-	b.Add("core.reject.area", 3)
-	b.Observe("core.integrate_us", 0.5)
-	b.Observe("bad.predict_us", 7)
-	b.SetGauge("serve.queue_depth", 9)
-
-	a.Merge(b)
-	if got := a.Counter("core.trials"); got != 15 {
-		t.Errorf("merged counter = %d, want 15", got)
-	}
-	if got := a.Counter("core.reject.area"); got != 3 {
-		t.Errorf("new counter = %d, want 3", got)
-	}
-	if got := a.Gauge("serve.queue_depth"); got != 9 {
-		t.Errorf("merged gauge = %v, want other's latest 9", got)
-	}
-	h := a.Snapshot().Histograms["core.integrate_us"]
-	if h.Count != 3 || h.Sum != 102.5 || h.Min != 0.5 || h.Max != 100 {
-		t.Errorf("merged histogram = %+v", h)
-	}
-	if a.Snapshot().Histograms["bad.predict_us"].Count != 1 {
-		t.Error("histogram absent from destination not copied")
-	}
-	// b is untouched.
-	if got := b.Counter("core.trials"); got != 5 {
-		t.Errorf("source mutated: %d", got)
-	}
-	// Nil combinations no-op.
-	var nilM *Metrics
-	nilM.Merge(a)
-	a.Merge(nil)
-}
-
-// TestMetricsMergeConcurrent exercises Merge while both registries are
-// being written, under -race.
-func TestMetricsMergeConcurrent(t *testing.T) {
-	a, b := NewMetrics(), NewMetrics()
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 1000; i++ {
-			b.Inc("c")
-			b.Observe("h", float64(i))
-			b.SetGauge("g", float64(i))
-		}
-		close(done)
-	}()
-	for i := 0; i < 100; i++ {
-		a.Merge(b)
-		a.Inc("c")
-	}
-	<-done
-	a.Merge(b)
-}
-
 func TestReadBuildInfo(t *testing.T) {
 	bi := ReadBuildInfo()
 	if bi.GoVersion == "" || bi.Revision == "" || bi.Module == "" {

@@ -6,148 +6,87 @@ import (
 	"testing"
 )
 
-// TestMergeCountersGaugesHistograms pins Merge's semantics: counters add,
-// histograms combine bucket-wise (count/sum/min/max), plain and labeled
-// gauges take the source's latest value without colliding across label sets.
-func TestMergeCountersGaugesHistograms(t *testing.T) {
-	dst := NewMetrics()
-	dst.Add("core.trials", 10)
-	dst.Observe("run_us", 1)
-	dst.Observe("run_us", 100)
-	dst.SetGauge("inflight", 2)
-	dst.SetGaugeLabels("build_info", map[string]string{"rev": "a"}, 1)
-
-	src := NewMetrics()
-	src.Add("core.trials", 5)
-	src.Inc("core.reject.perf")
-	src.Observe("run_us", 50)
-	src.Observe("predict_us", 7)
-	src.SetGauge("inflight", 9)
-	src.SetGaugeLabels("build_info", map[string]string{"rev": "b"}, 1)
-
-	dst.Merge(src)
-
-	if got := dst.Counter("core.trials"); got != 15 {
-		t.Fatalf("merged counter = %d, want 15", got)
-	}
-	if got := dst.Counter("core.reject.perf"); got != 1 {
-		t.Fatalf("new counter = %d, want 1", got)
-	}
-	snap := dst.Snapshot()
-	h := snap.Histograms["run_us"]
-	if h.Count != 3 || h.Sum != 151 || h.Min != 1 || h.Max != 100 {
-		t.Fatalf("merged histogram = %+v", h)
-	}
-	if p := snap.Histograms["predict_us"]; p.Count != 1 || p.Sum != 7 {
-		t.Fatalf("imported histogram = %+v", p)
-	}
-	if got := dst.Gauge("inflight"); got != 9 {
-		t.Fatalf("merged gauge = %v, want the source's latest 9", got)
-	}
-	// Both labeled series must survive side by side.
-	for _, rev := range []string{"a", "b"} {
-		key := fmt.Sprintf(`build_info{rev="%s"}`, rev)
-		if v, ok := snap.Gauges[key]; !ok || v != 1 {
-			t.Fatalf("labeled gauge %s = %v (present %v), want 1", key, v, ok)
-		}
-	}
-}
-
+// TestMergeIntoEmptyAndNil: MergeHistogram into an empty registry creates
+// the histogram with the value's samples, leaving the value untouched, and
+// a nil registry ignores it.
 func TestMergeIntoEmptyAndNil(t *testing.T) {
-	src := NewMetrics()
-	src.Inc("a")
-	src.Observe("h", 3)
+	var h Histogram
+	h.Observe(3)
+	h.Observe(40)
 
 	dst := NewMetrics()
-	dst.Merge(src)
-	if dst.Counter("a") != 1 || dst.Snapshot().Histograms["h"].Count != 1 {
-		t.Fatalf("merge into empty lost data: %+v", dst.Snapshot())
+	dst.MergeHistogram("h", &h)
+	got := dst.Snapshot().Histograms["h"]
+	if got.Count != 2 || got.Sum != 43 || got.Min != 3 || got.Max != 40 {
+		t.Fatalf("merge into empty = %+v", got)
+	}
+	dst.MergeHistogram("h", &h)
+	if got := dst.Snapshot().Histograms["h"]; got.Count != 4 || got.Sum != 86 {
+		t.Fatalf("merging the same value again = %+v, want it counted twice", got)
 	}
 
 	var nilM *Metrics
-	nilM.Merge(src) // no panic
-	dst.Merge(nil)  // no panic, no change
-	if dst.Counter("a") != 1 {
-		t.Fatalf("merge(nil) changed state")
-	}
+	nilM.MergeHistogram("h", &h) // no panic
 }
 
-// TestMergeUnderConcurrentWriters is the telemetry-plane satellite: repeated
-// merges race against live writers on both registries — counters, labeled
-// gauges and histograms all in flight — and the final fold must account for
-// every write exactly once. Meaningful under -race, and the counter total is
-// exact because merge-then-read happens after all writers join.
+// TestMergeUnderConcurrentWriters: search workers' recorder flushes
+// (counter adds and MergeHistogram of their tallies) race direct writers
+// and readers on one registry, as every serve job's workers do on the
+// server-wide one, and the registry accounts for every write exactly once.
+// Meaningful under -race.
 func TestMergeUnderConcurrentWriters(t *testing.T) {
 	const (
-		writers   = 4
-		perWriter = 1000
+		writers  = 4
+		flushes  = 50
+		perFlush = 20
 	)
-	agg := NewMetrics()
+	m := NewMetrics()
 	var wg sync.WaitGroup
-
-	// Writers on the aggregate registry itself, racing the merges.
 	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
+		wg.Add(2)
+		go func() { // a worker flushing its tally
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				agg.Inc("agg.trials")
-				agg.Observe("agg_us", float64(i%64))
-				agg.SetGaugeLabels("worker", map[string]string{"id": fmt.Sprint(g)}, float64(i))
+			for f := 0; f < flushes; f++ {
+				var h Histogram
+				for i := 0; i < perFlush; i++ {
+					h.Observe(float64(i))
+				}
+				m.Add("core.trials", perFlush)
+				m.MergeHistogram("core.integrate_us", &h)
+			}
+		}()
+		go func(g int) { // server-side writers and readers
+			defer wg.Done()
+			for i := 0; i < flushes*perFlush; i++ {
+				m.Inc("serve.http.requests")
+				m.Observe("serve.http.request_us", float64(i%64))
+				m.SetGaugeLabels("worker", map[string]string{"id": fmt.Sprint(g)}, float64(i))
+				if i%100 == 0 {
+					m.Snapshot()
+				}
 			}
 		}(g)
 	}
-
-	// Per-run registries, each merged into the aggregate while its writer
-	// may still be running (the serve layer merges on run completion, but
-	// Merge's contract is lock-safe at any time).
-	runs := make([]*Metrics, writers)
-	for g := 0; g < writers; g++ {
-		runs[g] = NewMetrics()
-		wg.Add(2)
-		go func(m *Metrics, g int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				m.Inc("run.trials")
-				m.Observe("run_us", float64(i%64))
-				m.SetGaugeLabels("run", map[string]string{"id": fmt.Sprint(g)}, float64(i))
-			}
-		}(runs[g], g)
-		go func(m *Metrics) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				agg.Merge(m)
-			}
-		}(runs[g])
-	}
 	wg.Wait()
 
-	// One final quiescent merge per run registry into a fresh aggregate
-	// gives the exact expected totals.
-	final := NewMetrics()
-	for _, m := range runs {
-		final.Merge(m)
+	snap := m.Snapshot()
+	const total = writers * flushes * perFlush
+	if got := snap.Counters["core.trials"]; got != total {
+		t.Fatalf("core.trials = %d, want %d", got, total)
 	}
-	if got := final.Counter("run.trials"); got != writers*perWriter {
-		t.Fatalf("final merged counter = %d, want %d", got, writers*perWriter)
+	if got := snap.Counters["serve.http.requests"]; got != total {
+		t.Fatalf("serve.http.requests = %d, want %d", got, total)
 	}
-	h := final.Snapshot().Histograms["run_us"]
-	if h.Count != writers*perWriter {
-		t.Fatalf("final merged histogram count = %d, want %d", h.Count, writers*perWriter)
-	}
-	if h.Min != 0 || h.Max != 63 {
-		t.Fatalf("final merged histogram min/max = %v/%v, want 0/63", h.Min, h.Max)
-	}
-	for g := 0; g < writers; g++ {
-		key := fmt.Sprintf(`run{id="%d"}`, g)
-		if v, ok := final.Snapshot().Gauges[key]; !ok || v != perWriter-1 {
-			t.Fatalf("labeled gauge %s = %v (present %v), want %d", key, v, ok, perWriter-1)
+	for name, max := range map[string]float64{"core.integrate_us": perFlush - 1, "serve.http.request_us": 63} {
+		if h := snap.Histograms[name]; h.Count != total || h.Min != 0 || h.Max != max {
+			t.Fatalf("%s = %+v, want %d samples over 0..%g", name, h, total, max)
 		}
 	}
-	// The racing aggregate is not exactly checkable, but its own counters
-	// must at least reflect its own writers fully.
-	if got := agg.Counter("agg.trials"); got != writers*perWriter {
-		t.Fatalf("aggregate's own counter = %d, want %d", got, writers*perWriter)
+	for g := 0; g < writers; g++ {
+		key := fmt.Sprintf(`worker{id="%d"}`, g)
+		if v, ok := snap.Gauges[key]; !ok || v != flushes*perFlush-1 {
+			t.Fatalf("labeled gauge %s = %v (present %v), want %d", key, v, ok, flushes*perFlush-1)
+		}
 	}
 }
 

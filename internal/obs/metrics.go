@@ -57,9 +57,6 @@ type gauge struct {
 	val    float64
 }
 
-// key returns the registry key (and display name) of the gauge.
-func (g *gauge) key() string { return g.name + g.labels }
-
 // SetGauge sets the named gauge to v.
 func (m *Metrics) SetGauge(name string, v float64) { m.setGauge(name, "", v, false) }
 
@@ -143,47 +140,6 @@ func renderLabels(labels map[string]string) string {
 	return b.String()
 }
 
-// Merge folds another registry into m: counters add, histograms merge
-// bucket-wise (count, sum, min, max and bucket occupancy all combine), and
-// gauges take the other registry's latest value. It lets a long-lived
-// aggregate registry (the serve package's global /metrics) absorb the
-// per-run registries jobs were executed with. Nil receivers and nil/empty
-// arguments are no-ops; other is locked only while its state is copied, so
-// concurrent updates to either registry stay safe.
-func (m *Metrics) Merge(other *Metrics) {
-	if m == nil || other == nil {
-		return
-	}
-	// Deep-copy other's state under its own lock, then apply under m's, so
-	// the two locks are never held together (no ordering deadlock).
-	other.mu.Lock()
-	counters := make(map[string]int64, len(other.counters))
-	for k, v := range other.counters {
-		counters[k] = v
-	}
-	gauges := make([]gauge, 0, len(other.gauges))
-	for _, g := range other.gauges {
-		gauges = append(gauges, *g)
-	}
-	hists := make(map[string]hist, len(other.hists))
-	for k, h := range other.hists {
-		hists[k] = *h // value copy; buckets is an array
-	}
-	other.mu.Unlock()
-
-	for k, v := range counters {
-		m.Add(k, v)
-	}
-	for _, g := range gauges {
-		m.setGauge(g.name, g.labels, g.val, false)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k, oh := range hists {
-		m.histLocked(k).merge(&oh)
-	}
-}
-
 // Observe records one sample into the named histogram. Samples are
 // unitless; by convention the pipeline uses "_us" name suffixes for
 // microsecond latencies.
@@ -206,8 +162,9 @@ type Histogram struct {
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) { h.h.observe(v) }
 
-// MergeHistogram folds h into the named histogram bucket-wise, as Merge
-// does. An empty h creates nothing.
+// MergeHistogram folds h into the named histogram bucket-wise: count,
+// sum, min, max and bucket occupancy all combine. An empty h creates
+// nothing.
 func (m *Metrics) MergeHistogram(name string, h *Histogram) {
 	if m == nil || h.h.count == 0 {
 		return

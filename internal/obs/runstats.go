@@ -1,76 +1,69 @@
 package obs
 
 import (
+	"maps"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// RunStats is the live progress aggregator of one search run: every worker
-// publishes its shard's trial counters through atomic adds on a private
-// cell, and readers (the serve /stats endpoints, the Snapshotter, `chop
-// top`) fold the cells into a consistent point-in-time snapshot on demand.
-// The hot path — one atomic add per trial — takes no locks and shares no
-// cache line with other shards' hot counters. On 2 µs trials it still
-// costs: stats alone slowed a one-worker Figure 7 slice search 1.04–1.16x
-// (2-vCPU VM, go1.24.0). The allocation side is gated by core's
-// TestTelemetryTax.
+// RunStats is the live progress aggregator of one search run. Search
+// workers publish into it when their recorders flush, after every shard
+// and every few thousand trials: a shard's trial and feasible counts, its
+// rejections per reason and its slowest trials. Readers (the serve /stats
+// endpoints, the Snapshotter, `chop top`, `-progress`) fold it into a
+// point-in-time snapshot on demand. It is plain fields under one mutex,
+// taken once per flush, per shard start and end, and per snapshot; nothing
+// is written per trial, so a live fold trails a running worker by at most
+// one flush.
 //
 // A nil *RunStats is valid and makes every method a no-op, following the
 // package convention: instrumented engines call it unconditionally.
 //
 // Lifecycle: the run owner builds one with NewRunStats and hands it to the
 // engine via core.Config.Stats; the engine calls StartSearch once the shard
-// geometry is known, ShardStats per claimed shard, and readers call
-// Snapshot at any time — before StartSearch it reports an empty shard
-// table, after the run it keeps reporting the final state.
+// geometry is known, StartShard and EndShard around each shard it runs and
+// Add at each flush, and readers call Snapshot at any time — before
+// StartSearch it reports an empty shard table, after the run it keeps
+// reporting the final state.
 type RunStats struct {
-	mu     sync.Mutex
-	shards []shardCell
-	total  int64 // planned trials across all shards (0: unknown)
-	label  string
+	label string
+	epoch time.Time // wall-clock reference for all *NS fields
 
-	startNS atomic.Int64 // search start, ns since stats epoch (0: not started)
-	epoch   time.Time    // wall-clock reference for all *NS fields
+	mu      sync.Mutex
+	startNS int64 // search start, ns since epoch (0: not started)
+	total   int64 // planned trials across all shards (0: unknown)
+	shards  []shardState
+	rejects map[string]int64 // the search's rejections per reason
+	slow    SlowTrials       // the search's slowest trials
 
-	// Checkpoint bookkeeping (fed by core's shard log).
-	ckptSaves  atomic.Int64
-	ckptShards atomic.Int64 // shards covered by the last successful save
-	ckptLastNS atomic.Int64
+	// Checkpoint bookkeeping (fed by core's shard log): successful saves,
+	// the shards the last one covered and its time.
+	ckptSaves, ckptShards, ckptLastNS int64
 
 	// cacheStats, when set, samples the predictor cache's cumulative
-	// hit/miss counters at snapshot time; the baseline taken at StartSearch
-	// turns them into per-run numbers even on a shared server-wide cache.
+	// hit/miss counters at snapshot time; the baseline taken when it is
+	// attached turns them into per-run numbers even on a shared
+	// server-wide cache.
 	cacheStats               func() (hits, misses int64)
 	cacheHits0, cacheMisses0 int64
 
 	// phases, when attached, contributes a per-phase cost breakdown to
 	// snapshots (the profiling plane's PhaseAccounter).
 	phases *PhaseAccounter
-
-	exemplars ExemplarStore
 }
 
-// shardCell is one shard's atomically-updated progress counters. Workers
-// own their claimed shard's cell exclusively for writes; readers fold all
-// cells with atomic loads.
-type shardCell struct {
-	total    atomic.Int64 // planned trials in this shard (0: unknown)
-	trials   atomic.Int64
-	feasible atomic.Int64
-	startNS  atomic.Int64 // first claim, ns since epoch (0: unclaimed)
-	endNS    atomic.Int64 // completion, ns since epoch (0: in flight)
-	resumed  atomic.Bool  // restored from a checkpoint, not executed
+// shardState is one shard's progress.
+type shardState struct {
+	total, trials, feasible int64 // total 0: unknown
+	startNS, endNS          int64 // first claim, completion; 0: not yet
+	resumed                 bool  // restored from a checkpoint, not executed
 }
 
 // NewRunStats returns an empty aggregator. label names the run in rendered
-// snapshots (the serve layer uses the run id, the CLI the spec file).
+// snapshots (the serve layer uses the run id, the CLI the subcommand).
 func NewRunStats(label string) *RunStats {
 	return &RunStats{label: label, epoch: time.Now()}
 }
-
-// ExemplarTopK selects how many slow-trial exemplars a run retains.
-const ExemplarTopK = 8
 
 // Label returns the run label given to NewRunStats ("" on nil).
 func (s *RunStats) Label() string {
@@ -96,24 +89,23 @@ func (s *RunStats) AttachPhases(pa *PhaseAccounter) {
 // nowNS returns nanoseconds since the stats epoch.
 func (s *RunStats) nowNS() int64 { return time.Since(s.epoch).Nanoseconds() }
 
-// StartSearch sizes the shard table. shards is the engine's shard count
-// (1 for a serial search), totalTrials the planned trial count across all
-// shards when the space is enumerable (0 when unknown, as for the
-// iterative heuristic whose serialization walks have no a-priori length).
-// Calling StartSearch again resets the table — a run that performs several
-// searches (the experiments) reports the one in flight.
+// StartSearch sizes the shard table and empties the search's rejections
+// and slow trials. shards is the engine's shard count (1 for a serial
+// search), totalTrials the planned trial count across all shards when the
+// space is enumerable (0 when unknown, as for the iterative heuristic
+// whose serialization walks have no a-priori length). A run that performs
+// several searches (the experiments) reports the one in flight.
 func (s *RunStats) StartSearch(shards int, totalTrials int64) {
 	if s == nil {
 		return
 	}
-	if shards < 0 {
-		shards = 0
-	}
 	s.mu.Lock()
-	s.shards = make([]shardCell, shards)
+	defer s.mu.Unlock()
+	s.shards = append(s.shards[:0], make([]shardState, max(shards, 0))...)
 	s.total = totalTrials
-	s.mu.Unlock()
-	s.startNS.Store(s.nowNS())
+	clear(s.rejects)
+	s.slow = SlowTrials{}
+	s.startNS = s.nowNS()
 }
 
 // SetCacheStatsFunc attaches a sampler for the predictor cache's cumulative
@@ -134,19 +126,95 @@ func (s *RunStats) SetCacheStatsFunc(f func() (hits, misses int64)) {
 	s.mu.Unlock()
 }
 
-// ShardStats returns shard si's cell for hot-loop publication, or nil when
-// stats are disabled or the index is out of range (both make the returned
-// cell's methods no-ops).
-func (s *RunStats) ShardStats(si int) *ShardStats {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// shard returns shard si's state, or nil when si is outside the table.
+// s.mu must be held.
+func (s *RunStats) shard(si int) *shardState {
 	if si < 0 || si >= len(s.shards) {
 		return nil
 	}
-	return &ShardStats{s: s, cell: &s.shards[si], si: si}
+	return &s.shards[si]
+}
+
+// StartShard marks shard si claimed with its planned trial count (0:
+// unknown). An index outside the table is ignored, as by every shard
+// method.
+func (s *RunStats) StartShard(si int, totalTrials int64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if sh := s.shard(si); sh != nil {
+		sh.total = totalTrials
+		sh.startNS = s.nowNS()
+	}
+	s.mu.Unlock()
+}
+
+// EndShard marks shard si complete.
+func (s *RunStats) EndShard(si int) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if sh := s.shard(si); sh != nil {
+		sh.endNS = s.nowNS()
+	}
+	s.mu.Unlock()
+}
+
+// RestoreShard marks shard si restored from a checkpoint with its final
+// counters, so resumed runs report the full picture without re-executing.
+func (s *RunStats) RestoreShard(si int, trials, feasible int64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if sh := s.shard(si); sh != nil {
+		now := s.nowNS()
+		*sh = shardState{total: trials, trials: trials, feasible: feasible,
+			startNS: now, endNS: now, resumed: true}
+	}
+	s.mu.Unlock()
+}
+
+// ShardTally is one flush of a search worker's tally: the trials it
+// examined in one shard since its previous flush. Reasons and Rejects are
+// parallel, Rejects[i] counting the trials rejected for Reasons[i]; Slow,
+// when non-nil, holds the flush's slowest trials.
+type ShardTally struct {
+	Shard            int
+	Trials, Feasible int64
+	Reasons          []string
+	Rejects          []int64
+	Slow             *SlowTrials
+}
+
+// Add folds one flush into the run. A shard index outside the table drops
+// it whole.
+func (s *RunStats) Add(t ShardTally) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sh := s.shard(t.Shard)
+	if sh == nil {
+		return
+	}
+	sh.trials += t.Trials
+	sh.feasible += t.Feasible
+	for i, n := range t.Rejects {
+		if n == 0 {
+			continue
+		}
+		if s.rejects == nil {
+			s.rejects = make(map[string]int64)
+		}
+		s.rejects[t.Reasons[i]] += n
+	}
+	if t.Slow != nil {
+		s.slow.Add(t.Slow)
+	}
 }
 
 // NoteCheckpointSave records one successful checkpoint write covering
@@ -155,65 +223,11 @@ func (s *RunStats) NoteCheckpointSave(shards int) {
 	if s == nil {
 		return
 	}
-	s.ckptSaves.Add(1)
-	s.ckptShards.Store(int64(shards))
-	s.ckptLastNS.Store(s.nowNS())
-}
-
-// ShardStats is one shard's publication handle. A nil *ShardStats is valid
-// and drops every update.
-type ShardStats struct {
-	s    *RunStats
-	cell *shardCell
-	si   int
-}
-
-// Start marks the shard claimed with its planned trial count (0 unknown).
-func (h *ShardStats) Start(totalTrials int64) {
-	if h == nil {
-		return
-	}
-	h.cell.total.Store(totalTrials)
-	h.cell.startNS.Store(h.s.nowNS())
-}
-
-// Trial books one finished trial: the shard's counters advance, and the
-// trial is offered to the run's slow-trial exemplar store (a single atomic
-// threshold load unless the trial ranks among the slowest seen).
-func (h *ShardStats) Trial(durUS float64, ii int, feasible bool, reason string) {
-	if h == nil {
-		return
-	}
-	h.cell.trials.Add(1)
-	if feasible {
-		h.cell.feasible.Add(1)
-	}
-	h.s.exemplars.Observe(Exemplar{
-		DurUS: durUS, Shard: h.si, II: ii, Feasible: feasible, Reason: reason,
-	})
-}
-
-// Done marks the shard complete.
-func (h *ShardStats) Done() {
-	if h == nil {
-		return
-	}
-	h.cell.endNS.Store(h.s.nowNS())
-}
-
-// Restored marks the shard restored from a checkpoint with its final
-// counters, so resumed runs report the full picture without re-executing.
-func (h *ShardStats) Restored(trials, feasible int64) {
-	if h == nil {
-		return
-	}
-	now := h.s.nowNS()
-	h.cell.trials.Store(trials)
-	h.cell.feasible.Store(feasible)
-	h.cell.total.Store(trials)
-	h.cell.startNS.Store(now)
-	h.cell.endNS.Store(now)
-	h.cell.resumed.Store(true)
+	s.mu.Lock()
+	s.ckptSaves++
+	s.ckptShards = int64(shards)
+	s.ckptLastNS = s.nowNS()
+	s.mu.Unlock()
 }
 
 // ShardSnapshot is the exported state of one shard.
@@ -244,6 +258,9 @@ type RunStatsSnapshot struct {
 	Trials   int64 `json:"trials"`
 	Total    int64 `json:"total,omitempty"`
 	Feasible int64 `json:"feasible"`
+	// Rejects counts the search's rejected trials by reason (the
+	// core.reject.* names without their prefix); restored shards add none.
+	Rejects map[string]int64 `json:"rejects,omitempty"`
 	// TrialsPerSec is the aggregate throughput since StartSearch.
 	TrialsPerSec float64 `json:"trialsPerSec,omitempty"`
 	// ETASec estimates seconds to completion from the aggregate rate
@@ -253,7 +270,8 @@ type RunStatsSnapshot struct {
 	ShardsDone int `json:"shardsDone"`
 	Shards     int `json:"shards"`
 	// CacheHits/CacheMisses/CacheHitRate are the predictor cache's counters
-	// for this run (since StartSearch), when a cache is attached.
+	// for this run (since the sampler was attached), when a cache is
+	// attached.
 	CacheHits    int64   `json:"cacheHits,omitempty"`
 	CacheMisses  int64   `json:"cacheMisses,omitempty"`
 	CacheHitRate float64 `json:"cacheHitRate,omitempty"`
@@ -265,7 +283,7 @@ type RunStatsSnapshot struct {
 	CheckpointAgeSec float64 `json:"checkpointAgeSec,omitempty"`
 	// ShardTable is the per-shard breakdown, index order.
 	ShardTable []ShardSnapshot `json:"shardTable,omitempty"`
-	// SlowTrials are the slowest trials observed, slowest first.
+	// SlowTrials are the search's slowest trials, slowest first.
 	SlowTrials []Exemplar `json:"slowTrials,omitempty"`
 	// Phases is the per-phase cost breakdown when a PhaseAccounter is
 	// attached to the run.
@@ -277,23 +295,19 @@ func (s RunStatsSnapshot) Done() bool {
 	return s.Started && s.Shards > 0 && s.ShardsDone == s.Shards
 }
 
-// Snapshot folds the shard cells into a consistent view. Safe to call at
-// any time, including concurrently with hot-loop updates; counters are read
-// with atomic loads, so a snapshot mid-trial is merely one trial stale.
+// Snapshot folds the run's state into a consistent view. Safe to call at
+// any time, including while workers flush.
 func (s *RunStats) Snapshot() RunStatsSnapshot {
 	if s == nil {
 		return RunStatsSnapshot{}
 	}
 	s.mu.Lock()
-	cells := s.shards
-	total := s.total
-	label := s.label
+	out := s.foldLocked()
 	sampleCache := s.cacheStats
 	hits0, misses0 := s.cacheHits0, s.cacheMisses0
 	phases := s.phases
 	s.mu.Unlock()
 
-	out := RunStatsSnapshot{Label: label, Total: total, Shards: len(cells)}
 	out.Phases = phases.Snapshot()
 	// Cache counters are sampled even before StartSearch: predictions — the
 	// cache's busiest phase — precede the search.
@@ -305,42 +319,40 @@ func (s *RunStats) Snapshot() RunStatsSnapshot {
 			out.CacheHitRate = float64(out.CacheHits) / float64(lookups)
 		}
 	}
-	startNS := s.startNS.Load()
-	if startNS == 0 && len(cells) == 0 {
+	return out
+}
+
+// foldLocked builds the search part of a snapshot. s.mu must be held.
+func (s *RunStats) foldLocked() RunStatsSnapshot {
+	out := RunStatsSnapshot{Label: s.label, Total: s.total, Shards: len(s.shards)}
+	if s.startNS == 0 && len(s.shards) == 0 {
 		return out
 	}
 	out.Started = true
 	now := s.nowNS()
-	elapsed := float64(now-startNS) / 1e9
+	elapsed := float64(now-s.startNS) / 1e9
 	if elapsed > 0 {
 		out.ElapsedSec = elapsed
 	}
-	out.ShardTable = make([]ShardSnapshot, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		sh := ShardSnapshot{
-			Index:    i,
-			Trials:   c.trials.Load(),
-			Total:    c.total.Load(),
-			Feasible: c.feasible.Load(),
-		}
-		st, en := c.startNS.Load(), c.endNS.Load()
+	out.ShardTable = make([]ShardSnapshot, len(s.shards))
+	for i, c := range s.shards {
+		sh := ShardSnapshot{Index: i, Trials: c.trials, Total: c.total, Feasible: c.feasible}
 		switch {
-		case c.resumed.Load():
+		case c.resumed:
 			sh.State = "resumed"
-		case en != 0:
+		case c.endNS != 0:
 			sh.State = "done"
-		case st != 0:
+		case c.startNS != 0:
 			sh.State = "running"
 		default:
 			sh.State = "pending"
 		}
-		if st != 0 {
-			window := en
+		if c.startNS != 0 && !c.resumed {
+			window := c.endNS
 			if window == 0 {
 				window = now
 			}
-			if secs := float64(window-st) / 1e9; secs > 0 && sh.Trials > 0 && sh.State != "resumed" {
+			if secs := float64(window-c.startNS) / 1e9; secs > 0 && sh.Trials > 0 {
 				sh.TrialsPerSec = float64(sh.Trials) / secs
 				if sh.State == "running" && sh.Total > sh.Trials {
 					sh.ETASec = float64(sh.Total-sh.Trials) / sh.TrialsPerSec
@@ -354,19 +366,22 @@ func (s *RunStats) Snapshot() RunStatsSnapshot {
 		out.Feasible += sh.Feasible
 		out.ShardTable[i] = sh
 	}
+	if len(s.rejects) > 0 {
+		out.Rejects = maps.Clone(s.rejects)
+	}
 	if elapsed > 0 && out.Trials > 0 {
 		out.TrialsPerSec = float64(out.Trials) / elapsed
-		if total > out.Trials {
-			out.ETASec = float64(total-out.Trials) / out.TrialsPerSec
+		if s.total > out.Trials {
+			out.ETASec = float64(s.total-out.Trials) / out.TrialsPerSec
 		}
 	}
-	if saves := s.ckptSaves.Load(); saves > 0 {
-		out.CheckpointSaves = saves
-		if lag := int64(out.ShardsDone) - s.ckptShards.Load(); lag > 0 {
+	if s.ckptSaves > 0 {
+		out.CheckpointSaves = s.ckptSaves
+		if lag := int64(out.ShardsDone) - s.ckptShards; lag > 0 {
 			out.CheckpointLag = lag
 		}
-		out.CheckpointAgeSec = float64(now-s.ckptLastNS.Load()) / 1e9
+		out.CheckpointAgeSec = float64(now-s.ckptLastNS) / 1e9
 	}
-	out.SlowTrials = s.exemplars.Top()
+	out.SlowTrials = s.slow.Trials()
 	return out
 }

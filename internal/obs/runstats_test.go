@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -10,15 +11,11 @@ func TestNilRunStatsIsNoOp(t *testing.T) {
 	s.StartSearch(4, 100)
 	s.SetCacheStatsFunc(func() (int64, int64) { return 1, 1 })
 	s.NoteCheckpointSave(2)
-	h := s.ShardStats(0)
-	if h != nil {
-		t.Fatalf("nil RunStats returned a shard handle")
-	}
-	h.Start(10)
-	addTrials(h, 1, 1)
-	h.Trial(5, 1, true, "")
-	h.Done()
-	h.Restored(1, 1)
+	s.AttachPhases(NewPhaseAccounter())
+	s.StartShard(0, 10)
+	addTrials(s, 0, 1, 1)
+	s.EndShard(0)
+	s.RestoreShard(1, 1, 1)
 	snap := s.Snapshot()
 	if snap.Started || snap.Trials != 0 {
 		t.Fatalf("nil RunStats snapshot not empty: %+v", snap)
@@ -45,20 +42,25 @@ func TestRunStatsLifecycle(t *testing.T) {
 		}
 	}
 
-	h0 := s.ShardStats(0)
-	h0.Start(10)
+	// Shard 0 flushes ten trials, every other one rejected on perf.
+	s.StartShard(0, 10)
+	var slow SlowTrials
 	for i := 0; i < 10; i++ {
-		h0.Trial(float64(i), i, i%2 == 0, "perf")
+		slow.Observe(Exemplar{DurUS: float64(i), II: i, Feasible: i%2 == 0})
 	}
-	h0.Done()
+	s.Add(ShardTally{Shard: 0, Trials: 10, Feasible: 5,
+		Reasons: []string{"ok", "perf", "area"}, Rejects: []int64{0, 5, 0}, Slow: &slow})
+	s.EndShard(0)
 
-	h1 := s.ShardStats(1)
-	h1.Start(10)
-	addTrials(h1, 4, 1)
+	s.StartShard(1, 10)
+	addTrials(s, 1, 4, 1)
 
 	snap = s.Snapshot()
 	if snap.Trials != 14 || snap.Feasible != 6 {
 		t.Fatalf("aggregate = %d/%d feasible, want 14/6: %+v", snap.Trials, snap.Feasible, snap)
+	}
+	if want := map[string]int64{"perf": 5}; !reflect.DeepEqual(snap.Rejects, want) {
+		t.Fatalf("rejects = %v, want %v (zero counts create no entry)", snap.Rejects, want)
 	}
 	if snap.ShardsDone != 1 {
 		t.Fatalf("shardsDone = %d, want 1", snap.ShardsDone)
@@ -71,10 +73,10 @@ func TestRunStatsLifecycle(t *testing.T) {
 		t.Fatal("Done with a running shard")
 	}
 
-	addTrials(h1, 6, 0)
-	h1.Done()
-	s.ShardStats(2).Start(10)
-	s.ShardStats(2).Done()
+	addTrials(s, 1, 6, 0)
+	s.EndShard(1)
+	s.StartShard(2, 10)
+	s.EndShard(2)
 	snap = s.Snapshot()
 	if !snap.Done() {
 		t.Fatalf("not Done after all shards completed: %+v", snap)
@@ -88,21 +90,35 @@ func TestRunStatsLifecycle(t *testing.T) {
 	}
 }
 
+// TestRunStatsShardOutOfRange: every shard method ignores an index outside
+// the table, and a flush for one is dropped whole.
 func TestRunStatsShardOutOfRange(t *testing.T) {
 	s := NewRunStats("x")
 	s.StartSearch(2, 0)
-	if h := s.ShardStats(-1); h != nil {
-		t.Fatal("negative index returned a handle")
+	var slow SlowTrials
+	slow.Observe(Exemplar{DurUS: 1})
+	for _, si := range []int{-1, 2} {
+		s.StartShard(si, 5)
+		s.Add(ShardTally{Shard: si, Trials: 5, Feasible: 1,
+			Reasons: []string{"area"}, Rejects: []int64{4}, Slow: &slow})
+		s.EndShard(si)
+		s.RestoreShard(si, 5, 1)
 	}
-	if h := s.ShardStats(2); h != nil {
-		t.Fatal("out-of-range index returned a handle")
+	snap := s.Snapshot()
+	if snap.Trials != 0 || snap.ShardsDone != 0 || snap.Rejects != nil || snap.SlowTrials != nil {
+		t.Fatalf("out-of-range shards reached the fold: %+v", snap)
+	}
+	for _, sh := range snap.ShardTable {
+		if sh.State != "pending" {
+			t.Fatalf("shard %d state = %q, want pending", sh.Index, sh.State)
+		}
 	}
 }
 
 func TestRunStatsRestored(t *testing.T) {
 	s := NewRunStats("x")
 	s.StartSearch(2, 20)
-	s.ShardStats(0).Restored(10, 4)
+	s.RestoreShard(0, 10, 4)
 	snap := s.Snapshot()
 	sh := snap.ShardTable[0]
 	if sh.State != "resumed" || sh.Trials != 10 || sh.Feasible != 4 {
@@ -137,9 +153,8 @@ func TestRunStatsCheckpointLag(t *testing.T) {
 	s := NewRunStats("x")
 	s.StartSearch(4, 0)
 	for si := 0; si < 3; si++ {
-		h := s.ShardStats(si)
-		h.Start(0)
-		h.Done()
+		s.StartShard(si, 0)
+		s.EndShard(si)
 	}
 	s.NoteCheckpointSave(2) // last save covered 2 of the 3 completed shards
 	snap := s.Snapshot()
@@ -149,15 +164,35 @@ func TestRunStatsCheckpointLag(t *testing.T) {
 }
 
 // TestRunStatsStartSearchResets: a run performing several searches (the
-// experiments) reports only the one in flight.
+// experiments) reports only the one in flight: a second StartSearch
+// empties the shard table, the rejections and the slow trials, so no slow
+// trial names a shard of the earlier search.
 func TestRunStatsStartSearchResets(t *testing.T) {
 	s := NewRunStats("x")
-	s.StartSearch(2, 10)
-	addTrials(s.ShardStats(0), 5, 2)
+	flush := func(shards, si int, dur float64, reason string) {
+		s.StartSearch(shards, 10)
+		s.StartShard(si, 5)
+		var slow SlowTrials
+		slow.Observe(Exemplar{DurUS: dur, Shard: si, Reason: reason})
+		s.Add(ShardTally{Shard: si, Trials: 5, Feasible: 2,
+			Reasons: []string{reason}, Rejects: []int64{3}, Slow: &slow})
+	}
+	flush(4, 3, 900, "area")
+	if snap := s.Snapshot(); snap.Trials != 5 || snap.Rejects["area"] != 3 || len(snap.SlowTrials) != 1 {
+		t.Fatalf("first search = %+v", snap)
+	}
+
 	s.StartSearch(3, 9)
 	snap := s.Snapshot()
-	if snap.Trials != 0 || snap.Shards != 3 || snap.Total != 9 {
+	if snap.Trials != 0 || snap.Shards != 3 || snap.Total != 9 || snap.Rejects != nil || snap.SlowTrials != nil {
 		t.Fatalf("reset snapshot = %+v", snap)
+	}
+
+	flush(2, 1, 10, "pins")
+	snap = s.Snapshot()
+	want := []Exemplar{{DurUS: 10, Shard: 1, Reason: "pins"}}
+	if !reflect.DeepEqual(snap.SlowTrials, want) || !reflect.DeepEqual(snap.Rejects, map[string]int64{"pins": 3}) {
+		t.Fatalf("second search: slow trials %+v, rejects %v; want only its own", snap.SlowTrials, snap.Rejects)
 	}
 }
 
@@ -168,9 +203,8 @@ func TestRunStatsZeroTrialShards(t *testing.T) {
 	s := NewRunStats("x")
 	s.StartSearch(3, 0)
 	for si := 0; si < 3; si++ {
-		h := s.ShardStats(si)
-		h.Start(0)
-		h.Done()
+		s.StartShard(si, 0)
+		s.EndShard(si)
 	}
 	snap := s.Snapshot()
 	if !snap.Done() {
@@ -192,10 +226,9 @@ func TestRunStatsZeroTrialShards(t *testing.T) {
 func TestRunStatsResumedShardETA(t *testing.T) {
 	s := NewRunStats("x")
 	s.StartSearch(2, 20)
-	s.ShardStats(0).Restored(10, 4)
-	h1 := s.ShardStats(1)
-	h1.Start(10)
-	addTrials(h1, 5, 1)
+	s.RestoreShard(0, 10, 4)
+	s.StartShard(1, 10)
+	addTrials(s, 1, 5, 1)
 
 	snap := s.Snapshot()
 	resumed := snap.ShardTable[0]
@@ -222,26 +255,30 @@ func TestRunStatsResumedShardETA(t *testing.T) {
 	}
 }
 
-// TestRunStatsConcurrentExemplars races many shards inserting slow-trial
-// exemplars against snapshot readers (meaningful under -race) and checks
-// the store keeps the global top-K, slowest first.
+// TestRunStatsConcurrentExemplars races many workers flushing their slow
+// trials against snapshot readers (meaningful under -race) and checks the
+// run keeps the global top-K, slowest first.
 func TestRunStatsConcurrentExemplars(t *testing.T) {
 	s := NewRunStats("race")
-	const shards, perShard = 8, 400
+	const shards, perShard, perFlush = 8, 400, 64
 	s.StartSearch(shards, shards*perShard)
 	var wg sync.WaitGroup
 	for si := 0; si < shards; si++ {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			h := s.ShardStats(si)
-			h.Start(perShard)
-			for i := 0; i < perShard; i++ {
-				// Unique durations per (shard, i) so the expected top-K is
-				// exactly the highest values overall.
-				h.Trial(float64(si*perShard+i), i, false, "pins")
+			s.StartShard(si, perShard)
+			for lo := 0; lo < perShard; lo += perFlush {
+				hi := min(lo+perFlush, perShard)
+				var slow SlowTrials
+				for i := lo; i < hi; i++ {
+					// Unique durations per (shard, i) so the expected top-K
+					// is exactly the highest values overall.
+					slow.Observe(Exemplar{DurUS: float64(si*perShard + i), Shard: si, II: i, Reason: "pins"})
+				}
+				s.Add(ShardTally{Shard: si, Trials: int64(hi - lo), Slow: &slow})
 			}
-			h.Done()
+			s.EndShard(si)
 		}(si)
 	}
 	done := make(chan struct{})
@@ -260,29 +297,31 @@ func TestRunStatsConcurrentExemplars(t *testing.T) {
 	}
 	max := float64(shards*perShard - 1)
 	for i, e := range top {
-		if e.DurUS != max-float64(i) {
-			t.Fatalf("slowTrials[%d] = %v µs, want %v", i, e.DurUS, max-float64(i))
+		if e.DurUS != max-float64(i) || e.Shard != shards-1 {
+			t.Fatalf("slowTrials[%d] = %+v, want %v µs in shard %d", i, e, max-float64(i), shards-1)
 		}
 	}
 }
 
-// TestRunStatsConcurrentPublish hammers the publication and snapshot paths
-// together (meaningful under -race).
+// TestRunStatsConcurrentPublish hammers the flush and snapshot paths
+// together (meaningful under -race): every flushed trial and rejection is
+// counted once.
 func TestRunStatsConcurrentPublish(t *testing.T) {
 	s := NewRunStats("race")
-	const shards, perShard = 8, 500
-	s.StartSearch(shards, shards*perShard)
+	const shards, flushes, perFlush = 8, 50, 10
+	s.StartSearch(shards, shards*flushes*perFlush)
+	reasons := []string{"delay", "area"}
 	var wg sync.WaitGroup
 	for si := 0; si < shards; si++ {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			h := s.ShardStats(si)
-			h.Start(perShard)
-			for i := 0; i < perShard; i++ {
-				h.Trial(float64(i%17), i, i%3 == 0, "delay")
+			s.StartShard(si, flushes*perFlush)
+			for f := 0; f < flushes; f++ {
+				s.Add(ShardTally{Shard: si, Trials: perFlush, Feasible: 3,
+					Reasons: reasons, Rejects: []int64{5, 2}})
 			}
-			h.Done()
+			s.EndShard(si)
 		}(si)
 	}
 	done := make(chan struct{})
@@ -295,18 +334,21 @@ func TestRunStatsConcurrentPublish(t *testing.T) {
 	wg.Wait()
 	<-done
 	snap := s.Snapshot()
-	if snap.Trials != shards*perShard {
-		t.Fatalf("trials = %d, want %d", snap.Trials, shards*perShard)
+	if snap.Trials != shards*flushes*perFlush || snap.Feasible != shards*flushes*3 {
+		t.Fatalf("trials/feasible = %d/%d, want %d/%d", snap.Trials, snap.Feasible,
+			shards*flushes*perFlush, shards*flushes*3)
+	}
+	want := map[string]int64{"delay": shards * flushes * 5, "area": shards * flushes * 2}
+	if !reflect.DeepEqual(snap.Rejects, want) {
+		t.Fatalf("rejects = %v, want %v", snap.Rejects, want)
 	}
 	if !snap.Done() {
 		t.Fatalf("not done: %+v", snap)
 	}
 }
 
-// addTrials books n zero-duration trials on h, the first f of them
-// feasible. Zero-duration trials never rank as slow-trial exemplars.
-func addTrials(h *ShardStats, n, f int) {
-	for i := 0; i < n; i++ {
-		h.Trial(0, 0, i < f, "")
-	}
+// addTrials flushes n trials of shard si, the first f of them feasible,
+// with no rejections or slow trials.
+func addTrials(s *RunStats, si, n, f int) {
+	s.Add(ShardTally{Shard: si, Trials: int64(n), Feasible: int64(f)})
 }

@@ -77,7 +77,7 @@ func TestSnapshotterJSONLAndRunStats(t *testing.T) {
 	s.Tick()
 
 	rs.StartSearch(1, 10)
-	addTrials(rs.ShardStats(0), 3, 1)
+	addTrials(rs, 0, 3, 1)
 	s.Tick()
 
 	sc := bufio.NewScanner(&buf)

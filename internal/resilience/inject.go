@@ -195,9 +195,23 @@ func MustParse(spec string) *Injector {
 }
 
 // FromEnv parses the EnvFaultInject environment variable. Unset or empty
-// yields a nil (inert) Injector.
+// yields a nil (inert) Injector; a parse error names the variable.
 func FromEnv() (*Injector, error) {
-	return Parse(os.Getenv(EnvFaultInject))
+	inj, err := Parse(os.Getenv(EnvFaultInject))
+	if err != nil {
+		return nil, fmt.Errorf("$%s: %w", EnvFaultInject, err)
+	}
+	return inj, nil
+}
+
+// FromFlagOrEnv is the commands' one fault-injection rule: a non-blank
+// -inject flag wins, and a blank one falls back to EnvFaultInject, so
+// chaos runs can inject without touching invocations.
+func FromFlagOrEnv(flag string) (*Injector, error) {
+	if strings.TrimSpace(flag) != "" {
+		return Parse(flag)
+	}
+	return FromEnv()
 }
 
 // String renders the active sites for logs ("" for a nil injector).

@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -141,5 +142,31 @@ func TestInjectorString(t *testing.T) {
 	inj := MustParse("b=panic:@1,a=error:0.1")
 	if got := inj.String(); got != "a=error,b=panic" {
 		t.Errorf("String() = %q", got)
+	}
+}
+
+// TestFromFlagOrEnv pins the commands' one fault-injection rule: a
+// non-blank flag wins over the environment variable, a blank or
+// whitespace-only flag falls back to it, and a malformed variable fails
+// with its name in the error.
+func TestFromFlagOrEnv(t *testing.T) {
+	t.Setenv(EnvFaultInject, "bad.predict=panic:@1")
+	inj, err := FromFlagOrEnv("core.trial=error:@2")
+	if err != nil || inj.String() != "core.trial=error" {
+		t.Fatalf("flag: %q, %v; want the flag's core.trial rule", inj.String(), err)
+	}
+	for _, blank := range []string{"", " \t "} {
+		inj, err := FromFlagOrEnv(blank)
+		if err != nil || inj.String() != "bad.predict=panic" {
+			t.Fatalf("flag %q: %q, %v; want the variable's bad.predict rule", blank, inj.String(), err)
+		}
+	}
+
+	t.Setenv(EnvFaultInject, "core.trial=explode:@1")
+	if _, err := FromFlagOrEnv(" "); err == nil || !strings.HasPrefix(err.Error(), "$"+EnvFaultInject+": ") {
+		t.Fatalf("malformed variable: error %v, want it prefixed with $%s", err, EnvFaultInject)
+	}
+	if _, err := FromFlagOrEnv("core.trial=explode:@1"); err == nil || strings.Contains(err.Error(), EnvFaultInject) {
+		t.Fatalf("malformed flag: error %v, want one that does not blame the variable", err)
 	}
 }

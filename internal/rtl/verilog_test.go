@@ -1,9 +1,13 @@
 package rtl
 
 import (
+	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"chop/internal/bad"
 	"chop/internal/dfg"
 )
 
@@ -43,6 +47,76 @@ func TestVerilogEmission(t *testing.T) {
 	if strings.Count(v, "begin") != strings.Count(v, " end")+strings.Count(v, "\n  end") {
 		t.Logf("begin/end counting is heuristic; visual check:\n%s", v[:400])
 	}
+}
+
+// TestVerilogOutputsLatchLoadSource: in every control step, an output
+// port takes the same source as its producer's register load (the FU
+// result, the input port or the memory expression), never the register,
+// which in the step's non-blocking block still holds its previous value.
+// Checked on every design bound for each partition of the AR filter at 1-3
+// partitions; at 2x area the frontiers include pipelined designs.
+func TestVerilogOutputsLatchLoadSource(t *testing.T) {
+	g := dfg.ARLatticeFilter(16)
+	outputs, pipelined := 0, 0
+	for parts := 1; parts <= 3; parts++ {
+		for pi, set := range dfg.LevelPartitions(g, parts) {
+			sub, _ := g.PartitionGraph(fmt.Sprintf("%s/P%d", g.Name, pi+1), set)
+			designs, cfg := exp2Designs(t, sub, 2)
+			for _, d := range designs {
+				n, err := Bind(sub, d, cfg.Lib, OpCyclesFor(d, true, cfg.Clocks.DatapathNS()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Style == bad.Pipelined {
+					pipelined++
+				}
+				steps := controlSteps(n.Verilog(sub))
+				for _, step := range n.Control {
+					acts := steps[step.Cycle]
+					for r, id := range step.Load {
+						for _, su := range sub.Succs(id) {
+							if sub.Nodes[su].Op != dfg.OpOutput {
+								continue
+							}
+							out := sanitize(sub.Nodes[su].Name)
+							if acts[out] == "" || acts[out] != acts[r] {
+								t.Fatalf("%s %s ii=%d step %d: %s <= %q, its producer's load %s <= %q",
+									sub.Name, d.Style, d.II, step.Cycle, out, acts[out], r, acts[r])
+							}
+							outputs++
+						}
+					}
+				}
+			}
+		}
+	}
+	if outputs == 0 || pipelined == 0 {
+		t.Fatalf("checked %d output latches over %d pipelined designs, want both > 0", outputs, pipelined)
+	}
+}
+
+// verilogComment matches the block comments a control step may carry.
+var verilogComment = regexp.MustCompile(`/\*.*?\*/`)
+
+// controlSteps parses the control table of emitted Verilog: each step's
+// assignments, target to source.
+func controlSteps(v string) map[int]map[string]string {
+	steps := map[int]map[string]string{}
+	for _, line := range strings.Split(v, "\n") {
+		head, body, ok := strings.Cut(strings.TrimSpace(line), ": begin ")
+		cycle, err := strconv.Atoi(head)
+		if !ok || err != nil {
+			continue
+		}
+		acts := map[string]string{}
+		for _, a := range strings.Split(verilogComment.ReplaceAllString(strings.TrimSuffix(body, " end"), ""), ";") {
+			if lhs, rhs, ok := strings.Cut(a, "<="); ok {
+				acts[strings.TrimSpace(lhs)] = strings.TrimSpace(rhs)
+			}
+		}
+		steps[cycle] = acts
+	}
+	return steps
 }
 
 func TestVerilogSanitize(t *testing.T) {

@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"time"
 
-	"chop/internal/bad"
 	"chop/internal/core"
 	"chop/internal/cosim"
 	"chop/internal/experiments"
+	"chop/internal/obs"
 	"chop/internal/spec"
 )
 
@@ -66,15 +66,16 @@ type EvalResult struct {
 }
 
 func evalJob(ctx context.Context, raw json.RawMessage, jc JobContext) (any, error) {
-	res, _, prob, err := runSpec(ctx, raw, jc)
+	_, _, summary, err := runSpec(ctx, raw, jc)
 	if err != nil {
 		return nil, err
 	}
-	return summarize(res, prob, jc), nil
+	return summary, nil
 }
 
-// runSpec parses and runs a spec with the job's observability attached.
-func runSpec(ctx context.Context, raw json.RawMessage, jc JobContext) (core.SearchResult, []bad.Result, *spec.Problem, error) {
+// runSpec parses and runs a spec with the job's observability attached,
+// and summarizes the result.
+func runSpec(ctx context.Context, raw json.RawMessage, jc JobContext) (core.SearchResult, *spec.Problem, *EvalResult, error) {
 	prob, err := spec.Parse(raw)
 	if err != nil {
 		return core.SearchResult{}, nil, nil, err
@@ -86,8 +87,12 @@ func runSpec(ctx context.Context, raw json.RawMessage, jc JobContext) (core.Sear
 		prob.Config.CheckpointPath = jc.Checkpoint
 		prob.Config.Resume = true
 	}
-	res, preds, err := core.Run(prob.Partitioning, prob.Config, prob.Heuristic)
-	return res, preds, prob, err
+	t0 := time.Now()
+	res, _, err := core.Run(prob.Partitioning, prob.Config, prob.Heuristic)
+	if err != nil {
+		return res, prob, nil, err
+	}
+	return res, prob, summarize(res, prob, jc.Stats, time.Since(t0)), nil
 }
 
 // wire points cfg at the job's context, observability planes and fault
@@ -105,10 +110,10 @@ func (jc JobContext) wire(ctx context.Context, cfg *core.Config) {
 	}
 }
 
-// summarize reduces a search result to the API form, lifting the
-// rejection-reason counters the run recorded on its private registry into
-// the result so clients see why trials died without scraping /metrics.
-func summarize(res core.SearchResult, prob *spec.Problem, jc JobContext) *EvalResult {
+// summarize reduces a search result to the API form, lifting the run's
+// rejections per reason from its run stats into the result so clients see
+// why trials died without scraping /metrics.
+func summarize(res core.SearchResult, prob *spec.Problem, stats *obs.RunStats, elapsed time.Duration) *EvalResult {
 	out := &EvalResult{
 		Graph:          prob.Partitioning.Graph.Name,
 		Partitions:     prob.Partitioning.NumParts(),
@@ -117,6 +122,8 @@ func summarize(res core.SearchResult, prob *spec.Problem, jc JobContext) *EvalRe
 		Trials:         res.Trials,
 		FeasibleTrials: res.FeasibleTrials,
 		Feasible:       len(res.Best) > 0,
+		Rejects:        stats.Snapshot().Rejects,
+		ElapsedMS:      float64(elapsed.Nanoseconds()) / 1e6,
 	}
 	for _, b := range res.Best {
 		out.Best = append(out.Best, DesignSummary{
@@ -126,18 +133,6 @@ func summarize(res core.SearchResult, prob *spec.Problem, jc JobContext) *EvalRe
 			PerfNS:    b.PerfNS.ML,
 			DelayNS:   b.DelayNS.ML,
 		})
-	}
-	snap := jc.Metrics.Snapshot()
-	for k, v := range snap.Counters {
-		if name, ok := strings.CutPrefix(k, "core.reject."); ok {
-			if out.Rejects == nil {
-				out.Rejects = make(map[string]int64)
-			}
-			out.Rejects[name] = v
-		}
-	}
-	if h, ok := snap.Histograms["core.run_us"]; ok {
-		out.ElapsedMS = h.Sum / 1e3
 	}
 	return out
 }
@@ -151,11 +146,10 @@ type SynthResult struct {
 }
 
 func synthJob(ctx context.Context, raw json.RawMessage, jc JobContext) (any, error) {
-	res, _, prob, err := runSpec(ctx, raw, jc)
+	res, prob, summary, err := runSpec(ctx, raw, jc)
 	if err != nil {
 		return nil, err
 	}
-	summary := summarize(res, prob, jc)
 	syn, err := cosim.Synthesize(prob.Partitioning, prob.Config, res.Best)
 	if err != nil {
 		return nil, err

@@ -52,19 +52,18 @@ func (s State) Terminal() bool {
 }
 
 // JobContext carries the per-run observability plumbing into a job: a
-// tracer feeding the run's replay ring (and any live SSE subscribers), a
-// private metrics registry merged into the server-wide one at completion,
-// a logger pre-tagged with the run id, and the server-wide prediction
-// cache shared by every run (content-keyed, so reuse across differing
-// specs is safe).
+// tracer feeding the run's replay ring (and any live SSE subscribers), the
+// server-wide metrics registry every job writes into, a logger pre-tagged
+// with the run id, and the server-wide prediction cache shared by every
+// run (content-keyed, so reuse across differing specs is safe).
 type JobContext struct {
 	Tracer  *obs.Tracer
 	Metrics *obs.Metrics
 	Log     *slog.Logger
 	Cache   *bad.PredictCache
-	// Stats is the run's live search-progress aggregator: jobs wire it into
-	// core.Config so the /stats endpoints and SSE stats stream can report
-	// per-shard throughput while the run executes.
+	// Stats is the run's own search record: jobs wire it into core.Config
+	// so /stats reports per-shard progress while the run executes, and an
+	// eval run's result takes its rejections per reason from it.
 	Stats *obs.RunStats
 	// Phases is the run's phase-cost accounter: jobs wire it into
 	// core.Config so the /stats endpoints can break the run's trial time
@@ -799,7 +798,6 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 	log.Info("run started")
 	r.metrics.AddGauge("serve.runs_in_flight", 1)
 
-	perRun := obs.NewMetrics()
 	// The job body runs under the panic guard: a panicking pipeline (or an
 	// injected "serve.job" panic) fails this run with a structured error
 	// and a captured stack instead of taking down the server, and the
@@ -810,8 +808,8 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 	var result any
 	var err error
 	// Only a panic this guard recovers counts here: a search panic that
-	// core already recovered (and counted into perRun) comes back as a
-	// plain error and must not count twice.
+	// core already recovered (and counted) comes back as a plain error and
+	// must not count twice.
 	countPanic := func() { r.metrics.Inc("resilience.panic_recovered") }
 	obs.DoLabeled(ctx, func(ctx context.Context) {
 		err = resilience.GuardNotify("serve.job", func() error {
@@ -833,7 +831,7 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 					Run:     run.id,
 					Context: run.trace,
 				}),
-				Metrics:    perRun,
+				Metrics:    r.metrics,
 				Log:        log,
 				Cache:      r.cache,
 				Stats:      run.stats,
@@ -845,7 +843,6 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 		}, countPanic)
 	}, "run", run.id, "kind", run.kind, "trace", run.trace.TraceID)
 
-	r.metrics.Merge(perRun)
 	r.metrics.AddGauge("serve.runs_in_flight", -1)
 
 	// A run only counts as timed out when the expired deadline actually

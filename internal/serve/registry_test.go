@@ -255,11 +255,14 @@ func TestRegistryRunLifecycleMetadata(t *testing.T) {
 	}
 }
 
-// TestRegistryMergesRunMetrics checks a run's private pipeline counters
-// land in the server-wide registry once the run completes.
+// TestRegistryMergesRunMetrics checks a run's pipeline counters land in
+// the server-wide registry: jobs write straight into it, with no per-run
+// registry in between.
 func TestRegistryMergesRunMetrics(t *testing.T) {
+	var jobMetrics *obs.Metrics
 	jobs := map[string]Job{
 		"count": {Run: func(_ context.Context, _ json.RawMessage, jc JobContext) (any, error) {
+			jobMetrics = jc.Metrics
 			jc.Metrics.Add("core.trials", 7)
 			jc.Metrics.Observe("core.integrate_us", 3)
 			return nil, nil
@@ -269,6 +272,9 @@ func TestRegistryMergesRunMetrics(t *testing.T) {
 	defer r.Shutdown(context.Background())
 	run, _ := r.Submit("count", nil)
 	waitState(t, run, StateDone)
+	if jobMetrics != r.Metrics() {
+		t.Error("the job was not handed the server-wide registry")
+	}
 	if got := r.Metrics().Counter("core.trials"); got != 7 {
 		t.Errorf("merged core.trials = %d", got)
 	}

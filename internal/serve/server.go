@@ -33,7 +33,7 @@ type Options struct {
 	// (default: discard).
 	Log *slog.Logger
 	// Metrics is the server-wide registry exposed on /metrics; nil
-	// creates one. Pipeline metrics from finished runs merge into it.
+	// creates one. Running jobs write their pipeline metrics into it.
 	Metrics *obs.Metrics
 	// Jobs overrides the run-kind table (default DefaultJobs()); tests
 	// inject synthetic jobs here.
@@ -130,7 +130,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 //	DELETE /api/v1/runs/{id}              cancel a run
 //	GET    /api/v1/runs/{id}/events       live trace stream (SSE)
 //	GET    /api/v1/runs/{id}/stats        live search stats: aggregate + shard table
-//	GET    /api/v1/runs/{id}/stats/stream sampled stats stream (SSE)
 //	GET    /api/v1/stats                  server-wide telemetry snapshot
 //	GET    /metrics                       Prometheus text exposition
 //	GET    /healthz                       liveness
@@ -153,7 +152,6 @@ func (s *Server) Handler() http.Handler {
 	route("DELETE /api/v1/runs/{id}", "cancel_run", s.handleCancel)
 	stream("GET /api/v1/runs/{id}/events", "events", s.handleEvents)
 	route("GET /api/v1/runs/{id}/stats", "run_stats", s.handleRunStats)
-	stream("GET /api/v1/runs/{id}/stats/stream", "stats_stream", s.handleStatsStream)
 	route("GET /api/v1/stats", "stats", s.handleStats)
 	route("GET /metrics", "metrics", s.handleMetrics)
 	route("GET /healthz", "healthz", s.handleHealthz)

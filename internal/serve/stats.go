@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -10,10 +9,9 @@ import (
 )
 
 // This file is the HTTP surface of the run telemetry plane: the per-run
-// and server-wide /stats snapshots plus the per-run SSE stats stream that
-// `chop top` renders. The underlying data is the run's obs.RunStats fold
-// (published lock-free by the search workers) and the server-wide metrics
-// registry.
+// and server-wide /stats snapshots that `chop top` polls. The underlying
+// data is the run's obs.RunStats fold (published by the search workers at
+// every recorder flush) and the server-wide metrics registry.
 
 // CacheView is the prediction cache's position in a stats payload.
 type CacheView struct {
@@ -94,9 +92,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.serverStats())
 }
 
-// RunStatsPayload is the GET /api/v1/runs/{id}/stats payload and the data
-// of each SSE "stats" message: the run's status envelope plus the live
-// per-shard search fold.
+// RunStatsPayload is the GET /api/v1/runs/{id}/stats payload: the run's
+// status envelope plus the live per-shard search fold.
 type RunStatsPayload struct {
 	Run   RunStatus            `json:"run"`
 	Stats obs.RunStatsSnapshot `json:"stats"`
@@ -112,60 +109,4 @@ func (s *Server) handleRunStats(w http.ResponseWriter, r *http.Request) {
 		Run:   run.Status(false),
 		Stats: run.Stats().Snapshot(),
 	})
-}
-
-// statsStreamInterval is the default cadence of the SSE stats stream;
-// clients may lower or raise it (bounded) with ?interval=<seconds>.
-const statsStreamInterval = time.Second
-
-// handleStatsStream streams one run's stats as Server-Sent Events next to
-// the trace stream: one `event: stats` per sampling interval whose data is
-// a RunStatsPayload, ending with one `event: done` carrying the final
-// status once the run reaches a terminal state (immediately, for
-// already-terminal runs). Unlike the trace stream this is sampled, not
-// event-driven: the search publishes through atomic counters and the
-// stream folds them at the chosen cadence.
-func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.lookupRun(w, r)
-	if !ok {
-		return
-	}
-	interval := statsStreamInterval
-	if v := r.URL.Query().Get("interval"); v != "" {
-		if secs, err := strconv.ParseFloat(v, 64); err == nil {
-			interval = time.Duration(secs * float64(time.Second))
-		}
-	}
-	if interval < 100*time.Millisecond {
-		interval = 100 * time.Millisecond
-	}
-	if interval > time.Minute {
-		interval = time.Minute
-	}
-	sse, ok := startSSE(w, r)
-	if !ok {
-		return
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		status := run.Status(false)
-		if status.State.Terminal() {
-			// One last sample so the client ends with the final counters,
-			// then the terminal status.
-			sse.send("stats", RunStatsPayload{Run: status, Stats: run.Stats().Snapshot()})
-			sse.send("done", status)
-			sse.flush()
-			return
-		}
-		if !sse.send("stats", RunStatsPayload{Run: status, Stats: run.Stats().Snapshot()}) {
-			return
-		}
-		sse.flush()
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ticker.C:
-		}
-	}
 }
