@@ -361,6 +361,7 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 	// land deterministically.
 	ckptDir := t.TempDir()
 	m := obs.NewMetrics()
+	inj := resilience.MustParse(fmt.Sprintf("core.trial=stall:@%d:2s", want.Trials-5))
 	r := NewRegistry(Options{
 		MaxConcurrent: 1,
 		Jobs:          searchJobs(),
@@ -370,7 +371,7 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 			{Name: "batch", Key: "lo", Priority: 0},
 			{Name: "interactive", Key: "hi", Priority: 10},
 		},
-		Inject: resilience.MustParse(fmt.Sprintf("core.trial=stall:@%d:2s", want.Trials-5)),
+		Inject: inj,
 	})
 	defer r.Shutdown(context.Background())
 
@@ -379,10 +380,12 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, victim, StateRunning)
-	// Wait until the search has reached the stalled trial, so the flush on
-	// preemption has completed shards to save.
+	// Wait until the search is inside the stalled trial, so the preemption
+	// lands while it is held there with completed shards to save. The
+	// injector says so directly: run stats only show a shard's trials once
+	// the shard ends.
 	deadline := time.Now().Add(10 * time.Second)
-	for victim.Stats().Snapshot().Trials < int64(want.Trials-6) {
+	for inj.Fired("core.trial") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("search never reached the stall (trials=%d)",
 				victim.Stats().Snapshot().Trials)
