@@ -16,8 +16,10 @@ import (
 // them the independent oracle of the byte-identity tests. Every trial here
 // integrates in fresh scratch, while the engine's workers reuse theirs, so
 // a design that keeps pointing into scratch after record shows up as a
-// divergence. The walks share only integrate and record with the engine,
-// and publish no telemetry.
+// divergence. Of the trial path the walks share only integrate and
+// finishSearch with the engine: they fill each combination's designs by
+// value, book trials with oracleRecord, which keeps every feasible design
+// until finishSearch reduces them, and publish no telemetry.
 
 // oracleSearch runs heuristic h over preds with the serial walks.
 func oracleSearch(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic) (SearchResult, error) {
@@ -51,21 +53,42 @@ func oracleSearch(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic) 
 // design's interval) in fresh scratch and books it into res.
 func oracleTrial(it *integrator, cfg Config, lists [][]bad.Design, idx []int, l int, res *SearchResult) (*GlobalDesign, error) {
 	sc := it.newScratch()
+	choice := make([]bad.Design, len(idx))
 	for i, j := range idx {
-		sc.choice[i] = lists[i][j]
+		choice[i] = lists[i][j]
 	}
 	if l == 0 {
-		for _, d := range sc.choice {
+		for _, d := range choice {
 			l = max(l, d.IIMainCycles(cfg.Clocks))
 		}
 	}
 	res.Trials++
-	g, err := it.integrate(sc, sc.choice, l, nil)
+	g, err := it.integrate(sc, choice, l, nil)
 	if err != nil {
 		return nil, err
 	}
-	record(res, cfg, g)
+	oracleRecord(res, cfg, g)
 	return g, nil
+}
+
+// oracleRecord books a trial into res the way the engine's record did
+// before it kept the frontier online: every feasible design is owned and
+// appended to Best, and finishSearch alone reduces them to the
+// non-inferior set. Infeasible designs leave only their Space point under
+// KeepAll, and early rejections not even that.
+func oracleRecord(res *SearchResult, cfg Config, g *GlobalDesign) {
+	if g.Feasible {
+		res.FeasibleTrials++
+		res.Best = append(res.Best, g.own())
+	}
+	if cfg.KeepAll && len(g.ChipArea) > 0 {
+		res.Space = append(res.Space, SpacePoint{
+			AreaML:   g.TotalArea(),
+			DelayNS:  g.DelayNS.ML,
+			IIMain:   g.IIMain,
+			Feasible: g.Feasible,
+		})
+	}
 }
 
 // oracleEnumerate walks the odometer over every combination, last digit
@@ -139,6 +162,43 @@ func oracleInterval(it *integrator, cfg Config, lists [][]bad.Design, l int, res
 		}
 		w[bestQ] = nextValid(lists[bestQ], w[bestQ], l, cfg)
 	}
+}
+
+// oracleShards runs every shard of the engine's plan for (p, cfg, preds, h,
+// shards) with the serial walks and returns the shard results as the engine
+// returned them before it kept only each shard's frontier: every feasible
+// design of the shard in visit order, unreduced. Older workers' shard
+// payloads and shard logs carry such results.
+func oracleShards(t *testing.T, p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, shards int) map[int]*SearchResult {
+	t.Helper()
+	pl, err := planSearch(p, cfg, preds, h, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := newIntegrator(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(map[int]*SearchResult, pl.shards)
+	for si := 0; si < pl.shards; si++ {
+		res := &SearchResult{}
+		if h == Iterative {
+			err = oracleInterval(it, cfg, pl.lists, pl.intervals[si], res)
+		} else {
+			lo, hi := shardRange(pl.total, pl.shards, si)
+			idx := make([]int, len(pl.lists))
+			decodeCombination(lo, pl.lists, idx)
+			for k := lo; k < hi && err == nil; k++ {
+				_, err = oracleTrial(it, cfg, pl.lists, idx, 0, res)
+				advanceOdometer(idx, pl.lists)
+			}
+		}
+		if err != nil {
+			t.Fatalf("oracle shard %d: %v", si, err)
+		}
+		done[si] = res
+	}
+	return done
 }
 
 // mustOracle is oracleSearch for tests that expect it to succeed.

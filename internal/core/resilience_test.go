@@ -338,6 +338,31 @@ func TestShardLogRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardLogResumesFullShardLists: a log whose shard records list every
+// feasible design of their shard, as the oracle's per-shard walks book
+// them, resumes to the uninterrupted result byte for byte. This search
+// writes exactly that log.
+func TestShardLogResumesFullShardLists(t *testing.T) {
+	p, cfg, preds, want := logProblem(t)
+	blob := interruptedLog(t, p, cfg, preds, want)
+	header, _, _ := bytes.Cut(blob, []byte{'\n'})
+	full := oracleShards(t, p, cfg, preds, Enumeration, 0)
+	old := append(bytes.Clone(header), '\n')
+	for si := 0; si < 3; si++ {
+		rec, err := json.Marshal(shardLogRecord{Shard: si, Result: full[si]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(append(old, rec...), '\n')
+	}
+	if !bytes.Equal(old, blob) {
+		t.Fatal("the search's log differs from the one built from full shard lists")
+	}
+	if n := resumeFrom(t, p, cfg, preds, want, old).Counter("resilience.checkpoint_resumed_shards"); n != 3 {
+		t.Fatalf("resumed %d shards, want 3", n)
+	}
+}
+
 // TestShardLogResumesTornTail: a log cut in the middle of a record resumes
 // the shards before the cut, and the next append lands right behind them,
 // where the torn bytes were.

@@ -2,8 +2,26 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
+
+	"chop/internal/bad"
 )
+
+// searchAllShards runs every shard of a plan of `shards` shards in one
+// SearchShards call and returns the done-set.
+func searchAllShards(t *testing.T, p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, shards int) map[int]*SearchResult {
+	t.Helper()
+	all := make([]int, shards)
+	for si := range all {
+		all[si] = si
+	}
+	done, err := SearchShards(p, cfg, preds, h, shards, all)
+	if err != nil {
+		t.Fatalf("SearchShards: %v", err)
+	}
+	return done
+}
 
 // planAndRunAll plans the shard decomposition and executes every shard in
 // one SearchShards call, returning the plan, the done-set and the merged
@@ -18,14 +36,7 @@ func planAndRunAll(t *testing.T, p *Partitioning, cfg Config, h Heuristic, shard
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	indices := make([]int, plan.Shards)
-	for i := range indices {
-		indices[i] = i
-	}
-	done, err := SearchShards(p, cfg, preds, h, plan.Shards, indices)
-	if err != nil {
-		t.Fatalf("SearchShards: %v", err)
-	}
+	done := searchAllShards(t, p, cfg, preds, h, plan.Shards)
 	merged, err := MergeShardResults(h, plan.Shards, done)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
@@ -60,6 +71,72 @@ func TestSearchShardsMergeMatchesSerial(t *testing.T) {
 			if string(got) != string(want) {
 				t.Fatalf("h=%v shards=%d: merged result not byte-identical to serial\nserial: %s\nmerged: %s",
 					h, shards, want, got)
+			}
+		}
+	}
+}
+
+// TestMergeShardResultsAcceptsFullShardLists: a done-set whose shard
+// results list every feasible design of their shard, as the oracle's
+// per-shard walks do and as older workers and shard logs carry them,
+// merges to the same result as the engine's own shard results, alone or
+// mixed with them shard by shard. The problems are the AR filter in two
+// partitions and three random seeds whose searches keep several designs.
+func TestMergeShardResultsAcceptsFullShardLists(t *testing.T) {
+	type problem struct {
+		name  string
+		p     *Partitioning
+		cfg   Config
+		preds []bad.Result
+	}
+	ar := arPartitioning(t, 2, 1)
+	arCfg := exp1Config()
+	arCfg.KeepAll = true
+	problems := []problem{{name: "ar2", p: ar, cfg: arCfg}}
+	for _, seed := range []int64{14, 19, 22} {
+		p, cfg, err := randomProblem(t, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		problems = append(problems, problem{name: fmt.Sprintf("seed%d", seed), p: p, cfg: cfg})
+	}
+	for _, pb := range problems {
+		preds, err := PredictPartitions(pb.p, pb.cfg)
+		if err != nil {
+			t.Fatalf("%s: predict: %v", pb.name, err)
+		}
+		for _, h := range []Heuristic{Enumeration, Iterative} {
+			want, err := json.Marshal(mustOracle(t, pb.p, pb.cfg, preds, h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, request := range []int{3, 8} {
+				plan, err := PlanShards(pb.p, pb.cfg, preds, h, request)
+				if err != nil {
+					t.Fatalf("%s: plan: %v", pb.name, err)
+				}
+				engine := searchAllShards(t, pb.p, pb.cfg, preds, h, plan.Shards)
+				full := oracleShards(t, pb.p, pb.cfg, preds, h, request)
+				mixed := make(map[int]*SearchResult, plan.Shards)
+				for si := 0; si < plan.Shards; si++ {
+					mixed[si] = engine[si]
+					if si%2 == 0 {
+						mixed[si] = full[si]
+					}
+				}
+				for _, m := range []struct {
+					name string
+					done map[int]*SearchResult
+				}{{"engine", engine}, {"full", full}, {"mixed", mixed}} {
+					merged, err := MergeShardResults(h, plan.Shards, m.done)
+					if err != nil {
+						t.Fatalf("%s: merge: %v", pb.name, err)
+					}
+					if got, _ := json.Marshal(merged); string(got) != string(want) {
+						t.Fatalf("%s h=%s shards=%d: the %s merge differs from the serial oracle",
+							pb.name, h, plan.Shards, m.name)
+					}
+				}
 			}
 		}
 	}
