@@ -35,7 +35,9 @@ import (
 //	{"version":1,"kind":"chop/shard-log","signature":"…","shards":N}
 //	{"shard":si,"result":<SearchResult>}
 //
-// Each shard is encoded once, when it completes, and appended once.
+// Each shard is encoded once, when it completes, and appended once. Its
+// result lists the shard's frontier; a log whose records list every
+// feasible design of their shard resumes to the same result.
 const (
 	shardLogVersion = 1
 	shardLogKind    = "chop/shard-log"

@@ -21,15 +21,19 @@ import (
 //     interval per shard for the iterative heuristic.
 //   - runShards drains the shards from a shared atomic cursor. Every shard
 //     books its trials into a private SearchResult (no locks on the hot
-//     path).
+//     path), whose Best keeps only the shard's non-inferior frontier
+//     (record).
 //   - mergeShards concatenates the shard results in shard-index order,
 //     which is exactly the serial visit order.
 //
 // After the finishSearch reduction the result is independent of the worker
 // count: same Best ordering, same Trials and FeasibleTrials, and the same
-// Space point sequence under KeepAll. The serial odometer and Figure-5
-// walks survive only in oracle_test.go, as the independent reference the
-// engine is tested against. See DESIGN.md, "Concurrency model".
+// Space point sequence under KeepAll. It also equals the reduction of
+// every feasible design at once, because weak dominance is transitive and
+// ties go to the earlier design in visit order. The serial odometer and
+// Figure-5 walks survive only in oracle_test.go, as the independent
+// reference the engine is tested against. See DESIGN.md, "Concurrency
+// model".
 
 // shardsPerWorker over-decomposes the enumeration space so a slow shard
 // (expensive integrations cluster in parts of the space) cannot straggle
@@ -175,7 +179,7 @@ func runShards(it *integrator, cfg Config, pl *searchPlan, order []int, outs []s
 					if aborted.Load() {
 						return errShardInterrupted
 					}
-					if err := enumTrial(it, cfg, &out.res, pl.lists, sc, rec); err != nil {
+					if err := enumTrial(it, &cfg, &out.res, pl.lists, sc, rec); err != nil {
 						return err
 					}
 					advanceOdometer(sc.idx, pl.lists)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -63,62 +62,5 @@ func TestHeuristicFeasibilityAgreement(t *testing.T) {
 				t.Errorf("seed %d: stale skip-list entry: heuristics agree (feasible=%v)", seed, feasE)
 			}
 		}
-	}
-}
-
-// TestFrontierMatchesOracleRandomized is the shortcut-equivalence property
-// of the search's non-inferior frontier over seeded random problems: for
-// both heuristics, the engine's Best, Trials and FeasibleTrials (its whole
-// result) equal the serial oracle's, which keeps every feasible design
-// until finishSearch reduces them. It must hold at one and four workers,
-// and through SearchShards and MergeShardResults at several shard counts.
-func TestFrontierMatchesOracleRandomized(t *testing.T) {
-	seeds := int64(300)
-	if testing.Short() {
-		seeds = 60
-	}
-	multi := 0
-	for seed := int64(1); seed <= seeds; seed++ {
-		p, cfg, err := randomProblem(t, seed)
-		if err != nil {
-			t.Fatalf("seed %d: invalid problem: %v", seed, err)
-		}
-		preds, err := PredictPartitions(p, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: predict: %v", seed, err)
-		}
-		for _, h := range []Heuristic{Enumeration, Iterative} {
-			want := mustOracle(t, p, cfg, preds, h)
-			if len(want.Best) > 1 {
-				multi++
-			}
-			for _, w := range []int{1, 4} {
-				wcfg := cfg
-				wcfg.Workers = w
-				got, err := Search(p, wcfg, preds, h)
-				if err != nil {
-					t.Fatalf("seed %d: search (%d workers): %v", seed, w, err)
-				}
-				requireIdentical(t, want, got, fmt.Sprintf("seed=%d h=%s w=%d", seed, h, w))
-			}
-			requests := []int{3, 8}
-			if h == Iterative {
-				requests = []int{0} // the candidate intervals are the shards
-			}
-			for _, request := range requests {
-				plan, err := PlanShards(p, cfg, preds, h, request)
-				if err != nil {
-					t.Fatalf("seed %d: plan: %v", seed, err)
-				}
-				got, err := MergeShardResults(h, plan.Shards, searchAllShards(t, p, cfg, preds, h, plan.Shards))
-				if err != nil {
-					t.Fatalf("seed %d: merge: %v", seed, err)
-				}
-				requireIdentical(t, want, got, fmt.Sprintf("seed=%d h=%s shards=%d", seed, h, plan.Shards))
-			}
-		}
-	}
-	if multi == 0 {
-		t.Fatal("no search keeps more than one design: the property is vacuous")
 	}
 }

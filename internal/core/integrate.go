@@ -111,6 +111,10 @@ type GlobalDesign struct {
 
 	// why holds the operands Reason is formatted from.
 	why rejection
+	// picks points at the selected design of each partition, in the
+	// prediction lists, while the design lives in trial scratch; own copies
+	// them into Choice.
+	picks []*bad.Design
 }
 
 // rejection is the operands of a failed check: the transfer or memory block
@@ -155,12 +159,18 @@ func (g *GlobalDesign) reasonText() string {
 }
 
 // own returns a copy of g that shares no memory with the trial scratch g
-// points into, with its Reason formatted. The spans' chip lists share one
-// backing array, and a nil list stays nil. An empty AreaViolations becomes
-// nil: a design without violations carries none.
+// points into, with its Reason formatted and Choice filled from the
+// designs picks points at; it is the only place a partition design is
+// copied. The spans' chip lists share one backing array, and a nil list
+// stays nil. An empty AreaViolations becomes nil: a design without
+// violations carries none.
 func (g *GlobalDesign) own() GlobalDesign {
 	o := *g
-	o.Choice = slices.Clone(g.Choice)
+	o.Choice = make([]bad.Design, len(g.picks))
+	for i, d := range g.picks {
+		o.Choice[i] = *d
+	}
+	o.picks = nil
 	o.ChipArea = slices.Clone(g.ChipArea)
 	o.ChipPins = slices.Clone(g.ChipPins)
 	o.Modules = slices.Clone(g.Modules)
@@ -336,14 +346,15 @@ func newIntegrator(p *Partitioning, cfg Config) (*integrator, error) {
 }
 
 // trialScratch is one worker's reusable trial memory: the combination under
-// evaluation, as design indices and as designs, the iterative heuristic's
+// evaluation, as design indices and as pointers into the prediction lists
+// (so no trial copies a design), the iterative heuristic's
 // serialization candidates, and one buffer set per bus width, because
 // integrate keeps the wide-bus design while it tries the narrow bus and may
 // return either. A design integrate returns points into the scratch until
 // its next trial; own copies it out.
 type trialScratch struct {
 	idx    []int
-	choice []bad.Design
+	choice []*bad.Design
 	q      []int
 	bus    [2]busScratch
 }
@@ -377,7 +388,7 @@ func (it *integrator) newScratch() *trialScratch {
 	nP, nC, nT := len(it.p.Parts), len(it.p.Chips.Chips), len(it.tasks)
 	sc := &trialScratch{
 		idx:    make([]int, nP),
-		choice: make([]bad.Design, nP),
+		choice: make([]*bad.Design, nP),
 		q:      make([]int, 0, nP),
 	}
 	for bi := range sc.bus {
@@ -413,7 +424,7 @@ func (it *integrator) newScratch() *trialScratch {
 // interval l (main cycles): pipelined implementations must match l exactly
 // (different pipelined data rates mismatch, paper section 2.4); faster
 // non-pipelined implementations may run alongside slower ones.
-func selectionOK(d bad.Design, l int, clocks bad.Clocks) bool {
+func selectionOK(d *bad.Design, l int, clocks bad.Clocks) bool {
 	ii := d.IIMainCycles(clocks)
 	if d.Style == bad.Pipelined {
 		return ii == l
@@ -424,7 +435,7 @@ func selectionOK(d bad.Design, l int, clocks bad.Clocks) bool {
 // evalTrial runs one trial in sc: the core.trial fault-injection site, then
 // integrate bracketed by rec, which books the outcome into every attached
 // telemetry plane (nil rec: none).
-func (it *integrator) evalTrial(rec *recorder, sc *trialScratch, choice []bad.Design, l int) (*GlobalDesign, error) {
+func (it *integrator) evalTrial(rec *recorder, sc *trialScratch, choice []*bad.Design, l int) (*GlobalDesign, error) {
 	if err := it.cfg.Inject.Fire("core.trial"); err != nil {
 		return nil, err
 	}
@@ -444,7 +455,7 @@ func (it *integrator) evalTrial(rec *recorder, sc *trialScratch, choice []bad.De
 // fails only on chip area — wide buses cost pad area — the combination is
 // re-evaluated with the narrow word-parallel bus (cfg.MaxBusPins), the
 // smarter pin allocation the paper's footnote 1 anticipates.
-func (it *integrator) integrate(sc *trialScratch, choice []bad.Design, l int, rec *recorder) (*GlobalDesign, error) {
+func (it *integrator) integrate(sc *trialScratch, choice []*bad.Design, l int, rec *recorder) (*GlobalDesign, error) {
 	g, err := it.integrateBus(&sc.bus[0], choice, l, 0, rec)
 	if err != nil || g.Feasible || len(g.AreaViolations) == 0 {
 		return g, err
@@ -467,10 +478,10 @@ func (it *integrator) integrate(sc *trialScratch, choice []bad.Design, l int, re
 // bandwidth), in b. rec brackets the schedule and xfer sections; a
 // rejection inside a bracketed section abandons the bracket, so its time
 // falls into the trial's integrate remainder instead (see recorder.end).
-func (it *integrator) integrateBus(b *busScratch, choice []bad.Design, l, busCap int, rec *recorder) (*GlobalDesign, error) {
-	p, cfg := it.p, it.cfg
+func (it *integrator) integrateBus(b *busScratch, choice []*bad.Design, l, busCap int, rec *recorder) (*GlobalDesign, error) {
+	p, cfg := it.p, &it.cfg
 	g := &b.g
-	*g = GlobalDesign{Choice: choice, IIMain: l, ReasonChip: -1}
+	*g = GlobalDesign{IIMain: l, ReasonChip: -1, picks: choice}
 	// reject finalizes a rejection: chip is the 0-based chip the violated
 	// check is tied to, or -1 for system-wide reasons.
 	reject := func(code Reason, chip int, why rejection) (*GlobalDesign, error) {
@@ -599,9 +610,8 @@ func (it *integrator) integrateBus(b *busScratch, choice []bad.Design, l, busCap
 		if wait < 0 {
 			wait = 0
 		}
-		m := xfer.PredictModule(t, wait, ti.xferMain, ti.pins, l, cfg.Lib)
-		g.Modules[i] = m
-		maxModCtrl = maxModCtrl.Max(m.CtrlDelay)
+		g.Modules[i] = xfer.PredictModule(t, wait, ti.xferMain, ti.pins, l, cfg.Lib)
+		maxModCtrl = maxModCtrl.Max(g.Modules[i].CtrlDelay)
 	}
 	rec.endPhase(xtok, obs.PhaseXfer)
 
@@ -620,7 +630,8 @@ func (it *integrator) integrateBus(b *busScratch, choice []bad.Design, l, busCap
 		ci := p.PartChip[pi]
 		g.ChipArea[ci] = g.ChipArea[ci].Add(d.Area)
 	}
-	for ci, ch := range p.Chips.Chips {
+	for ci := range p.Chips.Chips {
+		ch := &p.Chips.Chips[ci]
 		g.ChipArea[ci] = g.ChipArea[ci].Add(stats.Exact(it.memArea[ci]))
 		g.ChipPins[ci] = ch.ReservedPins + it.ctrlPins[ci] + it.memPins[ci] + maxPayload[ci]
 	}
@@ -647,7 +658,8 @@ func (it *integrator) integrateBus(b *busScratch, choice []bad.Design, l, busCap
 	for _, d := range choice {
 		power = power.Add(d.Power)
 	}
-	for i, m := range g.Modules {
+	for i := range g.Modules {
+		m := &g.Modules[i]
 		perChip := float64(m.BufferBits)*cfg.Lib.Register.Power +
 			float64(m.Pins)*cfg.Lib.Mux.Power
 		power = power.Add(stats.Exact(perChip * float64(len(it.xferChips[i]))))
@@ -656,7 +668,8 @@ func (it *integrator) integrateBus(b *busScratch, choice []bad.Design, l, busCap
 
 	// ---- feasibility analysis (paper section 2.6) ----
 	g.AreaViolations = b.areaViolations[:0]
-	for ci, ch := range p.Chips.Chips {
+	for ci := range p.Chips.Chips {
+		ch := &p.Chips.Chips[ci]
 		if g.ChipPins[ci] > ch.Pkg.Pins {
 			return reject(ReasonPins, ci, rejection{n: [2]int{g.ChipPins[ci], ch.Pkg.Pins}})
 		}
@@ -701,7 +714,11 @@ func NewDebugIntegrator(p *Partitioning, cfg Config) *DebugIntegrator {
 
 // Eval runs one integration and returns a design that owns its memory.
 func (d *DebugIntegrator) Eval(choice []bad.Design, l int) GlobalDesign {
-	g, err := d.it.integrate(d.sc, choice, l, nil)
+	picks := d.sc.choice[:0]
+	for i := range choice {
+		picks = append(picks, &choice[i])
+	}
+	g, err := d.it.integrate(d.sc, picks, l, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -255,17 +255,17 @@ func TestGlobalDesignTotalArea(t *testing.T) {
 func TestSelectionOK(t *testing.T) {
 	clocks := exp1Config().Clocks // datapath x10
 	pip := bad.Design{Style: bad.Pipelined, II: 3}
-	if !selectionOK(pip, 30, clocks) {
+	if !selectionOK(&pip, 30, clocks) {
 		t.Fatal("matching pipelined rejected")
 	}
-	if selectionOK(pip, 40, clocks) || selectionOK(pip, 20, clocks) {
+	if selectionOK(&pip, 40, clocks) || selectionOK(&pip, 20, clocks) {
 		t.Fatal("mismatched pipelined accepted")
 	}
 	np := bad.Design{Style: bad.NonPipelined, II: 3}
-	if !selectionOK(np, 30, clocks) || !selectionOK(np, 50, clocks) {
+	if !selectionOK(&np, 30, clocks) || !selectionOK(&np, 50, clocks) {
 		t.Fatal("faster non-pipelined must be allowed at slower system rates")
 	}
-	if selectionOK(np, 20, clocks) {
+	if selectionOK(&np, 20, clocks) {
 		t.Fatal("too-slow non-pipelined accepted")
 	}
 }

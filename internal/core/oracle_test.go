@@ -53,12 +53,14 @@ func oracleSearch(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic) 
 // design's interval) in fresh scratch and books it into res.
 func oracleTrial(it *integrator, cfg Config, lists [][]bad.Design, idx []int, l int, res *SearchResult) (*GlobalDesign, error) {
 	sc := it.newScratch()
-	choice := make([]bad.Design, len(idx))
+	designs := make([]bad.Design, len(idx))
+	choice := make([]*bad.Design, len(idx))
 	for i, j := range idx {
-		choice[i] = lists[i][j]
+		designs[i] = lists[i][j]
+		choice[i] = &designs[i]
 	}
 	if l == 0 {
-		for _, d := range choice {
+		for _, d := range designs {
 			l = max(l, d.IIMainCycles(cfg.Clocks))
 		}
 	}
@@ -126,7 +128,7 @@ func oracleIterative(it *integrator, cfg Config, lists [][]bad.Design, res *Sear
 func oracleInterval(it *integrator, cfg Config, lists [][]bad.Design, l int, res *SearchResult) error {
 	w := make([]int, len(lists))
 	for i, list := range lists {
-		if w[i] = nextValid(list, -1, l, cfg); w[i] < 0 {
+		if w[i] = nextValid(list, -1, l, cfg.Clocks); w[i] < 0 {
 			return nil
 		}
 	}
@@ -143,7 +145,7 @@ func oracleInterval(it *integrator, cfg Config, lists [][]bad.Design, l int, res
 		}
 		bestQ, bestDelay := -1, 0
 		for _, pi := range q {
-			ni := nextValid(lists[pi], w[pi], l, cfg)
+			ni := nextValid(lists[pi], w[pi], l, cfg.Clocks)
 			if ni < 0 {
 				continue
 			}
@@ -160,7 +162,7 @@ func oracleInterval(it *integrator, cfg Config, lists [][]bad.Design, l int, res
 		if bestQ < 0 {
 			return nil
 		}
-		w[bestQ] = nextValid(lists[bestQ], w[bestQ], l, cfg)
+		w[bestQ] = nextValid(lists[bestQ], w[bestQ], l, cfg.Clocks)
 	}
 }
 

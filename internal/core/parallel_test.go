@@ -216,13 +216,19 @@ func randomProblem(t *testing.T, seed int64) (*Partitioning, Config, error) {
 // TestParallelMatchesSerialRandomized is the equivalence property test of
 // the engine: on randomized DFGs, partitionings and configurations, both
 // heuristics must reproduce the serial oracle byte for byte three ways —
-// Search at one worker, Search at several, and SearchShards over a seeded
-// random split of the shard indices merged by MergeShardResults.
+// Search at one worker, at four and at a seed-derived count, and
+// SearchShards over a seeded random split of a random shard count merged
+// by MergeShardResults. The oracle keeps every feasible design until
+// finishSearch reduces them, so this is also the shortcut-equivalence
+// property of the engine's online frontier, and some of the searches keep
+// several designs. Under -short and under the race detector, which slows
+// every walk severalfold, it takes the first 60 seeds.
 func TestParallelMatchesSerialRandomized(t *testing.T) {
-	seeds := 60
-	if testing.Short() {
-		seeds = 12
+	seeds := 300
+	if testing.Short() || raceEnabled {
+		seeds = 60
 	}
+	multi := 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		p, cfg, err := randomProblem(t, seed)
 		if err != nil {
@@ -236,7 +242,10 @@ func TestParallelMatchesSerialRandomized(t *testing.T) {
 		workers := 2 + int(seed%7)
 		for _, h := range []Heuristic{Enumeration, Iterative} {
 			serial := mustOracle(t, p, cfg, preds, h)
-			for _, w := range []int{1, workers} {
+			if len(serial.Best) > 1 {
+				multi++
+			}
+			for _, w := range []int{1, 4, workers} {
 				wcfg := cfg
 				wcfg.Workers = w
 				parallel, err := Search(p, wcfg, preds, h)
@@ -249,6 +258,9 @@ func TestParallelMatchesSerialRandomized(t *testing.T) {
 			requireIdentical(t, serial, searchShardsSplit(t, p, cfg, preds, h, rng),
 				fmt.Sprintf("seed=%d h=%s split", seed, h))
 		}
+	}
+	if multi == 0 {
+		t.Fatal("no search keeps more than one design: the frontier goes untested")
 	}
 }
 

@@ -317,8 +317,9 @@ func (c Config) searchWorkers() int {
 }
 
 // canceled returns the wrapped context error once Config.Ctx is done, nil
-// while the run may continue. The happy path is one atomic load.
-func (c Config) canceled() error {
+// while the run may continue. The happy path is one atomic load, and the
+// pointer receiver spares the per-trial check a copy of the Config.
+func (c *Config) canceled() error {
 	if c.Ctx == nil {
 		return nil
 	}

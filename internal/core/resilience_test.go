@@ -340,8 +340,10 @@ func TestShardLogRoundTrip(t *testing.T) {
 
 // TestShardLogResumesFullShardLists: a log whose shard records list every
 // feasible design of their shard, as the oracle's per-shard walks book
-// them, resumes to the uninterrupted result byte for byte. This search
-// writes exactly that log.
+// them and as shard logs were written before the search kept only each
+// shard's frontier, resumes to the uninterrupted result byte for byte. The
+// search's own log of the same shards is shorter: its records hold only
+// each shard's frontier.
 func TestShardLogResumesFullShardLists(t *testing.T) {
 	p, cfg, preds, want := logProblem(t)
 	blob := interruptedLog(t, p, cfg, preds, want)
@@ -355,8 +357,8 @@ func TestShardLogResumesFullShardLists(t *testing.T) {
 		}
 		old = append(append(old, rec...), '\n')
 	}
-	if !bytes.Equal(old, blob) {
-		t.Fatal("the search's log differs from the one built from full shard lists")
+	if len(old) <= len(blob) {
+		t.Fatalf("the log of full shard lists has %d bytes, the search's own %d", len(old), len(blob))
 	}
 	if n := resumeFrom(t, p, cfg, preds, want, old).Counter("resilience.checkpoint_resumed_shards"); n != 3 {
 		t.Fatalf("resumed %d shards, want 3", n)

@@ -51,7 +51,11 @@ type SearchResult struct {
 	// "Partitioning Imp. Trials" column); FeasibleTrials those found
 	// feasible (the "Feasible Trials" column).
 	Trials, FeasibleTrials int
-	// Best holds the non-inferior feasible global designs, fastest first.
+	// Best holds the non-inferior feasible global designs: no design in it
+	// is matched or beaten on both (II, system delay) by another. A search's
+	// result lists them fastest first. One shard's result, from SearchShards
+	// or a shard log, holds that shard's frontier in the order its designs
+	// joined it, which MergeShardResults' reduction sorts.
 	Best []GlobalDesign
 	// Space holds every explored point when Config.KeepAll is set.
 	Space []SpacePoint
@@ -184,12 +188,12 @@ func enumSpaceSize(cfg Config, lists [][]bad.Design) (int, error) {
 
 // enumTrial evaluates the combination named by sc.idx in sc and books it
 // into res.
-func enumTrial(it *integrator, cfg Config, res *SearchResult,
+func enumTrial(it *integrator, cfg *Config, res *SearchResult,
 	lists [][]bad.Design, sc *trialScratch, rec *recorder) error {
 
 	choice := sc.choice
 	for i, j := range sc.idx {
-		choice[i] = lists[i][j]
+		choice[i] = &lists[i][j]
 	}
 	// The system interval is set by the slowest partition implementation
 	// in the combination.
@@ -204,7 +208,7 @@ func enumTrial(it *integrator, cfg Config, res *SearchResult,
 	if err != nil {
 		return err
 	}
-	record(res, cfg, g)
+	record(res, cfg.KeepAll, g)
 	return nil
 }
 
@@ -271,7 +275,7 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 	// with L_i <= l).
 	w, choice := sc.idx, sc.choice
 	for i, list := range lists {
-		w[i] = nextValid(list, -1, l, cfg)
+		w[i] = nextValid(list, -1, l, cfg.Clocks)
 		if w[i] < 0 {
 			return nil
 		}
@@ -281,14 +285,14 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 			return err
 		}
 		for i := range lists {
-			choice[i] = lists[i][w[i]]
+			choice[i] = &lists[i][w[i]]
 		}
 		res.Trials++
 		g, err := it.evalTrial(rec, sc, choice, l)
 		if err != nil {
 			return err
 		}
-		record(res, cfg, g)
+		record(res, cfg.KeepAll, g)
 		if g.Feasible {
 			return nil // Q := nil
 		}
@@ -304,18 +308,18 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 		// once the trial is booked.
 		bestQ, bestDelay := -1, 0
 		for _, pi := range sc.q {
-			ni := nextValid(lists[pi], w[pi], l, cfg)
+			ni := nextValid(lists[pi], w[pi], l, cfg.Clocks)
 			if ni < 0 {
 				continue
 			}
-			choice[pi] = lists[pi][ni]
+			choice[pi] = &lists[pi][ni]
 			res.Trials++
 			tg, err := it.evalTrial(rec, sc, choice, l)
 			if err != nil {
 				return err
 			}
-			record(res, cfg, tg)
-			choice[pi] = lists[pi][w[pi]]
+			record(res, cfg.KeepAll, tg)
+			choice[pi] = &lists[pi][w[pi]]
 			if bestQ < 0 || tg.DelayMain < bestDelay {
 				bestQ, bestDelay = pi, tg.DelayMain
 			}
@@ -326,15 +330,15 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 		// The Figure-5 serialization step: slow down bestQ's partition
 		// to shrink its area footprint on the violating chip.
 		rec.serialize(l, bestQ, bestDelay)
-		w[bestQ] = nextValid(lists[bestQ], w[bestQ], l, cfg)
+		w[bestQ] = nextValid(lists[bestQ], w[bestQ], l, cfg.Clocks)
 	}
 }
 
 // nextValid returns the index of the first design after `from` that is
 // selectable at system interval l, or -1.
-func nextValid(list []bad.Design, from, l int, cfg Config) int {
+func nextValid(list []bad.Design, from, l int, clocks bad.Clocks) int {
 	for i := from + 1; i < len(list); i++ {
-		if selectionOK(list[i], l, cfg.Clocks) {
+		if selectionOK(&list[i], l, clocks) {
 			return i
 		}
 	}
@@ -353,22 +357,29 @@ func partitionsOnChips(dst []int, p *Partitioning, chips []int) []int {
 }
 
 // record books a trial into the search result, applying level-2 pruning:
-// infeasible global predictions are discarded immediately unless KeepAll
-// (the worker's recorder reports the pruning decision). g points into trial
-// scratch: a kept design is copied out by own, and a space point copies
-// scalars.
+// infeasible global predictions are discarded immediately unless keepAll
+// (Config.KeepAll; the worker's recorder reports the pruning decision),
+// and a feasible one is kept only while it is non-inferior. Best holds the
+// (II, delay) frontier of the designs booked so far: a design that a kept
+// one matches or beats on both is dropped, and otherwise it displaces the
+// kept designs it matches or beats on both and joins them. A tie thus goes
+// to the earlier design in visit order, as in finishSearch, and because
+// weak dominance is transitive, reducing the shards' frontiers after the
+// merge gives the frontier of the whole search. g points into trial
+// scratch: a design joining the frontier is copied out by own, and a space
+// point copies scalars.
 //
 // record always appends to a single-goroutine result, a shard's private
 // buffer (see mergeShards). KeepAll runs therefore never interleave Space
 // appends across shards, and no mutex guards the result.
-func record(res *SearchResult, cfg Config, g *GlobalDesign) {
+func record(res *SearchResult, keepAll bool, g *GlobalDesign) {
 	if g.Feasible {
 		res.FeasibleTrials++
-		res.Best = append(res.Best, g.own())
+		keepNonInferior(res, g)
 	}
 	// Early-rejected combinations (rate mismatch, data clash) never reach
 	// the area/delay predictions and contribute no point to the figures.
-	if cfg.KeepAll && len(g.ChipArea) > 0 {
+	if keepAll && len(g.ChipArea) > 0 {
 		res.Space = append(res.Space, SpacePoint{
 			AreaML:   g.TotalArea(),
 			DelayNS:  g.DelayNS.ML,
@@ -378,9 +389,28 @@ func record(res *SearchResult, cfg Config, g *GlobalDesign) {
 	}
 }
 
-// finishSearch reduces Best to the non-inferior set: no kept design is
-// dominated on (II, system delay), matching the "feasible and non-inferior
-// predicted designs" reported in the paper's tables.
+// keepNonInferior adds feasible g to the frontier in res.Best unless a kept
+// design matches or beats it on both II and delay, removing the kept
+// designs g matches or beats on both.
+func keepNonInferior(res *SearchResult, g *GlobalDesign) {
+	for i := range res.Best {
+		if k := &res.Best[i]; k.IIMain <= g.IIMain && k.DelayMain <= g.DelayMain {
+			return
+		}
+	}
+	res.Best = slices.DeleteFunc(res.Best, func(k GlobalDesign) bool {
+		return g.IIMain <= k.IIMain && g.DelayMain <= k.DelayMain
+	})
+	res.Best = append(res.Best, g.own())
+}
+
+// finishSearch reduces Best to the non-inferior set, fastest first: no kept
+// design is dominated on (II, system delay), matching the "feasible and
+// non-inferior predicted designs" reported in the paper's tables. It is the
+// merge's reduction: the concatenated shard frontiers of runSearch and
+// MergeShardResults, and shard lists that hold every feasible design of
+// their shard, as older shard logs and workers carry them, all reduce to
+// the same set.
 func finishSearch(res *SearchResult) {
 	sort.SliceStable(res.Best, func(i, j int) bool {
 		if res.Best[i].IIMain != res.Best[j].IIMain {

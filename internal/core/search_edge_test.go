@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"sort"
 	"testing"
@@ -44,7 +46,7 @@ func TestNextValidEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := nextValid(tc.list, tc.from, tc.l, cfg); got != tc.want {
+			if got := nextValid(tc.list, tc.from, tc.l, cfg.Clocks); got != tc.want {
 				t.Fatalf("nextValid(from=%d, l=%d) = %d, want %d", tc.from, tc.l, got, tc.want)
 			}
 		})
@@ -53,54 +55,118 @@ func TestNextValidEdgeCases(t *testing.T) {
 
 // TestSearchDesignsOwnTheirMemory: a design that escapes a search shares
 // no memory with another design or with the worker's trial scratch. One
-// scratch runs the stress enumeration shard by shard, as a worker does;
-// its result must equal a run with fresh scratch per trial, no two of its
-// feasible designs may share a backing array, and a second search on the
-// same scratch must leave it unchanged.
+// scratch runs an enumeration trial by trial, as a worker does, slowest
+// combination first, so that better designs displace kept ones while
+// others survive: on the stress search, which keeps one design in the
+// end, and on two random seeds whose frontiers keep two.
+// After every trial each kept design must read as it did when it joined
+// the frontier. The frontier must equal that of a run with fresh scratch
+// per trial, no two kept designs may share a backing array, and a second
+// search on the same scratch must leave them unchanged.
 func TestSearchDesignsOwnTheirMemory(t *testing.T) {
-	p, cfg, preds := stressSearchProblem(t)
-	it, err := newIntegrator(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lists := make([][]bad.Design, len(preds))
-	for i, r := range preds {
-		lists[i] = r.Designs
-	}
-	sc := it.newScratch()
-	var got SearchResult
-	for k := 0; k < 4096; k++ {
-		decodeCombination(k, lists, sc.idx)
-		if err := enumTrial(it, cfg, &got, lists, sc, nil); err != nil {
-			t.Fatal(err)
+	seed := func(s int64) func(*testing.T) (*Partitioning, Config, []bad.Result) {
+		return func(t *testing.T) (*Partitioning, Config, []bad.Result) {
+			p, cfg, err := randomProblem(t, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preds, err := PredictPartitions(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p, cfg, preds
 		}
 	}
-	var want SearchResult
-	if err := oracleEnumerate(it, cfg, lists, &want); err != nil {
-		t.Fatal(err)
-	}
-	if got.FeasibleTrials != 512 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("reused scratch: %d feasible designs, or designs differ from fresh scratch's %d",
-			got.FeasibleTrials, want.FeasibleTrials)
-	}
-	if i, j, ok := sharedMemory(got.Best); ok {
-		t.Fatalf("Best[%d] and Best[%d] share a backing array", i, j)
-	}
+	for _, tc := range []struct {
+		name    string
+		problem func(*testing.T) (*Partitioning, Config, []bad.Result)
+		// The search's feasible trials, the designs its frontier keeps,
+		// and the trials that displaced a kept design while another
+		// survived.
+		feasible, kept, displaced int
+	}{
+		{"stress", stressSearchProblem, 512, 1, 2},
+		{"seed19", seed(19), 8, 2, 2},
+		{"seed39", seed(39), 50, 2, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, cfg, preds := tc.problem(t)
+			it, err := newIntegrator(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lists := make([][]bad.Design, len(preds))
+			total := 1
+			for i, r := range preds {
+				lists[i] = r.Designs
+				total *= len(r.Designs)
+			}
+			sc := it.newScratch()
+			var got SearchResult
+			// joined holds each kept design as it read when it joined the
+			// frontier, keyed by its own Choice array.
+			joined := map[*bad.Design][]byte{}
+			displaced := 0
+			for k := total - 1; k >= 0; k-- {
+				before := len(got.Best)
+				decodeCombination(k, lists, sc.idx)
+				if err := enumTrial(it, &cfg, &got, lists, sc, nil); err != nil {
+					t.Fatal(err)
+				}
+				survivors := 0
+				for i := range got.Best {
+					blob, err := json.Marshal(&got.Best[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					id := unsafe.SliceData(got.Best[i].Choice)
+					was, ok := joined[id]
+					if !ok {
+						joined[id] = blob
+						continue
+					}
+					if !bytes.Equal(was, blob) {
+						t.Fatalf("trial %d changed kept design %d", k, i)
+					}
+					survivors++
+				}
+				if survivors > 0 && survivors < before {
+					displaced++
+				}
+			}
+			if got.FeasibleTrials != tc.feasible || len(got.Best) != tc.kept || displaced != tc.displaced {
+				t.Fatalf("%d feasible trials, %d designs kept, %d displaced beside a survivor; want %d, %d and %d",
+					got.FeasibleTrials, len(got.Best), displaced, tc.feasible, tc.kept, tc.displaced)
+			}
+			if i, j, ok := sharedMemory(got.Best); ok {
+				t.Fatalf("Best[%d] and Best[%d] share a backing array", i, j)
+			}
+			var want SearchResult
+			if err := oracleEnumerate(it, cfg, lists, &want); err != nil {
+				t.Fatal(err)
+			}
+			finishSearch(&want)
+			finishSearch(&got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("reused scratch: the frontier differs from fresh scratch's")
+			}
 
-	var again SearchResult
-	for _, l := range iterativeIntervals(cfg, lists) {
-		if err := iterativeInterval(it, cfg, lists, l, &again, nil, sc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 4095; k >= 0; k-- {
-		decodeCombination(k, lists, sc.idx)
-		if err := enumTrial(it, cfg, &again, lists, sc, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("a second search on the same scratch changed the first search's designs")
+			var again SearchResult
+			for _, l := range iterativeIntervals(cfg, lists) {
+				if err := iterativeInterval(it, cfg, lists, l, &again, nil, sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := 0; k < total; k++ {
+				decodeCombination(k, lists, sc.idx)
+				if err := enumTrial(it, &cfg, &again, lists, sc, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("a second search on the same scratch changed the first search's designs")
+			}
+		})
 	}
 }
 

@@ -296,9 +296,9 @@ func TestRecordKeepAllSpacePoints(t *testing.T) {
 	// Early-rejected combination (rate mismatch / data clash): integration
 	// never predicted areas, so it contributes no space point.
 	early := GlobalDesign{Feasible: false, ReasonCode: ReasonRateMismatch}
-	record(&res, cfg, &feasible)
-	record(&res, cfg, &infeasible)
-	record(&res, cfg, &early)
+	record(&res, cfg.KeepAll, &feasible)
+	record(&res, cfg.KeepAll, &infeasible)
+	record(&res, cfg.KeepAll, &early)
 	if res.FeasibleTrials != 1 || len(res.Best) != 1 {
 		t.Fatalf("feasible bookkeeping: %d trials, %d best", res.FeasibleTrials, len(res.Best))
 	}
@@ -373,16 +373,16 @@ func TestNextValid(t *testing.T) {
 		{Style: bad.NonPipelined, II: 6}, // 60 main
 	}
 	cfg := exp1Config()
-	if got := nextValid(list, -1, 40, cfg); got != 1 {
+	if got := nextValid(list, -1, 40, cfg.Clocks); got != 1 {
 		t.Fatalf("first valid at l=40: %d (non-pipelined 30 expected)", got)
 	}
-	if got := nextValid(list, 1, 40, cfg); got != 2 {
+	if got := nextValid(list, 1, 40, cfg.Clocks); got != 2 {
 		t.Fatalf("next valid at l=40: %d (pipelined 40 expected)", got)
 	}
-	if got := nextValid(list, 2, 40, cfg); got != -1 {
+	if got := nextValid(list, 2, 40, cfg.Clocks); got != -1 {
 		t.Fatalf("exhausted list: %d", got)
 	}
-	if got := nextValid(list, -1, 20, cfg); got != 0 {
+	if got := nextValid(list, -1, 20, cfg.Clocks); got != 0 {
 		t.Fatalf("pipelined match at l=20: %d", got)
 	}
 }

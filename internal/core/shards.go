@@ -56,6 +56,8 @@ func PlanShards(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, sh
 
 // SearchShards executes the named shard indices of the plan (p, cfg, preds,
 // h, shards) and returns each shard's private result, keyed by shard index.
+// A shard's result counts all its trials, but its Best holds only the
+// shard's non-inferior frontier, unsorted (see record).
 // The caller supplies the plan's shard count — PlanShards with the same
 // inputs must have produced it — and any subset of [0, shards) to run.
 // Execution is Search's engine without a shard log: a pool of
@@ -105,9 +107,12 @@ func SearchShards(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic,
 
 // MergeShardResults folds a complete done-set into the final result,
 // merging in shard-index order (the serial visit order) and applying the
-// same finishSearch reduction as Search. Every shard in [0, shards) must be
-// present; a missing one is an error, because a partial merge would
-// silently diverge from the serial result.
+// same finishSearch reduction as Search. A shard's Best may hold its
+// frontier, as SearchShards returns it, or every feasible design of the
+// shard, as older workers and shard logs supply it: both merge to the same
+// result. Every shard in [0, shards) must be present; a missing one is an
+// error, because a partial merge would silently diverge from the serial
+// result.
 func MergeShardResults(h Heuristic, shards int, done map[int]*SearchResult) (SearchResult, error) {
 	res := SearchResult{Heuristic: h}
 	for si := 0; si < shards; si++ {

@@ -69,21 +69,24 @@ func TestTelemetryTax(t *testing.T) {
 // (given in its comment) plus 2%, BENCHMARK.json's allocs_per_op bound.
 // A change that lowers a count lowers its constant to the new count plus 2%.
 const (
-	// maxFig7AllocsPerTrial: measured 0.305 (1,579 per 5,184 trials), the
-	// owned copies of the 219 feasible designs and the Space appends.
-	maxFig7AllocsPerTrial = 0.311
-	// maxStressAllocsPerTrial: measured 0.907 (3,715 per 4,096 trials), the
-	// owned copies of the 512 feasible designs.
-	maxStressAllocsPerTrial = 0.926
+	// maxFig7AllocsPerTrial: measured 0.051 (265 per 5,184 trials), the
+	// Space appends, the per-search set-up and the owned copies of the few
+	// of the 219 feasible designs that join a shard's frontier.
+	maxFig7AllocsPerTrial = 0.0522
+	// maxStressAllocsPerTrial: measured 0.155 (635 per 4,096 trials), the
+	// per-search set-up and the owned copies of the designs that join a
+	// shard's frontier. Each of the four shards ends with one of its 128
+	// feasible designs, and most are dropped uncopied.
+	maxStressAllocsPerTrial = 0.1582
 	// maxCheckpointAllocs bounds what per-shard checkpointing adds to the
 	// stress search. It is absolute, so cutting trial allocations does not
-	// tighten it. Measured: +18,619, the plan signature and one
-	// encoding/json record per shard, whose design maps allocate per key.
-	maxCheckpointAllocs = 18991
+	// tighten it. Measured: +329, the plan signature and one encoding/json
+	// record per shard of that shard's frontier, one design each.
+	maxCheckpointAllocs = 336
 	// maxIterativeAllocs bounds one iterative search of the stress problem
-	// (63 trials, 6 feasible). Measured: 649, mostly the integrator's
+	// (63 trials, 6 feasible). Measured: 622, mostly the integrator's
 	// per-search set-up.
-	maxIterativeAllocs = 662
+	maxIterativeAllocs = 635
 )
 
 // fig7SliceProblem is the unpruned experiment-1 search of Figure 7 at two
@@ -106,7 +109,7 @@ func fig7SliceProblem(t *testing.T) (*Partitioning, Config, []bad.Result) {
 // bounds. Each partition keeps the first `keep` designs of its prediction:
 // of every predicted design when keepAll is set, else of the fastest
 // level-1-pruned ones. The returned Config prunes as usual.
-func stressProblem(t *testing.T, parts, keep int, keepAll bool) (*Partitioning, Config, []bad.Result) {
+func stressProblem(t testing.TB, parts, keep int, keepAll bool) (*Partitioning, Config, []bad.Result) {
 	t.Helper()
 	g := dfg.Stress(6, 20, 16)
 	p := &Partitioning{
@@ -215,6 +218,36 @@ func TestCheckpointAllocBudget(t *testing.T) {
 	t.Logf("bare %.0f allocs per search, checkpointed %.0f (+%.0f, budget %d)", bare, with, with-bare, maxCheckpointAllocs)
 	if with-bare > maxCheckpointAllocs {
 		t.Fatalf("checkpointing adds %.0f allocs per search, budget %d", with-bare, maxCheckpointAllocs)
+	}
+}
+
+// BenchmarkCheckpointTax times the durability tax: the stress search at
+// one worker, bare and with a shard log, whose header and four shard
+// records are fsynced one by one. One run of
+//
+//	go test -run '^$' -bench CheckpointTax -count 1 ./internal/core
+//
+// times a bare/checkpointed pair; repeated runs give alternating pairs
+// (-count would run all bare rounds first), and the ratio of the pairs'
+// medians is the tax. The fsyncs make it depend on the file system under
+// the test's temporary directory.
+func BenchmarkCheckpointTax(b *testing.B) {
+	p, cfg, preds := stressProblem(b, 6, 4, false)
+	cfg.Workers = 1
+	ckpt := cfg
+	ckpt.CheckpointPath = filepath.Join(b.TempDir(), "search.ckpt")
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{{"bare", cfg}, {"checkpointed", ckpt}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Search(p, bc.cfg, preds, Enumeration); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
