@@ -160,10 +160,10 @@ func (g *GlobalDesign) reasonText() string {
 
 // own returns a copy of g that shares no memory with the trial scratch g
 // points into, with its Reason formatted and Choice filled from the
-// designs picks points at; it is the only place a partition design is
-// copied. The spans' chip lists share one backing array, and a nil list
-// stays nil. An empty AreaViolations becomes nil: a design without
-// violations carries none.
+// designs picks points at, the one place the search copies a Choice out.
+// The spans' chip lists share one backing array, and a nil list stays
+// nil. An empty AreaViolations becomes nil: a design without violations
+// carries none.
 func (g *GlobalDesign) own() GlobalDesign {
 	o := *g
 	o.Choice = make([]bad.Design, len(g.picks))
@@ -347,7 +347,7 @@ func newIntegrator(p *Partitioning, cfg Config) (*integrator, error) {
 
 // trialScratch is one worker's reusable trial memory: the combination under
 // evaluation, as design indices and as pointers into the prediction lists
-// (so no trial copies a design), the iterative heuristic's
+// (the scratch holds no design by value), the iterative heuristic's
 // serialization candidates, and one buffer set per bus width, because
 // integrate keeps the wide-bus design while it tries the narrow bus and may
 // return either. A design integrate returns points into the scratch until
