@@ -210,11 +210,13 @@ func (d Design) FUOps() []dfg.Op {
 }
 
 // IIMainCycles returns the initiation interval expressed in main-clock
-// cycles, the unit of the paper's tables.
-func (d Design) IIMainCycles(c Clocks) int { return d.II * c.DatapathMult }
+// cycles, the unit of the paper's tables. It and LatencyMainCycles take a
+// pointer, so the search's per-trial calls through design pointers copy
+// no design.
+func (d *Design) IIMainCycles(c Clocks) int { return d.II * c.DatapathMult }
 
 // LatencyMainCycles returns the compute latency in main-clock cycles.
-func (d Design) LatencyMainCycles(c Clocks) int { return d.Latency * c.DatapathMult }
+func (d *Design) LatencyMainCycles(c Clocks) int { return d.Latency * c.DatapathMult }
 
 // AdjustedClockNS returns the main clock period stretched by the predicted
 // overhead, the "Clock Cycle" column of the paper's result tables.
