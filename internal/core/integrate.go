@@ -360,23 +360,46 @@ type trialScratch struct {
 }
 
 // busScratch is one integrateBus call's memory: the design it returns, the
-// backing arrays of that design's slices, and its working buffers.
+// backing arrays of that design's slices, its working buffers, and the
+// outcome of the last timing key it integrated.
 type busScratch struct {
 	g GlobalDesign
 
 	modules        []xfer.Module
 	chipArea       []stats.Triplet
+	modArea        []stats.Triplet // transfer-module area per chip
 	chipPins       []int
 	schedule       []TaskSpan // names and transfer chips set once
 	areaViolations []int
 
 	tis        []tinfo
-	chipDemand []int // pin-cycles per interval, per chip
-	maxPayload []int // widest transfer bus, per chip
-	dur        []int
+	chipDemand []int            // pin-cycles per interval, per chip
+	maxPayload []int            // widest transfer bus, per chip
+	dur        []int            // per task; dur[:nP] is the key's latencies
 	demand     [][]sched.Demand // per task; transfers' slices alias pins
 	pins       []sched.Demand   // transfers' pin demands, Res set once
 	ws         sched.Workspace
+
+	key    timing
+	reuses int // trials served from key without running timeKey; tests read it
+}
+
+// timing is the outcome of the key section (timeKey) for one timing key:
+// the interval l and, in busScratch.dur[:nP], each partition's latency in
+// main cycles. A scratch serves one bus cap, which is therefore not part of
+// the key. The section either rejected the key (code is not ReasonNone),
+// with the check's chip and operands, or scheduled it, and then the
+// scratch's schedule, modules, modArea and chipPins hold its results next
+// to the fields here.
+type timing struct {
+	ok         bool // the section ran: the key is set
+	l          int
+	code       Reason
+	chip       int
+	why        rejection
+	makespan   int
+	cycles     int           // sched.ListResult's Cycles, for rec.urgency
+	maxModCtrl stats.Triplet // the largest transfer-module control delay
 }
 
 // tinfo is a transfer's bus width (pins) and duration (main cycles) in one
@@ -394,7 +417,8 @@ func (it *integrator) newScratch() *trialScratch {
 	for bi := range sc.bus {
 		b := &sc.bus[bi]
 		b.modules = make([]xfer.Module, nT)
-		b.chipArea = make([]stats.Triplet, nC)
+		areas := make([]stats.Triplet, 2*nC)
+		b.chipArea, b.modArea = areas[:nC:nC], areas[nC:]
 		b.chipPins = make([]int, nC)
 		b.schedule = make([]TaskSpan, nP+nT)
 		b.areaViolations = make([]int, 0, nC)
@@ -475,13 +499,16 @@ func (it *integrator) integrate(sc *trialScratch, choice []*bad.Design, l int, r
 }
 
 // integrateBus is integrate at a fixed bus-width cap (0 = maximum possible
-// bandwidth), in b. rec brackets the schedule and xfer sections; a
-// rejection inside a bracketed section abandons the bracket, so its time
-// falls into the trial's integrate remainder instead (see recorder.end).
+// bandwidth), in b. After the data-rate rules it splits in two. The key
+// section (timeKey) depends only on the bus cap, which b never changes, the
+// interval l and the partitions' latencies; a trial whose key equals the
+// last one b ran the section for reuses that outcome instead. The rest
+// depends on the whole choice and runs every trial.
 func (it *integrator) integrateBus(b *busScratch, choice []*bad.Design, l, busCap int, rec *recorder) (*GlobalDesign, error) {
 	p, cfg := it.p, &it.cfg
 	g := &b.g
-	*g = GlobalDesign{IIMain: l, ReasonChip: -1, picks: choice}
+	*g = GlobalDesign{}
+	g.IIMain, g.ReasonChip, g.picks = l, -1, choice
 	// reject finalizes a rejection: chip is the 0-based chip the violated
 	// check is tied to, or -1 for system-wide reasons.
 	reject := func(code Reason, chip int, why rejection) (*GlobalDesign, error) {
@@ -496,144 +523,30 @@ func (it *integrator) integrateBus(b *busScratch, choice []*bad.Design, l, busCa
 			return reject(ReasonRateMismatch, -1, rejection{n: [2]int{pi, d.IIMainCycles(cfg.Clocks)}})
 		}
 	}
+	k := &b.key
+	if b.sameKey(choice, l, cfg.Clocks) {
+		b.reuses++
+	} else {
+		it.timeKey(b, choice, l, busCap, rec)
+	}
+	if k.code != ReasonNone {
+		return reject(k.code, k.chip, k.why)
+	}
+	// A reused schedule is booked as if it had run, so every urgency count
+	// stays per trial.
+	rec.urgency(len(b.dur), k.cycles)
+	g.DelayMain = k.makespan
+	g.Schedule, g.Modules, g.ChipPins = b.schedule, b.modules, b.chipPins
 
-	// ---- transfer bandwidth and duration ----
-	// The available bandwidth is the minimum pin budget over the involved
-	// chips (paper 2.5), optionally capped at busCap; a capped bus widens
-	// again only when the data-clash bound (X <= l) demands it, and any bus
-	// narrows to the fewest pins sustaining its transfer time so pads are
-	// not wasted.
-	xtok := rec.phase()
-	tis := b.tis
-	for i, t := range it.tasks {
-		bwMax := xfer.Bandwidth(t.Bits, it.xferChips[i], it.budget)
-		if bwMax <= 0 && t.Bits > 0 {
-			return reject(ReasonNoPins, -1, rejection{subject: t.Name})
-		}
-		bus := bwMax
-		if busCap > 0 && busCap < bus {
-			bus = busCap
-		}
-		x := xfer.TransferCycles(t.Bits, bus)
-		xm := x * cfg.Clocks.TransferMult
-		if xm > l {
-			// Too slow at the natural bus width: widen to meet the clash
-			// bound if the chips have the pins for it.
-			maxXfer := l / cfg.Clocks.TransferMult
-			if maxXfer < 1 {
-				maxXfer = 1
-			}
-			need := (t.Bits + maxXfer - 1) / maxXfer
-			if need > bwMax {
-				// Data clash: a transfer longer than the initiation
-				// interval collides with the next sample (paper 2.5).
-				return reject(ReasonDataClash, -1, rejection{subject: t.Name, n: [2]int{xm}})
-			}
-			bus = need
-			x = xfer.TransferCycles(t.Bits, bus)
-			xm = x * cfg.Clocks.TransferMult
-		}
-		pins := bus
-		if x > 0 {
-			pins = (t.Bits + x - 1) / x
-		}
-		tis[i] = tinfo{pins: pins, xferMain: xm}
-	}
-	rec.endPhase(xtok, obs.PhaseXfer)
-	// Steady-state pin capacity per chip: the pin-cycles demanded per
-	// interval must fit the budget.
-	chipDemand := b.chipDemand
-	clear(chipDemand)
-	for i, chips := range it.xferChips {
-		for _, c := range chips {
-			chipDemand[c] += tis[i].pins * tis[i].xferMain
-		}
-	}
-	for ci, demand := range chipDemand {
-		if demand > it.budget[ci]*l {
-			return reject(ReasonPinBandwidth, ci, rejection{n: [2]int{demand, it.budget[ci]}})
-		}
-	}
-	// ---- memory bandwidth ----
-	for _, m := range it.memTraffic {
-		if capacity := m.perCycle * l; m.bits > capacity {
-			return reject(ReasonMemBandwidth, -1, rejection{subject: m.name, n: [2]int{m.bits, capacity}})
-		}
-	}
-
-	// ---- urgency scheduling over shared pins and memory ports ----
-	// Memory blocks are schedulable resources too (paper 2.5: the urgency
-	// scheduling keeps "memory accesses to each memory block feasible"):
-	// a partition accessing a block holds one of its ports while running,
-	// so partitions sharing a single-port block serialize.
-	nP := len(p.Parts)
-	dur := b.dur
-	for pi, d := range choice {
-		dur[pi] = d.LatencyMainCycles(cfg.Clocks)
-	}
-	for i := range it.tasks {
-		dur[nP+i] = tis[i].xferMain
-		for j := range b.demand[nP+i] {
-			b.demand[nP+i][j].Amount = tis[i].pins
-		}
-	}
-	stok := rec.phase()
-	sres, err := b.ws.List(sched.TaskGraph{Dur: dur, Succs: it.succs, Demand: b.demand, Cap: it.caps})
-	rec.endPhase(stok, obs.PhaseSchedule)
-	if err != nil {
-		return reject(ReasonSchedule, -1, rejection{err: err})
-	}
-	rec.urgency(len(dur), sres.Cycles)
-	g.DelayMain = sres.Makespan
-	g.Schedule = b.schedule
-	for i := range g.Schedule {
-		g.Schedule[i].Start, g.Schedule[i].Dur = sres.Start[i], dur[i]
-	}
-
-	// ---- transfer modules (buffer sizing from wait + transfer times) ----
-	xtok = rec.phase()
-	g.Modules = b.modules
-	maxModCtrl := stats.Triplet{}
-	for i, t := range it.tasks {
-		ti := tis[i]
-		ready := 0
-		if t.FromPart != xfer.External {
-			ready = sres.Start[t.FromPart] + dur[t.FromPart]
-		}
-		startT := sres.Start[nP+i]
-		finishT := startT + ti.xferMain
-		destStart := finishT
-		if t.ToPart != xfer.External {
-			destStart = sres.Start[t.ToPart]
-		}
-		wait := (startT - ready) + (destStart - finishT)
-		if wait < 0 {
-			wait = 0
-		}
-		g.Modules[i] = xfer.PredictModule(t, wait, ti.xferMain, ti.pins, l, cfg.Lib)
-		maxModCtrl = maxModCtrl.Max(g.Modules[i].CtrlDelay)
-	}
-	rec.endPhase(xtok, obs.PhaseXfer)
-
-	// ---- per-chip area and pins ----
-	g.ChipArea, g.ChipPins = b.chipArea, b.chipPins
-	maxPayload := b.maxPayload
-	clear(g.ChipArea)
-	clear(maxPayload)
-	for i, chips := range it.xferChips {
-		for _, c := range chips {
-			g.ChipArea[c] = g.ChipArea[c].Add(g.Modules[i].Area)
-			maxPayload[c] = max(maxPayload[c], tis[i].pins)
-		}
-	}
+	// ---- per-chip area: transfer modules, partitions, on-chip memory ----
+	g.ChipArea = b.chipArea
+	copy(g.ChipArea, b.modArea)
 	for pi, d := range choice {
 		ci := p.PartChip[pi]
 		g.ChipArea[ci] = g.ChipArea[ci].Add(d.Area)
 	}
-	for ci := range p.Chips.Chips {
-		ch := &p.Chips.Chips[ci]
+	for ci := range g.ChipArea {
 		g.ChipArea[ci] = g.ChipArea[ci].Add(stats.Exact(it.memArea[ci]))
-		g.ChipPins[ci] = ch.ReservedPins + it.ctrlPins[ci] + it.memPins[ci] + maxPayload[ci]
 	}
 
 	// ---- clock adjustment ----
@@ -646,7 +559,7 @@ func (it *integrator) integrateBus(b *busScratch, choice []*bad.Design, l, busCa
 	// Off-chip flight time must fit inside one transfer cycle: two pad
 	// delays plus the transfer controller and pin mux.
 	if len(it.tasks) > 0 {
-		flight := stats.Sum(stats.Exact(2*it.maxPad), maxModCtrl, stats.Exact(cfg.Lib.Mux.Delay))
+		flight := stats.Sum(stats.Exact(2*it.maxPad), k.maxModCtrl, stats.Exact(cfg.Lib.Mux.Delay))
 		clock = clock.Max(flight.Scale(1 / float64(cfg.Clocks.TransferMult)))
 	}
 	g.Clock = clock
@@ -694,6 +607,172 @@ func (it *integrator) integrateBus(b *busScratch, choice []*bad.Design, l, busCa
 	}
 	g.Feasible = true
 	return g, nil
+}
+
+// sameKey reports whether b's last key section ran for this trial's key:
+// interval l and each partition's latency in main cycles.
+func (b *busScratch) sameKey(choice []*bad.Design, l int, clocks bad.Clocks) bool {
+	if !b.key.ok || b.key.l != l {
+		return false
+	}
+	for pi, d := range choice {
+		if b.dur[pi] != d.LatencyMainCycles(clocks) {
+			return false
+		}
+	}
+	return true
+}
+
+// timeKey runs integrateBus's key section for the trial's timing key into
+// b: transfer widths and durations, the no-pins, data-clash, pin-bandwidth
+// and memory-bandwidth checks, the urgency schedule, the transfer modules
+// with their area per chip, and each chip's pins. It records the outcome in
+// b.key and leaves the key's latencies in b.dur[:nP]. rec brackets the
+// schedule and xfer work; a rejection inside a bracket abandons it, so its
+// time falls into the trial's integrate remainder instead (see
+// recorder.end).
+func (it *integrator) timeKey(b *busScratch, choice []*bad.Design, l, busCap int, rec *recorder) {
+	p, cfg := it.p, &it.cfg
+	k := &b.key
+	*k = timing{ok: true, l: l, chip: -1}
+	reject := func(code Reason, chip int, why rejection) {
+		k.code, k.chip, k.why = code, chip, why
+	}
+	nP := len(p.Parts)
+	dur := b.dur
+	for pi, d := range choice {
+		dur[pi] = d.LatencyMainCycles(cfg.Clocks)
+	}
+
+	// ---- transfer bandwidth and duration ----
+	// The available bandwidth is the minimum pin budget over the involved
+	// chips (paper 2.5), optionally capped at busCap; a capped bus widens
+	// again only when the data-clash bound (X <= l) demands it, and any bus
+	// narrows to the fewest pins sustaining its transfer time so pads are
+	// not wasted.
+	xtok := rec.phase()
+	tis := b.tis
+	for i := range it.tasks {
+		t := &it.tasks[i]
+		bwMax := xfer.Bandwidth(t.Bits, it.xferChips[i], it.budget)
+		if bwMax <= 0 && t.Bits > 0 {
+			reject(ReasonNoPins, -1, rejection{subject: t.Name})
+			return
+		}
+		bus := bwMax
+		if busCap > 0 && busCap < bus {
+			bus = busCap
+		}
+		x := xfer.TransferCycles(t.Bits, bus)
+		xm := x * cfg.Clocks.TransferMult
+		if xm > l {
+			// Too slow at the natural bus width: widen to meet the clash
+			// bound if the chips have the pins for it.
+			maxXfer := l / cfg.Clocks.TransferMult
+			if maxXfer < 1 {
+				maxXfer = 1
+			}
+			need := (t.Bits + maxXfer - 1) / maxXfer
+			if need > bwMax {
+				// Data clash: a transfer longer than the initiation
+				// interval collides with the next sample (paper 2.5).
+				reject(ReasonDataClash, -1, rejection{subject: t.Name, n: [2]int{xm}})
+				return
+			}
+			bus = need
+			x = xfer.TransferCycles(t.Bits, bus)
+			xm = x * cfg.Clocks.TransferMult
+		}
+		pins := bus
+		if x > 0 {
+			pins = (t.Bits + x - 1) / x
+		}
+		tis[i] = tinfo{pins: pins, xferMain: xm}
+	}
+	rec.endPhase(xtok, obs.PhaseXfer)
+	// Steady-state pin capacity per chip: the pin-cycles demanded per
+	// interval must fit the budget.
+	chipDemand := b.chipDemand
+	clear(chipDemand)
+	for i, chips := range it.xferChips {
+		for _, c := range chips {
+			chipDemand[c] += tis[i].pins * tis[i].xferMain
+		}
+	}
+	for ci, demand := range chipDemand {
+		if demand > it.budget[ci]*l {
+			reject(ReasonPinBandwidth, ci, rejection{n: [2]int{demand, it.budget[ci]}})
+			return
+		}
+	}
+	// ---- memory bandwidth ----
+	for _, m := range it.memTraffic {
+		if capacity := m.perCycle * l; m.bits > capacity {
+			reject(ReasonMemBandwidth, -1, rejection{subject: m.name, n: [2]int{m.bits, capacity}})
+			return
+		}
+	}
+
+	// ---- urgency scheduling over shared pins and memory ports ----
+	// Memory blocks are schedulable resources too (paper 2.5: the urgency
+	// scheduling keeps "memory accesses to each memory block feasible"):
+	// a partition accessing a block holds one of its ports while running,
+	// so partitions sharing a single-port block serialize.
+	for i := range it.tasks {
+		dur[nP+i] = tis[i].xferMain
+		for j := range b.demand[nP+i] {
+			b.demand[nP+i][j].Amount = tis[i].pins
+		}
+	}
+	stok := rec.phase()
+	sres, err := b.ws.List(sched.TaskGraph{Dur: dur, Succs: it.succs, Demand: b.demand, Cap: it.caps})
+	rec.endPhase(stok, obs.PhaseSchedule)
+	if err != nil {
+		reject(ReasonSchedule, -1, rejection{err: err})
+		return
+	}
+	k.makespan, k.cycles = sres.Makespan, sres.Cycles
+	for i := range b.schedule {
+		b.schedule[i].Start, b.schedule[i].Dur = sres.Start[i], dur[i]
+	}
+
+	// ---- transfer modules (buffer sizing from wait + transfer times) ----
+	xtok = rec.phase()
+	for i := range it.tasks {
+		t, ti := &it.tasks[i], tis[i]
+		ready := 0
+		if t.FromPart != xfer.External {
+			ready = sres.Start[t.FromPart] + dur[t.FromPart]
+		}
+		startT := sres.Start[nP+i]
+		finishT := startT + ti.xferMain
+		destStart := finishT
+		if t.ToPart != xfer.External {
+			destStart = sres.Start[t.ToPart]
+		}
+		wait := (startT - ready) + (destStart - finishT)
+		if wait < 0 {
+			wait = 0
+		}
+		m := &b.modules[i]
+		xfer.PredictModule(m, t, wait, ti.xferMain, ti.pins, l, cfg.Lib)
+		k.maxModCtrl = k.maxModCtrl.Max(m.CtrlDelay)
+	}
+	rec.endPhase(xtok, obs.PhaseXfer)
+
+	// ---- transfer-module area and pins per chip ----
+	maxPayload := b.maxPayload
+	clear(b.modArea)
+	clear(maxPayload)
+	for i, chips := range it.xferChips {
+		for _, c := range chips {
+			b.modArea[c] = b.modArea[c].Add(b.modules[i].Area)
+			maxPayload[c] = max(maxPayload[c], tis[i].pins)
+		}
+	}
+	for ci := range p.Chips.Chips {
+		b.chipPins[ci] = p.Chips.Chips[ci].ReservedPins + it.ctrlPins[ci] + it.memPins[ci] + maxPayload[ci]
+	}
 }
 
 // DebugIntegrator exposes integrate for white-box probing; not part of the

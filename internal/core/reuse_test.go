@@ -13,24 +13,28 @@ import (
 	"chop/internal/stats"
 )
 
-// TestReusedScratchMatchesFresh integrates each fixture's combinations
-// twice, on one trial scratch reused for the whole pass and on a fresh
-// scratch per trial, and requires the two designs to be equal in every
-// field own copies or formats Reason from. Each fixture runs two passes.
-// The odometer pass integrates every combination in the engine's order at
-// its natural interval (the slowest design's), where consecutive trials
-// repeat the interval and latencies most often. The shuffled pass visits
-// every eighth combination in a seeded random order, each at its natural
-// interval and then one datapath step above it, so back-to-back trials
-// share the partitions' latencies under different intervals.
+// TestReusedScratchMatchesFresh is the shortcut-equivalence property of
+// the timing-key reuse: a trial that reuses its bus's last key section
+// must equal one integrated from scratch. It integrates each fixture's
+// combinations twice, on one trial scratch reused for the whole pass and
+// on a fresh scratch per trial, and requires the two designs to be equal
+// in every field own copies or formats Reason from. Each fixture runs two
+// passes. The odometer pass integrates every combination in the engine's
+// order at its natural interval (the slowest design's), where consecutive
+// trials repeat the interval and latencies most often. The shuffled pass
+// visits every eighth combination in a seeded random order, each at its
+// natural interval and then one datapath step above it, so back-to-back
+// trials share the partitions' latencies under different intervals. The
+// test fails unless some trials reuse a key section and some of those
+// reuse a rejection.
 //
 // The fixtures are Figure 7's unpruned spaces at one to three partitions,
 // the stress search, experiment 2's unpruned three-partition space on the
-// 64-pin package, whose transfers alone exceed a chip's pin bandwidth in
-// some trials (its first 24 designs per partition, which hold those
-// trials), and 60 seeded dfg.RandomDAG partitionings. Under -short and the
-// race detector every fixture keeps at most 12 designs per partition and
-// the shuffled pass visits every 16th combination.
+// 64-pin package, whose key section rejects some trials for pin bandwidth
+// (its first 24 designs per partition, which hold those trials), and 60
+// seeded dfg.RandomDAG partitionings. Under -short and the race detector
+// every fixture keeps at most 12 designs per partition and the shuffled
+// pass visits every 16th combination.
 func TestReusedScratchMatchesFresh(t *testing.T) {
 	type fixture struct {
 		name  string
@@ -64,7 +68,7 @@ func TestReusedScratchMatchesFresh(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		stride, maxKeep = 16, 12
 	}
-	repeats := 0
+	reuses, reusedRejections := 0, 0
 	for _, fx := range fixtures {
 		cfg := fx.cfg
 		it, err := newIntegrator(fx.p, cfg)
@@ -99,7 +103,6 @@ func TestReusedScratchMatchesFresh(t *testing.T) {
 		} {
 			sc := it.newScratch()
 			choice := make([]*bad.Design, len(lists))
-			var last []int
 			for k := 0; k < pass.n; k++ {
 				decodeCombination(pass.at(k), lists, sc.idx)
 				l := 0
@@ -108,14 +111,16 @@ func TestReusedScratchMatchesFresh(t *testing.T) {
 					l = max(l, choice[i].IIMainCycles(cfg.Clocks))
 				}
 				for _, step := range pass.steps {
-					key := trialKey(choice, l+step, cfg.Clocks)
-					if slices.Equal(key, last) {
-						repeats++
-					}
-					last = key
+					wide, narrow := sc.bus[0].reuses, sc.bus[1].reuses
 					got, err := it.integrate(sc, choice, l+step, nil)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if sc.bus[0].reuses > wide || sc.bus[1].reuses > narrow {
+						reuses++
+					}
+					if sc.bus[0].reuses > wide && sc.bus[0].key.code != ReasonNone {
+						reusedRejections++
 					}
 					want, err := it.integrate(it.newScratch(), choice, l+step, nil)
 					if err != nil {
@@ -129,20 +134,10 @@ func TestReusedScratchMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	if repeats == 0 {
-		t.Fatal("no trial repeats the previous trial's interval and latencies")
+	t.Logf("%d trials reused their key section, %d of them a rejection", reuses, reusedRejections)
+	if reuses == 0 || reusedRejections == 0 {
+		t.Fatal("the fixtures exercise no reused key section or no reused rejection")
 	}
-	t.Logf("%d trials repeat the previous trial's interval and latencies", repeats)
-}
-
-// trialKey is a trial's interval followed by its partitions' latencies in
-// main cycles.
-func trialKey(choice []*bad.Design, l int, clocks bad.Clocks) []int {
-	key := []int{l}
-	for _, d := range choice {
-		key = append(key, d.LatencyMainCycles(clocks))
-	}
-	return key
 }
 
 // trialDiff names the first field in which the trial designs got and

@@ -173,12 +173,14 @@ type Module struct {
 	Pins int
 }
 
-// PredictModule sizes the data-transfer module for a task given its wait
-// time W, transfer time X (main cycles), bus width, and the system
-// initiation interval l. The controller is a PLA predicted with the same
-// methods as BAD (paper: "the wait and data transfer times are used to
-// predict the number of inputs, outputs and product terms of a PLA").
-func PredictModule(t Task, wait, transfer, pins, l int, library *lib.Library) Module {
+// PredictModule sizes the data-transfer module for task t into m, given
+// its wait time W, transfer time X (main cycles), bus width, and the
+// system initiation interval l. The controller is a PLA predicted with the
+// same methods as BAD (paper: "the wait and data transfer times are used
+// to predict the number of inputs, outputs and product terms of a PLA").
+// It overwrites every field of m; the task and module travel by pointer,
+// so a trial's module loop copies only the task into its module.
+func PredictModule(m *Module, t *Task, wait, transfer, pins, l int, library *lib.Library) {
 	buf := BufferBits(t.Bits, wait, transfer, l)
 	// Controller states: one per wait cycle bucket and per transfer beat,
 	// plus idle. Signals: per-pin enables plus buffer word selects.
@@ -200,11 +202,10 @@ func PredictModule(t Task, wait, transfer, pins, l int, library *lib.Library) Mo
 	// Pin steering: each payload pin is driven through a 2:1 mux so the
 	// chip's pins can be shared among transfer tasks.
 	muxArea := float64(pins) * library.Mux.Area
-	area := stats.Sum(stats.Exact(bufArea+muxArea), pla.Area())
-	return Module{
-		Task: t, Wait: wait, Transfer: transfer,
-		BufferBits: buf, Area: area, CtrlDelay: pla.Delay(), Pins: pins,
-	}
+	m.Task = *t
+	m.Wait, m.Transfer, m.BufferBits, m.Pins = wait, transfer, buf, pins
+	m.Area = stats.Sum(stats.Exact(bufArea+muxArea), pla.Area())
+	m.CtrlDelay = pla.Delay()
 }
 
 // MemoryControlPins returns the unshared control pins a chip must reserve

@@ -6,6 +6,7 @@ import (
 
 	"chop/internal/dfg"
 	"chop/internal/lib"
+	"chop/internal/stats"
 )
 
 func TestBuildTasksDiamondTwoChips(t *testing.T) {
@@ -150,7 +151,11 @@ func TestBufferGrowsWithWait(t *testing.T) {
 func TestPredictModule(t *testing.T) {
 	l := lib.Table1Library()
 	tk := Task{Name: "T:P1->P2", FromChip: 0, ToChip: 1, Bits: 32, Values: 2}
-	m := PredictModule(tk, 12, 2, 16, 30, l)
+	var m Module
+	PredictModule(&m, &tk, 12, 2, 16, 30, l)
+	if m.Task != tk {
+		t.Fatalf("Task = %+v, want %+v", m.Task, tk)
+	}
 	if m.BufferBits < 32 {
 		t.Fatalf("BufferBits = %d", m.BufferBits)
 	}
@@ -163,17 +168,25 @@ func TestPredictModule(t *testing.T) {
 	if m.Pins != 16 || m.Wait != 12 || m.Transfer != 2 {
 		t.Fatalf("module fields: %+v", m)
 	}
+	// A module filled over another task's module is the same module.
+	reused := Module{Task: Task{Name: "T:ext->P1", Bits: 8}, Wait: 99, Transfer: 9, BufferBits: 7, Pins: 3,
+		Area: stats.Exact(1), CtrlDelay: stats.Exact(2)}
+	PredictModule(&reused, &tk, 12, 2, 16, 30, l)
+	if reused != m {
+		t.Fatalf("filled over another module: %+v, want %+v", reused, m)
+	}
 }
 
 func TestPredictModuleAreaGrowsWithBufferAndPins(t *testing.T) {
 	l := lib.Table1Library()
 	tk := Task{Bits: 32}
-	small := PredictModule(tk, 0, 1, 8, 30, l)
-	big := PredictModule(tk, 90, 1, 8, 30, l) // long wait -> bigger buffer
+	var small, big, wide Module
+	PredictModule(&small, &tk, 0, 1, 8, 30, l)
+	PredictModule(&big, &tk, 90, 1, 8, 30, l) // long wait -> bigger buffer
 	if big.Area.ML <= small.Area.ML {
 		t.Fatal("area must grow with buffer size")
 	}
-	wide := PredictModule(tk, 0, 1, 32, 30, l)
+	PredictModule(&wide, &tk, 0, 1, 32, 30, l)
 	if wide.Area.ML <= small.Area.ML {
 		t.Fatal("area must grow with pin count")
 	}
