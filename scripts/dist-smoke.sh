@@ -77,9 +77,13 @@ for H in I E; do
 	echo "== [$H] distributed search; SIGKILL the stalled worker mid-search"
 	( sleep 0.4; kill -9 "$W2_PID" 2>/dev/null || true ) &
 	KILLER=$!
+	# -steal-after defaults to -lease, which would let the healthy worker
+	# steal the stalled victim's shards as a straggler's before the
+	# coordinator sees the kill; past the search's length, only the failed
+	# lease can recover them, which is what this phase checks.
 	"$DIR/chop" search -f "$SPEC" -distributed \
 		-workers-url "$W1,$W2" \
-		-lease 500ms -poll 50ms -json \
+		-lease 500ms -steal-after 30s -poll 50ms -json \
 		> "$DIR/dist_$H.json" 2> "$DIR/dist_$H.log"
 	wait "$KILLER" 2>/dev/null || true
 	kill -9 "$W1_PID" 2>/dev/null || true
