@@ -380,18 +380,18 @@ type busScratch struct {
 	pins       []sched.Demand   // transfers' pin demands, Res set once
 	ws         sched.Workspace
 
-	key    timing
-	reuses int // trials served from key without running timeKey; tests read it
+	key    keyOutcome
+	reuses int // trials served from key, skipping keySection; tests read it
 }
 
-// timing is the outcome of the key section (timeKey) for one timing key:
-// the interval l and, in busScratch.dur[:nP], each partition's latency in
-// main cycles. A scratch serves one bus cap, which is therefore not part of
-// the key. The section either rejected the key (code is not ReasonNone),
-// with the check's chip and operands, or scheduled it, and then the
-// scratch's schedule, modules, modArea and chipPins hold its results next
-// to the fields here.
-type timing struct {
+// keyOutcome is the outcome of keySection for one timing key: the interval
+// l and, in busScratch.dur[:nP], each partition's latency in main cycles. A
+// scratch serves one bus cap, which is therefore not part of the key. The
+// section either rejected the key (code is not ReasonNone), with the
+// check's chip and operands, or scheduled it, and then the scratch's
+// schedule, modules, modArea and chipPins hold its results next to the
+// fields here.
+type keyOutcome struct {
 	ok         bool // the section ran: the key is set
 	l          int
 	code       Reason
@@ -500,13 +500,15 @@ func (it *integrator) integrate(sc *trialScratch, choice []*bad.Design, l int, r
 
 // integrateBus is integrate at a fixed bus-width cap (0 = maximum possible
 // bandwidth), in b. After the data-rate rules it splits in two. The key
-// section (timeKey) depends only on the bus cap, which b never changes, the
-// interval l and the partitions' latencies; a trial whose key equals the
-// last one b ran the section for reuses that outcome instead. The rest
+// section (keySection) depends only on the bus cap, which b never changes,
+// the interval l and the partitions' latencies; a trial whose key equals
+// the last one b ran the section for reuses that outcome instead. The rest
 // depends on the whole choice and runs every trial.
 func (it *integrator) integrateBus(b *busScratch, choice []*bad.Design, l, busCap int, rec *recorder) (*GlobalDesign, error) {
 	p, cfg := it.p, &it.cfg
 	g := &b.g
+	// Zeroed, then set: assigning a composite literal would build the
+	// whole design and copy it, every trial.
 	*g = GlobalDesign{}
 	g.IIMain, g.ReasonChip, g.picks = l, -1, choice
 	// reject finalizes a rejection: chip is the 0-based chip the violated
@@ -527,7 +529,7 @@ func (it *integrator) integrateBus(b *busScratch, choice []*bad.Design, l, busCa
 	if b.sameKey(choice, l, cfg.Clocks) {
 		b.reuses++
 	} else {
-		it.timeKey(b, choice, l, busCap, rec)
+		it.keySection(b, choice, l, busCap, rec)
 	}
 	if k.code != ReasonNone {
 		return reject(k.code, k.chip, k.why)
@@ -623,18 +625,18 @@ func (b *busScratch) sameKey(choice []*bad.Design, l int, clocks bad.Clocks) boo
 	return true
 }
 
-// timeKey runs integrateBus's key section for the trial's timing key into
-// b: transfer widths and durations, the no-pins, data-clash, pin-bandwidth
-// and memory-bandwidth checks, the urgency schedule, the transfer modules
-// with their area per chip, and each chip's pins. It records the outcome in
-// b.key and leaves the key's latencies in b.dur[:nP]. rec brackets the
-// schedule and xfer work; a rejection inside a bracket abandons it, so its
-// time falls into the trial's integrate remainder instead (see
-// recorder.end).
-func (it *integrator) timeKey(b *busScratch, choice []*bad.Design, l, busCap int, rec *recorder) {
+// keySection runs integrateBus's key section for the trial's timing key
+// into b: transfer widths and durations, the no-pins, data-clash,
+// pin-bandwidth and memory-bandwidth checks, the urgency schedule, the
+// transfer modules with their area per chip, and each chip's pins. It
+// records the outcome in b.key and leaves the key's latencies in
+// b.dur[:nP]. rec brackets the schedule and xfer work; a rejection inside
+// a bracket abandons it, so its time falls into the trial's integrate
+// remainder instead (see recorder.end).
+func (it *integrator) keySection(b *busScratch, choice []*bad.Design, l, busCap int, rec *recorder) {
 	p, cfg := it.p, &it.cfg
 	k := &b.key
-	*k = timing{ok: true, l: l, chip: -1}
+	*k = keyOutcome{ok: true, l: l, chip: -1}
 	reject := func(code Reason, chip int, why rejection) {
 		k.code, k.chip, k.why = code, chip, why
 	}

@@ -41,52 +41,44 @@ func TestReusedScratchMatchesFresh(t *testing.T) {
 		p     *Partitioning
 		cfg   Config
 		preds []bad.Result
-		keep  int // designs kept per partition; 0: all
 	}
 	var fixtures []fixture
-	add := func(name string, keep int, p *Partitioning, cfg Config, preds []bad.Result) {
-		fixtures = append(fixtures, fixture{name, p, cfg, preds, keep})
-	}
 	for n := 1; n <= 3; n++ {
 		p, cfg, preds := fig7Problem(t, n)
-		add(fmt.Sprintf("fig7-%dp", n), 0, p, cfg, preds)
+		fixtures = append(fixtures, fixture{fmt.Sprintf("fig7-%dp", n), p, cfg, preds})
 	}
 	p, cfg, preds := stressSearchProblem(t)
-	add("stress", 0, p, cfg, preds)
+	fixtures = append(fixtures, fixture{"stress", p, cfg, preds})
 	p, cfg, preds = exp2UnprunedProblem(t)
-	add("exp2-64pin", 24, p, cfg, preds)
+	fixtures = append(fixtures, fixture{"exp2-64pin", p, cfg, keepDesigns(preds, 24)})
 	// A single-cycle datapath clock too short for a partition's operators
 	// leaves it without designs; such seeds are skipped.
 	for seed, n := int64(1), 0; n < 60; seed++ {
 		p, cfg, preds := randomDAGProblem(t, seed)
 		if !slices.ContainsFunc(preds, func(r bad.Result) bool { return len(r.Designs) == 0 }) {
-			add(fmt.Sprintf("randomdag%d", seed), 0, p, cfg, preds)
+			fixtures = append(fixtures, fixture{fmt.Sprintf("randomdag%d", seed), p, cfg, preds})
 			n++
 		}
 	}
-	stride, maxKeep := 8, 0
-	if testing.Short() || raceEnabled {
-		stride, maxKeep = 16, 12
+	stride, short := 8, testing.Short() || raceEnabled
+	if short {
+		stride = 16
 	}
 	reuses, reusedRejections := 0, 0
 	for _, fx := range fixtures {
-		cfg := fx.cfg
+		cfg, preds := fx.cfg, fx.preds
+		if short {
+			preds = keepDesigns(preds, 12)
+		}
 		it, err := newIntegrator(fx.p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keep := fx.keep
-		if maxKeep > 0 && (keep == 0 || keep > maxKeep) {
-			keep = maxKeep
-		}
-		lists := make([][]bad.Design, len(fx.preds))
+		lists := make([][]bad.Design, len(preds))
 		total := 1
-		for i, r := range fx.preds {
+		for i, r := range preds {
 			lists[i] = r.Designs
-			if keep > 0 && len(lists[i]) > keep {
-				lists[i] = lists[i][:keep]
-			}
-			total *= len(lists[i])
+			total *= len(r.Designs)
 		}
 		if total == 0 {
 			t.Fatalf("%s: a partition has no predicted design", fx.name)
@@ -239,10 +231,17 @@ func randomDAGProblem(t *testing.T, seed int64) (*Partitioning, Config, []bad.Re
 		KeepAll: true,
 	}
 	_, cfg, preds := predictedProblem(t, p, cfg)
+	return p, cfg, keepDesigns(preds, 8)
+}
+
+// keepDesigns returns preds with each partition's designs cut to the first
+// n, leaving preds as they were.
+func keepDesigns(preds []bad.Result, n int) []bad.Result {
+	preds = slices.Clone(preds)
 	for i := range preds {
-		if len(preds[i].Designs) > 8 {
-			preds[i].Designs = preds[i].Designs[:8]
+		if len(preds[i].Designs) > n {
+			preds[i].Designs = preds[i].Designs[:n]
 		}
 	}
-	return p, cfg, preds
+	return preds
 }
