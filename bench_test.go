@@ -333,45 +333,6 @@ func BenchmarkBADPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScheduler compares the default list-scheduling sweep
-// against the force-directed variant (paper reference [9]) inside BAD.
-func BenchmarkAblationScheduler(b *testing.B) {
-	g := chop.ARLatticeFilter(16)
-	for _, fds := range []bool{false, true} {
-		name := "list"
-		if fds {
-			name = "fds"
-		}
-		b.Run(name, func(b *testing.B) {
-			e := experiments.New(2)
-			cfg := chop.PredictConfig{
-				Lib:           e.Cfg.Lib,
-				Style:         e.Cfg.Style,
-				Clocks:        e.Cfg.Clocks,
-				MaxArea:       chop.MOSISPackages()[1].ProjectArea(),
-				Perf:          e.Cfg.Constraints.Perf,
-				Delay:         e.Cfg.Constraints.Delay,
-				MaxII:         40,
-				ForceDirected: fds,
-			}
-			var cheapest float64
-			for i := 0; i < b.N; i++ {
-				res, err := chop.Predict(g, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cheapest = 0
-				for _, d := range res.Designs {
-					if cheapest == 0 || d.Area.ML < cheapest {
-						cheapest = d.Area.ML
-					}
-				}
-			}
-			b.ReportMetric(cheapest, "cheapest_area_mil2")
-		})
-	}
-}
-
 // BenchmarkSynthesisAndVerify measures the full back-end: bind the fastest
 // non-pipelined AR-filter design to RTL and verify it against the golden
 // model, reporting the prediction-accuracy ratios (the paper's "very

@@ -133,13 +133,6 @@ type Config struct {
 	// MaxII caps the initiation-interval sweep in datapath cycles; 0
 	// derives the cap from Perf or, failing that, the serial latency.
 	MaxII int
-	// MaxRepair bounds the allocation-repair attempts per candidate
-	// initiation interval (default 6).
-	MaxRepair int
-	// ForceDirected selects force-directed scheduling (Paulin & Knight,
-	// paper reference [9]) for the non-pipelined design-style sweep in
-	// place of the default minimum-allocation list scheduling with repair.
-	ForceDirected bool
 	// Trace, Span and Metrics are the observability hooks (package obs),
 	// all nil-safe and off by default. Span, when non-nil, receives this
 	// prediction's events directly (core sets it to the per-partition BAD
@@ -259,9 +252,6 @@ func Predict(g *dfg.Graph, cfg Config) (Result, error) {
 	}
 	if err := cfg.Clocks.Validate(); err != nil {
 		return Result{}, err
-	}
-	if cfg.MaxRepair <= 0 {
-		cfg.MaxRepair = 6
 	}
 	if err := cfg.Inject.Fire("bad.predict"); err != nil {
 		return Result{}, err
@@ -493,11 +483,7 @@ func (p *predictor) sweep(sp *obs.Span) (Result, error) {
 				if err := p.canceled(); err != nil {
 					return Result{}, err
 				}
-				if cfg.ForceDirected {
-					p.forceDirected(&res, L)
-				} else {
-					p.nonPipelined(&res, L)
-				}
+				p.nonPipelined(&res, L)
 			}
 		}
 		// Pipelined sweep: every candidate initiation interval short of
@@ -580,6 +566,10 @@ func (p *predictor) minFUs(ii int) {
 	}
 }
 
+// maxRepair bounds the allocation-repair attempts per target latency or
+// initiation interval.
+const maxRepair = 6
+
 // nonPipelined sweeps the allocation repairs towards one target latency,
 // list-scheduling each allocation not yet scheduled under the current
 // module set.
@@ -597,29 +587,11 @@ func (p *predictor) nonPipelined(res *Result, target int) {
 			p.admit(res, NonPipelined, latency, latency, s.Start)
 		}
 		res.Total++
-		if latency <= target || attempt >= p.cfg.MaxRepair {
+		if latency <= target || attempt >= maxRepair {
 			return
 		}
 		p.bumpBottleneck()
 	}
-}
-
-// forceDirected builds the non-pipelined design for a target latency with
-// force-directed scheduling: the schedule determines the allocation (peak
-// concurrency) rather than the other way around.
-func (p *predictor) forceDirected(res *Result, target int) {
-	prob := sched.Problem{G: p.g, Cycles: func(n dfg.Node) int {
-		return p.cyc[slices.Index(p.ops, n.Op)]
-	}}
-	r, fus, ok, err := sched.ForceDirected(prob, target)
-	if err != nil || !ok {
-		return
-	}
-	for i, op := range p.ops {
-		p.fus[i] = fus[op]
-	}
-	res.Total++
-	p.admit(res, NonPipelined, r.Latency, r.Latency, r.Start)
 }
 
 // pipelined sweeps the allocation repairs at one initiation interval. The
@@ -633,7 +605,7 @@ func (p *predictor) pipelined(res *Result, ii int) {
 			p.admit(res, Pipelined, ii, r.Latency, r.Start)
 			return
 		}
-		if attempt >= p.cfg.MaxRepair {
+		if attempt >= maxRepair {
 			return
 		}
 		p.bumpBottleneck()
@@ -642,7 +614,7 @@ func (p *predictor) pipelined(res *Result, ii int) {
 
 // bumpBottleneck adds one FU to the most contended operation type; ties go
 // to the op type first in sorted order. Every count is at least 1, as
-// minFUs and force-directed scheduling leave it.
+// minFUs leaves it.
 func (p *predictor) bumpBottleneck() {
 	worst, worstOp := -1.0, -1
 	for i, cnt := range p.count {

@@ -365,57 +365,6 @@ func TestStyleRestrictions(t *testing.T) {
 	}
 }
 
-func TestForceDirectedSweep(t *testing.T) {
-	g := dfg.ARLatticeFilter(16)
-	cfg := exp2Config()
-	cfg.ForceDirected = true
-	cfg.MaxII = 40 // keep the O(frames^2) FDS sweep quick in tests
-	res, err := Predict(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total == 0 || len(res.Designs) == 0 {
-		t.Fatalf("FDS sweep empty: %+v", res)
-	}
-	for _, d := range res.Designs {
-		if d.Style == NonPipelined && (d.II != d.Latency || d.Stages != 1) {
-			t.Fatalf("FDS non-pipelined invariant broken: %+v", d)
-		}
-	}
-}
-
-func TestForceDirectedFindsComparableDesigns(t *testing.T) {
-	// FDS and list+repair must land in the same area/II ballpark: compare
-	// the cheapest design at the most serial frontier point of each.
-	g := dfg.ARLatticeFilter(16)
-	base := exp2Config()
-	base.MaxII = 40
-	fds := exp2Config()
-	fds.ForceDirected = true
-	fds.MaxII = 40
-	rb, err := Predict(g, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := Predict(g, fds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cheapest := func(r Result) float64 {
-		best := math.Inf(1)
-		for _, d := range r.Designs {
-			if d.Area.ML < best {
-				best = d.Area.ML
-			}
-		}
-		return best
-	}
-	cb, cf := cheapest(rb), cheapest(rf)
-	if cf > cb*1.6 || cb > cf*1.6 {
-		t.Fatalf("schedulers diverge: list %v vs fds %v", cb, cf)
-	}
-}
-
 // TestMuxLevelsMatchesFloatForm: the integer muxLevels agrees with the
 // float ceil(log2) it replaced, over every share count from 1 (finish's
 // floor) to 2^20 and at 2^k-1, 2^k and 2^k+1 for k <= 48.

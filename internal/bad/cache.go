@@ -134,7 +134,7 @@ func (c *PredictCache) Stats() CacheStats {
 //     and power, plus the register and mux cells,
 //   - the architecture style and clock configuration,
 //   - the level-1 pruning knobs (area/perf/delay bounds, KeepAll) and the
-//     sweep knobs (MaxII, MaxRepair, ForceDirected).
+//     sweep cap (MaxII).
 //
 // Two calls with equal keys produce identical Results, so cache hits are
 // safe across different partitionings, advisor sessions and server jobs.
@@ -148,17 +148,13 @@ func CacheKey(g *dfg.Graph, cfg Config) string {
 	}
 	writeModuleKey(h, "reg", l.Register)
 	writeModuleKey(h, "mux", l.Mux)
-	maxRepair := cfg.MaxRepair
-	if maxRepair <= 0 {
-		maxRepair = 6 // Predict's default; keep standalone keys consistent
-	}
 	fmt.Fprintf(h, "style|%t|%t|%t|%t;clk|%g|%d|%d;",
 		cfg.Style.MultiCycle, cfg.Style.NoPipelined, cfg.Style.NoNonPipelined,
 		cfg.Style.Testability, cfg.Clocks.MainNS, cfg.Clocks.DatapathMult,
 		cfg.Clocks.TransferMult)
-	fmt.Fprintf(h, "bound|%g|%g|%g|%g|%g|%t;sweep|%d|%d|%t;",
+	fmt.Fprintf(h, "bound|%g|%g|%g|%g|%g|%t;sweep|%d;",
 		cfg.MaxArea, cfg.Perf.Bound, cfg.Perf.MinProb, cfg.Delay.Bound,
-		cfg.Delay.MinProb, cfg.KeepAll, cfg.MaxII, maxRepair, cfg.ForceDirected)
+		cfg.Delay.MinProb, cfg.KeepAll, cfg.MaxII)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -178,9 +178,9 @@ func TestCacheKeySensitivity(t *testing.T) {
 			c.KeepAll = !c.KeepAll
 			return CacheKey(g, c)
 		},
-		"force-directed": func() string {
+		"max ii": func() string {
 			c := cfg
-			c.ForceDirected = !c.ForceDirected
+			c.MaxII = 12
 			return CacheKey(g, c)
 		},
 	}
@@ -191,24 +191,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 			t.Errorf("mutation %q collides with %q", name, prev)
 		}
 		seen[key] = name
-	}
-}
-
-// TestCacheKeyMaxRepairDefault: MaxRepair 0 and the explicit default must
-// key identically (Predict normalizes 0 to its default before caching),
-// while a non-default value must not.
-func TestCacheKeyMaxRepairDefault(t *testing.T) {
-	g := cacheTestGraph("base")
-	cfg := exp1Config()
-	cfg.MaxRepair = 0
-	zero := CacheKey(g, cfg)
-	cfg.MaxRepair = 6
-	if CacheKey(g, cfg) != zero {
-		t.Fatal("MaxRepair 0 and default 6 key differently")
-	}
-	cfg.MaxRepair = 3
-	if CacheKey(g, cfg) == zero {
-		t.Fatal("non-default MaxRepair keyed as default")
 	}
 }
 

@@ -56,56 +56,6 @@ type Result struct {
 	Instance []int
 }
 
-// ASAP returns the as-soon-as-possible start cycle of every node and the
-// resulting unconstrained latency.
-func ASAP(p Problem) (starts []int, latency int, err error) {
-	order, err := p.G.TopoOrder()
-	if err != nil {
-		return nil, 0, err
-	}
-	starts = make([]int, len(p.G.Nodes))
-	for _, id := range order {
-		s := 0
-		for _, pr := range p.G.Preds(id) {
-			if f := starts[pr] + p.cyclesOf(pr); f > s {
-				s = f
-			}
-		}
-		starts[id] = s
-		if f := s + p.cyclesOf(id); f > latency {
-			latency = f
-		}
-	}
-	return starts, latency, nil
-}
-
-// ALAP returns the as-late-as-possible start cycles for the given deadline
-// (in cycles). Nodes that cannot meet the deadline get negative starts.
-func ALAP(p Problem, deadline int) ([]int, error) {
-	order, err := p.G.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	starts := make([]int, len(p.G.Nodes))
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		s := deadline - p.cyclesOf(id)
-		for _, su := range p.G.Succs(id) {
-			if lim := starts[su] - p.cyclesOf(id); lim < s {
-				s = lim
-			}
-		}
-		starts[id] = s
-	}
-	return starts, nil
-}
-
-// CriticalCycles returns the unconstrained critical-path length in cycles.
-func CriticalCycles(p Problem) (int, error) {
-	_, lat, err := ASAP(p)
-	return lat, err
-}
-
 // ListSchedule computes a resource-constrained non-pipelined schedule using
 // critical-path list scheduling (List): each op type with an FU limit is
 // one resource of that capacity, held by each of its ops while it runs.

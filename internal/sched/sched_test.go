@@ -36,57 +36,6 @@ func wideGraph(n int) *dfg.Graph {
 
 func name(p string, i int) string { return p + string(rune('0'+i/10)) + string(rune('0'+i%10)) }
 
-func TestASAPChain(t *testing.T) {
-	p := Problem{G: chainGraph(5), Cycles: unit}
-	starts, lat, err := ASAP(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat != 5 {
-		t.Fatalf("latency = %d, want 5", lat)
-	}
-	// adds are node IDs 1..5
-	for i := 1; i <= 5; i++ {
-		if starts[i] != i-1 {
-			t.Fatalf("start[%d] = %d", i, starts[i])
-		}
-	}
-}
-
-func TestASAPMultiCycle(t *testing.T) {
-	g := dfg.New("mc")
-	in := g.AddNode("in", dfg.OpInput, 16)
-	m := g.AddNode("m", dfg.OpMul, 16)
-	a := g.AddNode("a", dfg.OpAdd, 16)
-	g.MustConnect(in, m)
-	g.MustConnect(m, a)
-	p := Problem{G: g, Cycles: func(n dfg.Node) int {
-		if n.Op == dfg.OpMul {
-			return 3
-		}
-		return 1
-	}}
-	starts, lat, err := ASAP(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if starts[a] != 3 || lat != 4 {
-		t.Fatalf("start[a]=%d lat=%d, want 3/4", starts[a], lat)
-	}
-}
-
-func TestALAP(t *testing.T) {
-	p := Problem{G: chainGraph(3), Cycles: unit}
-	starts, err := ALAP(p, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// chain of 3 unit ops against deadline 5: last add starts at 4.
-	if starts[3] != 4 || starts[2] != 3 || starts[1] != 2 {
-		t.Fatalf("ALAP starts = %v", starts)
-	}
-}
-
 func TestListScheduleUnlimitedMatchesASAP(t *testing.T) {
 	p := Problem{G: wideGraph(8), Cycles: unit}
 	res, err := ListSchedule(p)
@@ -287,14 +236,6 @@ func TestStages(t *testing.T) {
 	}
 }
 
-func TestCriticalCycles(t *testing.T) {
-	p := Problem{G: chainGraph(7), Cycles: unit}
-	cc, err := CriticalCycles(p)
-	if err != nil || cc != 7 {
-		t.Fatalf("CriticalCycles = %d err=%v", cc, err)
-	}
-}
-
 func TestPropListLatencyAtLeastCriticalPath(t *testing.T) {
 	f := func(nAdders uint8) bool {
 		limit := int(nAdders%4) + 1
@@ -304,8 +245,13 @@ func TestPropListLatencyAtLeastCriticalPath(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cc, _ := CriticalCycles(Problem{G: g, Cycles: unit})
-		return res.Latency >= cc
+		cp, err := g.CriticalPath(func(n dfg.Node) float64 {
+			if n.Op.NeedsFU() {
+				return 1
+			}
+			return 0
+		})
+		return err == nil && float64(res.Latency) >= cp
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
