@@ -97,6 +97,37 @@ func TestMaxMin(t *testing.T) {
 	}
 }
 
+// TestMaxMinFollowMathRules pins Max and Min to math.Max and math.Min on
+// NaN, infinities and signed zeros, part by part. The builtin max and min
+// differ on four of these pairs: math.Max(NaN, +Inf) is +Inf where
+// max(NaN, +Inf) is NaN, and math.Min(NaN, -Inf) is -Inf where
+// min(NaN, -Inf) is NaN, in either argument order.
+func TestMaxMinFollowMathRules(t *testing.T) {
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, -1}
+	same := func(got, want float64) bool {
+		if math.IsNaN(want) {
+			return math.IsNaN(got)
+		}
+		return math.Float64bits(got) == math.Float64bits(want)
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			// Lo and Hi see (a, b), ML sees (b, a).
+			x, y := Triplet{a, b, a}, Triplet{b, a, b}
+			for _, c := range []struct {
+				name string
+				got  Triplet
+				f    func(float64, float64) float64
+			}{{"Max", x.Max(y), math.Max}, {"Min", x.Min(y), math.Min}} {
+				want := Triplet{c.f(a, b), c.f(b, a), c.f(a, b)}
+				if !same(c.got.Lo, want.Lo) || !same(c.got.ML, want.ML) || !same(c.got.Hi, want.Hi) {
+					t.Errorf("%v.%s(%v) = %v, want %v", x, c.name, y, c.got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSumMaxOf(t *testing.T) {
 	if got := Sum(Exact(1), Exact(2), Exact(3)); got.ML != 6 {
 		t.Fatalf("Sum = %v", got)
