@@ -94,7 +94,8 @@ serve:
 	$(GO) run ./cmd/chop serve -addr :8080 -log-level debug
 
 # ci runs the gofmt, vet, build, race-test, allocation-gate and
-# benchmark-golden steps of .github/workflows/ci.yml. CI also runs the
+# benchmark-golden steps of .github/workflows/ci.yml. CI also runs every
+# Go benchmark once (go test -run '^$' -bench . -benchtime 1x ./...), the
 # benchmark smoke, fuzz, chaos, trace-smoke, dist-smoke and coverage steps,
 # which ci leaves out.
 ci: lint build race alloc-gates bench-test
