@@ -1,7 +1,7 @@
 // Trace: run CHOP on the AR lattice filter with the observability layer
-// enabled — a JSONL tracer capturing every pipeline stage and trial, plus a
-// metrics registry — then replay the trace into the same explanation report
-// that `chop explain` prints.
+// enabled — a JSONL tracer capturing every pipeline stage and the search's
+// trial tallies, plus a metrics registry — then replay the trace into the
+// same explanation report that `chop explain` prints.
 package main
 
 import (
@@ -52,8 +52,8 @@ func main() {
 	}
 	fmt.Print(rep.Format())
 
-	// The metrics registry is independent of the trace and much cheaper:
-	// fixed-size histograms instead of one event per trial.
+	// The metrics registry is independent of the trace: counters and
+	// fixed-size histograms, folded from the same tallies.
 	fmt.Println("\nmetrics:")
 	fmt.Print(cfg.Metrics.Text())
 }

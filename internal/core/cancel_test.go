@@ -28,12 +28,13 @@ func TestRunPreCanceledContext(t *testing.T) {
 	}
 }
 
-// TestSearchMidRunCancel cancels from inside the trial loop (via a tracer
-// hook on the first trial event) and checks the search stops early instead
-// of enumerating the whole space.
+// TestSearchMidRunCancel cancels from inside the search (via a tracer hook
+// on the tally point its one worker writes when the first shard ends) and
+// checks the search stops early instead of enumerating the whole space.
 func TestSearchMidRunCancel(t *testing.T) {
 	p := arPartitioning(t, 3, 1)
 	cfg := exp1Config()
+	cfg.Workers = 1
 
 	// Baseline trial count without cancellation.
 	full, _, err := Run(p, cfg, Enumeration)
@@ -47,13 +48,9 @@ func TestSearchMidRunCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.Ctx = ctx
-	trials := 0
 	cfg.Trace = obs.New(obs.PushSink(func(ev obs.Event) {
-		if ev.Kind == obs.KindPoint && ev.Name == "trial" {
-			trials++
-			if trials == 3 {
-				cancel()
-			}
+		if ev.Kind == obs.KindPoint && ev.Name == "tally" {
+			cancel()
 		}
 	}))
 	res, _, err := Run(p, cfg, Enumeration)

@@ -248,8 +248,8 @@ type Config struct {
 	// costs one pointer check per site.
 	Inject *resilience.Injector
 	// Trace receives hierarchical timed spans (Run → PredictPartitions →
-	// per-partition BAD → Search → per-trial integrate) and structured
-	// events (trial examined with its rejection reason, pruning decision,
+	// per-partition BAD → Search) and structured events (each worker's
+	// tally of trials, rejections and integrate time at every flush,
 	// Figure-5 serialization step). Nil — the default — disables tracing
 	// at near-zero cost.
 	Trace *obs.Tracer

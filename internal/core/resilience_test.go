@@ -182,9 +182,10 @@ func TestCheckpointSignatureMismatchStartsFresh(t *testing.T) {
 }
 
 // TestCheckpointSurvivesCancel: a cancelled search keeps every shard it
-// completed on disk. A Workers-1 search of four shards is cancelled one
-// trial before its last, inside the last shard; the first three shards must
-// resume exactly, and cancelling must not fail a checkpoint write.
+// completed on disk. A Workers-1 search of four shards is cancelled at the
+// tally point of its third shard, which the worker writes before it
+// appends that shard's record; the first three shards must resume exactly,
+// and cancelling must not fail a checkpoint write.
 func TestCheckpointSurvivesCancel(t *testing.T) {
 	p := arPartitioning(t, 2, 1)
 	cfg := exp1Config()
@@ -199,16 +200,13 @@ func TestCheckpointSurvivesCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	trials := 0
 	cut := cfg
 	cut.Ctx = ctx
 	cut.CheckpointPath = filepath.Join(t.TempDir(), "search.ckpt")
 	cut.Metrics = obs.NewMetrics()
 	cut.Trace = obs.New(obs.PushSink(func(ev obs.Event) {
-		if ev.Kind == obs.KindPoint && ev.Name == "trial" {
-			if trials++; trials == want.Trials-1 {
-				cancel()
-			}
+		if ev.Kind == obs.KindPoint && ev.Name == "tally" && ev.Fields["shard"] == 2 {
+			cancel()
 		}
 	}))
 	if _, err := Search(p, cut, preds, Enumeration); !errors.Is(err, context.Canceled) {

@@ -313,30 +313,36 @@ func TestRecordKeepAllSpacePoints(t *testing.T) {
 	}
 }
 
-func TestRecordEmitsPruneEvents(t *testing.T) {
-	// With pruning active (no KeepAll) and tracing on, the recorder must
-	// surface each discarded trial as a "prune" point carrying its reason.
-	book := func(cfg Config, designs ...GlobalDesign) *obs.CountingSink {
-		cs := obs.NewCountingSink()
-		sp := obs.New(cs).Span("Search")
+func TestTallyPointCountsPruned(t *testing.T) {
+	// With pruning active (no KeepAll) and tracing on, the recorder's
+	// tally point must count each discarded trial as pruned.
+	pruned := func(cfg Config, designs ...GlobalDesign) any {
+		var tallies []obs.Event
+		sp := obs.New(obs.PushSink(func(ev obs.Event) {
+			if ev.Kind == obs.KindPoint && ev.Name == "tally" {
+				tallies = append(tallies, ev)
+			}
+		})).Span("Search")
 		rec := newRecorder(cfg, sp)
 		for i := range designs {
 			rec.begin(1)
 			rec.end(&designs[i], nil)
 		}
+		rec.flush()
 		sp.End()
-		return cs
+		if len(tallies) != 1 {
+			t.Fatalf("%d tally points, want 1", len(tallies))
+		}
+		return tallies[0].Fields["pruned"]
 	}
-	cs := book(Config{},
+	if got := pruned(Config{},
 		GlobalDesign{Feasible: false, ReasonCode: ReasonArea, ReasonChip: -1},
-		GlobalDesign{Feasible: true, ReasonChip: -1})
-	if got := cs.Count(obs.KindPoint, "prune"); got != 1 {
-		t.Fatalf("prune points = %d, want 1", got)
+		GlobalDesign{Feasible: true, ReasonChip: -1}); got != int64(1) {
+		t.Fatalf("pruned = %v, want 1", got)
 	}
 	// KeepAll retains everything, so nothing is pruned (or reported as such).
-	cs2 := book(Config{KeepAll: true}, GlobalDesign{Feasible: false, ReasonChip: -1})
-	if got := cs2.Count(obs.KindPoint, "prune"); got != 0 {
-		t.Fatalf("KeepAll emitted %d prune points", got)
+	if got := pruned(Config{KeepAll: true}, GlobalDesign{Feasible: false, ReasonChip: -1}); got != int64(0) {
+		t.Fatalf("KeepAll pruned = %v, want 0", got)
 	}
 }
 

@@ -3,9 +3,9 @@
 // predictor (bad), the integrator and the search heuristics (core).
 //
 // Tracing is hierarchical: a Tracer produces timed spans
-// (Run → PredictPartitions → per-partition BAD → Search → per-trial
-// integrate) and instantaneous point events (trial examined, pruning
-// decision, Figure-5 serialization step), each carrying structured fields.
+// (Run → PredictPartitions → per-partition BAD → Search) and instantaneous
+// point events (a search worker's tally of trials at each flush, Figure-5
+// serialization step), each carrying structured fields.
 // Events are emitted to a pluggable Sink; the provided WriterSink writes
 // one JSON object per line (JSONL), which Replay turns back into a
 // human-readable report (see replay.go).
@@ -154,7 +154,7 @@ func (s *CountingSink) Total() int {
 }
 
 // Count returns the number of events of one kind and name (e.g.
-// Count(KindPoint, "trial")).
+// Count(KindPoint, "tally")).
 func (s *CountingSink) Count(kind, name string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

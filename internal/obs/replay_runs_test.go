@@ -18,10 +18,9 @@ func multiplexedTrace(t *testing.T) *bytes.Buffer {
 	tb := NewRunTracer(sink, "r-b")
 	sa := ta.Span("Search")
 	sb := tb.Span("Search")
-	sa.Point("trial", F("ii", 10), F("feasible", true))
-	sb.Point("trial", F("ii", 11), F("feasible", false), F("reason", "area"))
-	sb.Point("trial", F("ii", 12), F("feasible", false), F("reason", "area"))
-	sa.Point("trial", F("ii", 13), F("feasible", true))
+	sa.Point("tally", F("shard", 0), F("trials", 1), F("feasible", 1))
+	sb.Point("tally", F("shard", 0), F("trials", 2), F("feasible", 0), F("rejects", map[string]int{"area": 2}))
+	sa.Point("tally", F("shard", 1), F("trials", 1), F("feasible", 1))
 	sb.End(F("trials", 2))
 	sa.End(F("trials", 2))
 	if err := sink.Err(); err != nil {
@@ -120,8 +119,9 @@ func TestFormatStatsMultiEpoch(t *testing.T) {
 	}{{"r-a", epochA}, {"r-b", epochB}} {
 		for _, ev := range []Event{
 			{TNS: 1_000, Kind: KindBegin, Name: "Search", Span: 1},
-			{TNS: 40_000, Kind: KindPoint, Name: "trial", Span: 1, Fields: map[string]any{"feasible": true}},
-			{TNS: 90_000, Kind: KindPoint, Name: "trial", Span: 1, Fields: map[string]any{"feasible": false, "reason": "area"}},
+			{TNS: 40_000, Kind: KindPoint, Name: "tally", Span: 1, Fields: map[string]any{"trials": 1, "feasible": 1}},
+			{TNS: 90_000, Kind: KindPoint, Name: "tally", Span: 1, Fields: map[string]any{
+				"trials": 1, "feasible": 0, "rejects": map[string]any{"area": 1}}},
 			{TNS: 131_000, Kind: KindEnd, Name: "Search", Span: 1, DurNS: 130_000},
 		} {
 			ev.Run, ev.EpochNS = tr.run, tr.epoch

@@ -81,11 +81,14 @@ func TestRingSinkExactDropAccounting(t *testing.T) {
 // partition and B's end would find nothing.
 func TestReplayDemuxesCollidingLocalSpanIDs(t *testing.T) {
 	mkTrace := func(trace string, partition, kept int) []string {
+		tally := map[string]any{"trials": 1, "feasible": 1}
+		if partition != 1 {
+			tally = map[string]any{"trials": 1, "feasible": 0, "rejects": map[string]any{"no-perf": 1}}
+		}
 		return []string{
 			line(t, Event{TNS: 0, Kind: KindBegin, Name: "BAD", Span: 1, Trace: trace,
 				Fields: map[string]any{"partition": partition}}),
-			line(t, Event{TNS: 10, Kind: KindPoint, Name: "trial", Span: 1, Trace: trace,
-				Fields: map[string]any{"feasible": partition == 1, "reason": "no-perf"}}),
+			line(t, Event{TNS: 10, Kind: KindPoint, Name: "tally", Span: 1, Trace: trace, Fields: tally}),
 			line(t, Event{TNS: 100, Kind: KindEnd, Name: "BAD", Span: 1, Trace: trace,
 				DurNS: 100, Fields: map[string]any{"kept": kept}}),
 		}
