@@ -25,9 +25,9 @@ race:
 	$(GO) test -race ./...
 
 # alloc-gates runs the allocation budgets of the search hot path, of one
-# BAD prediction and the telemetry tax without -race: the race detector
-# allocates on its own, so those tests skip themselves under it and `make
-# race` never checks them.
+# BAD prediction and of the telemetry planes, the trace plane included,
+# without -race: the race detector allocates on its own, so those tests
+# skip themselves under it and `make race` never checks them.
 alloc-gates:
 	$(GO) test -count=1 -run 'AllocBudget|TelemetryTax' ./internal/core ./internal/bad
 
