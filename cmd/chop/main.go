@@ -140,7 +140,7 @@ func usage() {
   synth -f spec.json   synthesize the fastest feasible design to RTL, verify it, emit Verilog
   accuracy             compare BAD predictions against bound netlists
   serve                start the HTTP service plane (-addr, -max-concurrent,
-                       -queue, -ring, -grace, -predict-cache, -job-timeout,
+                       -queue, -grace, -predict-cache, -job-timeout,
                        -checkpoint-dir, -inject, -log-level, -log-json); submit
                        runs on POST /api/v1/runs, stream traces on
                        /api/v1/runs/{id}/events, scrape /metrics; -api-keys

@@ -54,7 +54,6 @@ func serveCmd(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	maxConcurrent := fs.Int("max-concurrent", 0, "max simultaneously executing runs (0 = NumCPU)")
 	queue := fs.Int("queue", 0, "queued-run backlog beyond the concurrency bound (0 = default 64)")
-	ring := fs.Int("ring", 0, "per-run trace replay ring capacity (0 = default 4096)")
 	grace := fs.Duration("grace", 0, "graceful-shutdown grace period (0 = default 10s)")
 	predictCache := fs.Int("predict-cache", 0, "server-wide BAD prediction cache entries (0 = default capacity, negative = disabled)")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-run wall-clock deadline; runs exceeding it are marked failed (0 = unbounded, overridable per submission via timeoutSec)")
@@ -114,7 +113,6 @@ func serveCmd(args []string) error {
 		Addr:              *addr,
 		MaxConcurrent:     *maxConcurrent,
 		QueueDepth:        *queue,
-		RingCapacity:      *ring,
 		ShutdownGrace:     *grace,
 		Log:               log,
 		PredictCache:      *predictCache,

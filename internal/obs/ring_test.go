@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // seqEvent builds an event carrying a sequence number in Span.
@@ -202,5 +204,26 @@ func TestRingDefaultCapacity(t *testing.T) {
 	}
 	if got := NewRingSink(-5).Cap(); got != defaultRingCapacity {
 		t.Fatalf("negative capacity = %d", got)
+	}
+}
+
+// TestRingTakesMemoryByUse: a ring of the default 4,096-event capacity that
+// is fed a run's worth of events allocates for those events, not for its
+// capacity.
+func TestRingTakesMemoryByUse(t *testing.T) {
+	const events = 24
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRingSink(defaultRingCapacity)
+	for i := int64(1); i <= events; i++ {
+		r.Emit(seqEvent(i))
+	}
+	runtime.ReadMemStats(&after)
+	full := uint64(defaultRingCapacity) * uint64(unsafe.Sizeof(Event{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > full/16 {
+		t.Fatalf("a ring holding %d events allocated %d bytes; its whole capacity is %d", events, got, full)
+	}
+	if r.Len() != events {
+		t.Fatalf("Len = %d, want %d", r.Len(), events)
 	}
 }

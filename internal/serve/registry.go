@@ -270,7 +270,6 @@ type Registry struct {
 	metrics    *obs.Metrics
 	log        *slog.Logger
 	cache      *bad.PredictCache
-	ringCap    int
 	workers    int
 	queueDepth int
 	jobTimeout time.Duration
@@ -291,9 +290,6 @@ func NewRegistry(opts Options) *Registry {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
-	}
-	if opts.RingCapacity <= 0 {
-		opts.RingCapacity = 4096
 	}
 	if opts.Jobs == nil {
 		opts.Jobs = DefaultJobs()
@@ -318,7 +314,6 @@ func NewRegistry(opts Options) *Registry {
 		metrics:    opts.Metrics,
 		log:        opts.Log,
 		cache:      cache,
-		ringCap:    opts.RingCapacity,
 		workers:    opts.MaxConcurrent,
 		queueDepth: opts.QueueDepth,
 		jobTimeout: opts.DefaultJobTimeout,
@@ -475,7 +470,7 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 		timeout:    timeout,
 		checkpoint: checkpoint,
 		trace:      trace,
-		ring:       obs.NewRingSink(r.ringCap),
+		ring:       obs.NewRingSink(0),
 	}
 	r.mu.Lock()
 	// Re-check under the lock: Shutdown flips draining while holding mu, so

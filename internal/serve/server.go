@@ -21,11 +21,9 @@ type Options struct {
 	Addr string
 	// MaxConcurrent bounds simultaneously executing runs (default:
 	// runtime.NumCPU()); QueueDepth bounds the backlog beyond that
-	// (default 64; submissions beyond it fail fast with ErrQueueFull);
-	// RingCapacity bounds each run's trace replay ring (default 4096).
+	// (default 64; submissions beyond it fail fast with ErrQueueFull).
 	MaxConcurrent int
 	QueueDepth    int
-	RingCapacity  int
 	// ShutdownGrace bounds how long graceful shutdown waits for in-flight
 	// work after cancelling it (default 10s).
 	ShutdownGrace time.Duration
