@@ -1,17 +1,22 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"chop/internal/chip"
 	"chop/internal/core"
+	"chop/internal/dfg"
+	"chop/internal/lib"
 	"chop/internal/obs"
 	"chop/internal/spec"
 )
@@ -265,5 +270,107 @@ func TestTraceHeadersAndSampling(t *testing.T) {
 	}
 	if !strings.Contains(serverBuf.String(), caller.TraceID) {
 		t.Fatal("caller-sampled request not recorded")
+	}
+}
+
+// ewfSpec is the EWF three-partition enumeration of the benchmark's serve
+// mix: the extended library on 84-pin chips under 90 µs bounds, 720
+// trials.
+func ewfSpec(t *testing.T) json.RawMessage {
+	t.Helper()
+	g := dfg.EllipticWaveFilter(16)
+	f := &spec.File{
+		Graph:        spec.GraphSpec{Name: g.Name},
+		Library:      lib.ExtendedLibrary(),
+		Chips:        chip.NewUniformSet(3, chip.MOSISPackages()[1], 4),
+		MainClockNS:  300,
+		DatapathMult: 10,
+		TransferMult: 1,
+		Perf:         spec.ConstraintSpec{Bound: 90000, MinProb: 1},
+		Delay:        spec.ConstraintSpec{Bound: 90000, MinProb: 0.8},
+		Heuristic:    "E",
+	}
+	for _, n := range g.Nodes {
+		f.Graph.Nodes = append(f.Graph.Nodes, spec.NodeSpec{Name: n.Name, Op: n.Op, Width: n.Width, Mem: n.Mem})
+	}
+	for _, e := range g.Edges {
+		f.Graph.Edges = append(f.Graph.Edges, [2]string{g.Nodes[e.From].Name, g.Nodes[e.To].Name})
+	}
+	for pi, set := range dfg.LevelPartitions(g, 3) {
+		var names []string
+		for _, id := range set {
+			names = append(names, g.Nodes[id].Name)
+		}
+		f.Partitions = append(f.Partitions, names)
+		f.PartChip = append(f.PartChip, pi)
+	}
+	raw, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestEvalEventsReplayToResult: an eval job's SSE trace stream, replayed
+// with obs.Replay, gives the trial, feasible and per-reason rejection
+// counts of the job's result, and the job's ring holds fewer events than
+// the job examined trials, none of them overwritten.
+func TestEvalEventsReplayToResult(t *testing.T) {
+	_, ts := newTestServer(t, Options{MaxConcurrent: 1})
+	client := &Client{Base: ts.URL}
+	st, err := client.Submit(context.Background(), SubmitSpec{Kind: "eval", Spec: ewfSpec(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runURL := ts.URL + "/api/v1/runs/" + st.ID
+	waitHTTPState(t, runURL, StateDone)
+	var detail struct {
+		RunStatus
+		Result EvalResult `json:"result"`
+	}
+	getJSON(t, runURL, &detail)
+	res := detail.Result
+	if res.Trials < 100 {
+		t.Fatalf("the eval examined %d trials, want at least 100", res.Trials)
+	}
+
+	resp, err := http.Get(runURL + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var trace strings.Builder
+	event := ""
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if name, ok := strings.CutPrefix(line, "event: "); ok {
+			event = name
+		} else if data, ok := strings.CutPrefix(line, "data: "); ok && event == "trace" {
+			trace.WriteString(data + "\n")
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := obs.Replay(strings.NewReader(trace.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Trials != res.Trials || rep.Feasible != res.FeasibleTrials {
+		t.Fatalf("replay %d trials, %d feasible; result %d, %d", rep.Trials, rep.Feasible, res.Trials, res.FeasibleTrials)
+	}
+	rejects := map[string]int64{}
+	for reason, n := range rep.Reasons {
+		rejects[reason] = int64(n)
+	}
+	if len(res.Rejects) == 0 || !reflect.DeepEqual(rejects, res.Rejects) {
+		t.Fatalf("replay rejects %v, result %v", rejects, res.Rejects)
+	}
+	t.Logf("%d trials, %d trace events retained, %d overwritten", res.Trials, detail.TraceEvents, detail.TraceDropped)
+	if detail.TraceEvents >= res.Trials || detail.TraceDropped != 0 {
+		t.Fatalf("the ring holds %d events with %d overwritten for %d trials; want fewer events than trials, none overwritten",
+			detail.TraceEvents, detail.TraceDropped, res.Trials)
 	}
 }
