@@ -1,8 +1,8 @@
 package obs
 
-// Exemplar is one recorded slow trial: enough context (shard, initiation
-// interval, feasibility verdict) to find the trial in a full trace without
-// shipping the trace itself.
+// Exemplar is one recorded slow trial: its shard, initiation interval and
+// feasibility verdict, the context to find it again in its search (the
+// trace records no single trial).
 type Exemplar struct {
 	// DurUS is the trial's integration latency in microseconds.
 	DurUS float64 `json:"durUS"`
