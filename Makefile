@@ -25,11 +25,12 @@ race:
 	$(GO) test -race ./...
 
 # alloc-gates runs the allocation budgets of the search hot path, of one
-# BAD prediction and of the telemetry planes, the trace plane included,
-# without -race: the race detector allocates on its own, so those tests
-# skip themselves under it and `make race` never checks them.
+# BAD prediction, of the telemetry planes, the trace plane included, and
+# of one serve eval job, without -race: the race detector allocates on its
+# own, so those tests skip themselves under it and `make race` never
+# checks them.
 alloc-gates:
-	$(GO) test -count=1 -run 'AllocBudget|TelemetryTax' ./internal/core ./internal/bad
+	$(GO) test -count=1 -run 'AllocBudget|TelemetryTax' ./internal/core ./internal/bad ./internal/serve
 
 # bench-test runs the benchmark module's golden tests: the paper's Tables
 # 3-6 rows, the Figure 7 points sha256 and the stress6 digest, pinned in

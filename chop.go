@@ -463,18 +463,21 @@ var (
 // serve` is the CLI front end.
 type (
 	// ServeOptions parameterizes NewServer (address, concurrency bound,
-	// queue depth, ring capacity, shutdown grace, logger, job table).
+	// queue depth, shutdown grace, logger, job table).
 	ServeOptions = serve.Options
 	// Server is the CHOP service plane; mount Handler() or call
 	// ListenAndServe, stop with Drain.
 	Server = serve.Server
 	// ServeRegistry supervises submitted runs (worker pool + state).
 	ServeRegistry = serve.Registry
-	// ServeJob defines one run kind: an executable plus an optional
-	// submission-time validator.
+	// ServeJob defines one run kind: a function that decodes and
+	// validates a submitted spec once, at submit, and returns the run's
+	// body.
 	ServeJob = serve.Job
+	// ServeJobFunc is a run's body, which a ServeJob returns.
+	ServeJobFunc = serve.JobFunc
 	// ServeJobContext carries the per-run tracer, metrics and logger into
-	// a ServeJob.
+	// a ServeJobFunc.
 	ServeJobContext = serve.JobContext
 	// RunState is a run's lifecycle state (queued/running/done/failed/
 	// canceled).

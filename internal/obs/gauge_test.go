@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -83,75 +81,4 @@ func TestRecordBuildInfo(t *testing.T) {
 		t.Errorf("build info gauge not exposed:\n%s", text)
 	}
 	RecordBuildInfo(nil) // nil-safe
-}
-
-func TestInstrumentHandler(t *testing.T) {
-	m := NewMetrics()
-	h := InstrumentHandler(m, "get_run", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if m.Gauge("serve.http.in_flight") != 1 {
-			t.Error("in-flight gauge not raised during request")
-		}
-		w.WriteHeader(http.StatusNotFound)
-	}))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/runs/r1", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if got := m.Counter("serve.http.get_run.4xx"); got != 1 {
-		t.Errorf("status-class counter = %d", got)
-	}
-	if got := m.Counter("serve.http.requests"); got != 1 {
-		t.Errorf("requests counter = %d", got)
-	}
-	if got := m.Gauge("serve.http.in_flight"); got != 0 {
-		t.Errorf("in-flight gauge after request = %v", got)
-	}
-	if m.Snapshot().Histograms["serve.http.get_run_us"].Count != 1 {
-		t.Error("route latency histogram missing")
-	}
-	if m.Snapshot().Histograms["serve.http.request_us"].Count != 1 {
-		t.Error("aggregate latency histogram missing")
-	}
-}
-
-// TestInstrumentHandlerDefaultStatus checks a handler that never calls
-// WriteHeader counts as 2xx, and that a nil registry serves untouched.
-func TestInstrumentHandlerDefaultStatus(t *testing.T) {
-	m := NewMetrics()
-	h := InstrumentHandler(m, "healthz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok"))
-	}))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if got := m.Counter("serve.http.healthz.2xx"); got != 1 {
-		t.Errorf("implicit 200 not counted: %d", got)
-	}
-
-	nilH := InstrumentHandler(nil, "x", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-	}))
-	rec = httptest.NewRecorder()
-	nilH.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if rec.Code != http.StatusTeapot {
-		t.Errorf("nil-registry wrapper altered response: %d", rec.Code)
-	}
-}
-
-func TestInstrumentHandlerFlusher(t *testing.T) {
-	var isFlusher bool
-	h := InstrumentHandler(NewMetrics(), "events", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, isFlusher = w.(http.Flusher)
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}))
-	rec := httptest.NewRecorder() // httptest.ResponseRecorder implements Flusher
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if !isFlusher {
-		t.Fatal("instrumented writer lost http.Flusher — SSE would buffer")
-	}
-	if !rec.Flushed {
-		t.Fatal("Flush not forwarded to the underlying writer")
-	}
 }

@@ -20,7 +20,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,18 +158,6 @@ func (s *CountingSink) Count(kind, name string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.byName[kind+":"+name]
-}
-
-// Names returns the distinct kind:name keys seen, sorted.
-func (s *CountingSink) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.byName))
-	for k := range s.byName {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Tracer emits hierarchical spans and events to a Sink. A nil *Tracer is

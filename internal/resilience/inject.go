@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -58,17 +59,8 @@ func (e *InjectedError) Error() string {
 // IsInjected reports whether err (anywhere in its chain) is an injected
 // fault.
 func IsInjected(err error) bool {
-	for err != nil {
-		if _, ok := err.(*InjectedError); ok {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	var ie *InjectedError
+	return errors.As(err, &ie)
 }
 
 // rule is one site's fault configuration. Exactly one trigger is active:

@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -44,6 +45,22 @@ func TestInjectorOneShot(t *testing.T) {
 	// Unconfigured sites never fire.
 	if err := inj.Fire("site.other"); err != nil {
 		t.Fatalf("unconfigured site fired: %v", err)
+	}
+}
+
+// TestIsInjectedThroughMultiWrap: an injected fault joined with another
+// error, or wrapped next to one by a two-%w Errorf, is still found.
+func TestIsInjectedThroughMultiWrap(t *testing.T) {
+	inj := MustParse("site.a=error:@1")
+	fault := inj.Fire("site.a")
+	other := errors.New("shard 2 failed")
+	for _, err := range []error{
+		errors.Join(other, fault),
+		fmt.Errorf("search: %w; %w", other, fault),
+	} {
+		if !IsInjected(err) {
+			t.Errorf("IsInjected(%v) = false", err)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@
 package resilience
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 )
@@ -61,15 +62,7 @@ func GuardNotify(site string, fn func() error, recovered func()) (err error) {
 
 // IsPanic reports whether err wraps a recovered panic, and returns it.
 func IsPanic(err error) (*PanicError, bool) {
-	for err != nil {
-		if pe, ok := err.(*PanicError); ok {
-			return pe, true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return nil, false
-		}
-		err = u.Unwrap()
-	}
-	return nil, false
+	var pe *PanicError
+	ok := errors.As(err, &pe)
+	return pe, ok
 }

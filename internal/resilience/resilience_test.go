@@ -49,3 +49,18 @@ func TestGuardWrappedPanicError(t *testing.T) {
 		t.Fatalf("IsPanic through wrap = %v, %v", pe, ok)
 	}
 }
+
+// TestIsPanicThroughMultiWrap: a panic joined with another error, or
+// wrapped next to one by a two-%w Errorf, is still found.
+func TestIsPanicThroughMultiWrap(t *testing.T) {
+	inner := Guard("inner", func() error { panic(42) })
+	other := errors.New("shard 2 failed")
+	for _, err := range []error{
+		errors.Join(other, inner),
+		fmt.Errorf("search: %w; %w", other, inner),
+	} {
+		if pe, ok := IsPanic(err); !ok || pe.Value != 42 {
+			t.Errorf("IsPanic(%v) = %v, %v", err, pe, ok)
+		}
+	}
+}

@@ -290,31 +290,36 @@ func TestAdmissionClientRoundTrip(t *testing.T) {
 
 // searchJobs maps "search" onto a real core search returning the raw
 // deterministic core.SearchResult (no timing fields), so results can be
-// compared byte-for-byte across preemption. "instant" is the preemptor.
+// compared byte-for-byte across preemption. It decodes its spec at submit,
+// so a resumed run re-runs the problem decoded then. "instant" is the
+// preemptor.
 func searchJobs() map[string]Job {
 	return map[string]Job{
-		"instant": {Run: func(ctx context.Context, _ json.RawMessage, _ JobContext) (any, error) {
+		"instant": rawJob(func(ctx context.Context, _ json.RawMessage, _ JobContext) (any, error) {
 			return "ok", nil
-		}},
-		"search": {Run: func(ctx context.Context, raw json.RawMessage, jc JobContext) (any, error) {
+		}),
+		"search": func(raw json.RawMessage) (JobFunc, error) {
 			prob, err := spec.Parse(raw)
 			if err != nil {
 				return nil, err
 			}
-			prob.Config.Ctx = ctx
-			prob.Config.Metrics = jc.Metrics
-			prob.Config.Stats = jc.Stats
-			prob.Config.Inject = jc.Inject
-			if jc.Checkpoint != "" {
-				prob.Config.CheckpointPath = jc.Checkpoint
-				prob.Config.Resume = true
-			}
-			res, _, err := core.Run(prob.Partitioning, prob.Config, prob.Heuristic)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
-		}},
+			return func(ctx context.Context, jc JobContext) (any, error) {
+				cfg := prob.Config
+				cfg.Ctx = ctx
+				cfg.Metrics = jc.Metrics
+				cfg.Stats = jc.Stats
+				cfg.Inject = jc.Inject
+				if jc.Checkpoint != "" {
+					cfg.CheckpointPath = jc.Checkpoint
+					cfg.Resume = true
+				}
+				res, _, err := core.Run(prob.Partitioning, cfg, prob.Heuristic)
+				if err != nil {
+					return nil, err
+				}
+				return res, nil
+			}, nil
+		},
 	}
 }
 
@@ -429,6 +434,80 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 		if occ.Running != 0 || occ.Queued != 0 {
 			t.Errorf("tenant %s leaked slots: %+v", occ.Name, occ)
 		}
+	}
+}
+
+// TestJobDecodesOncePerSubmission: a run kind decodes its spec once per
+// accepted submission. A preempted run runs the body it decoded again
+// instead of decoding its spec twice, and a terminal run, canceled or done,
+// holds no body.
+func TestJobDecodesOncePerSubmission(t *testing.T) {
+	leakCheck(t)
+	var decodes, bodies atomic.Int64
+	held := make(chan struct{}, 1)
+	jobs := map[string]Job{
+		"count": func(json.RawMessage) (JobFunc, error) {
+			decodes.Add(1)
+			return func(ctx context.Context, _ JobContext) (any, error) {
+				if bodies.Add(1) == 1 {
+					held <- struct{}{}
+					<-ctx.Done() // the first run is held until preempted
+					return nil, ctx.Err()
+				}
+				return "ok", nil
+			}, nil
+		},
+		"instant": rawJob(func(context.Context, json.RawMessage, JobContext) (any, error) {
+			return "ok", nil
+		}),
+	}
+	r := NewRegistry(Options{
+		MaxConcurrent: 1,
+		Jobs:          jobs,
+		CheckpointDir: t.TempDir(),
+		Tenants: []TenantConfig{
+			{Name: "batch", Key: "lo", Priority: 0},
+			{Name: "interactive", Key: "hi", Priority: 10},
+		},
+	})
+	defer r.Shutdown(context.Background())
+	hasBody := func(run *Run) bool {
+		run.mu.Lock()
+		defer run.mu.Unlock()
+		return run.body != nil
+	}
+
+	victim, err := r.SubmitWith("count", nil, SubmitOptions{APIKey: "lo", Checkpoint: "count.ckpt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	queued, err := r.SubmitWith("count", nil, SubmitOptions{APIKey: "lo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := r.Cancel(queued.ID()); !ok || err != nil {
+		t.Fatalf("cancel queued: %v %v", ok, err)
+	}
+	waitState(t, queued, StateCanceled)
+	if hasBody(queued) {
+		t.Error("canceled run still holds its body")
+	}
+	preemptor, err := r.SubmitWith("instant", nil, SubmitOptions{APIKey: "hi"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, preemptor, StateDone)
+	waitState(t, victim, StateDone)
+
+	if n := victim.Status(false).Preemptions; n != 1 {
+		t.Fatalf("victim preemptions = %d, want 1", n)
+	}
+	if d, b := decodes.Load(), bodies.Load(); d != 2 || b != 2 {
+		t.Errorf("2 submissions, one preempted: %d decodes and %d body runs, want 2 and 2", d, b)
+	}
+	if hasBody(victim) || hasBody(preemptor) {
+		t.Error("done run still holds its body")
 	}
 }
 
@@ -610,7 +689,7 @@ func TestTenantQuotaProperty(t *testing.T) {
 		maxSeen.Store(tenant, new(atomic.Int64))
 	}
 	jobs := map[string]Job{
-		"work": {Run: func(ctx context.Context, raw json.RawMessage, _ JobContext) (any, error) {
+		"work": rawJob(func(ctx context.Context, raw json.RawMessage, _ JobContext) (any, error) {
 			tenant := string(raw)
 			cur, _ := inFlight.Load(tenant)
 			peak, _ := maxSeen.Load(tenant)
@@ -624,7 +703,7 @@ func TestTenantQuotaProperty(t *testing.T) {
 			time.Sleep(time.Duration(100+n*50) * time.Microsecond)
 			cur.(*atomic.Int64).Add(-1)
 			return nil, nil
-		}},
+		}),
 	}
 	base := time.Now().UnixNano()
 	for i := 0; i < iterations; i++ {

@@ -24,22 +24,29 @@ import (
 //	       coordinator (see internal/dist and shard.go)
 func DefaultJobs() map[string]Job {
 	return map[string]Job{
-		"eval":  {Run: evalJob, Validate: validateSpec},
-		"synth": {Run: synthJob, Validate: validateSpec},
-		"exp1":  {Run: expJob(1)},
-		"exp2":  {Run: expJob(2)},
-		"shard": {Run: shardJob, Validate: validateShard},
+		"eval":  specJob(evalJob),
+		"synth": specJob(synthJob),
+		"exp1":  expJob(1),
+		"exp2":  expJob(2),
+		"shard": shardJob,
 	}
 }
 
-// validateSpec parses the spec at submission time so malformed problems
-// are rejected with 400 instead of becoming failed runs.
-func validateSpec(raw json.RawMessage) error {
-	if len(raw) == 0 {
-		return fmt.Errorf("spec required for this run kind")
+// specJob makes a run kind of a body that runs a partitioning spec. The
+// spec is decoded at submission, so a malformed problem is rejected with
+// 400 instead of becoming a failed run, and each run of the body uses that
+// one decode.
+func specJob(run func(context.Context, *spec.Problem, JobContext) (any, error)) Job {
+	return func(raw json.RawMessage) (JobFunc, error) {
+		if len(raw) == 0 {
+			return nil, fmt.Errorf("spec required for this run kind")
+		}
+		prob, err := spec.Parse(raw)
+		if err != nil {
+			return nil, err
+		}
+		return func(ctx context.Context, jc JobContext) (any, error) { return run(ctx, prob, jc) }, nil
 	}
-	_, err := spec.Parse(raw)
-	return err
 }
 
 // DesignSummary is the API form of one feasible non-inferior design.
@@ -65,34 +72,32 @@ type EvalResult struct {
 	ElapsedMS      float64          `json:"elapsedMS"`
 }
 
-func evalJob(ctx context.Context, raw json.RawMessage, jc JobContext) (any, error) {
-	_, _, summary, err := runSpec(ctx, raw, jc)
+func evalJob(ctx context.Context, prob *spec.Problem, jc JobContext) (any, error) {
+	_, _, summary, err := runSpec(ctx, prob, jc)
 	if err != nil {
 		return nil, err
 	}
 	return summary, nil
 }
 
-// runSpec parses and runs a spec with the job's observability attached,
-// and summarizes the result.
-func runSpec(ctx context.Context, raw json.RawMessage, jc JobContext) (core.SearchResult, *spec.Problem, *EvalResult, error) {
-	prob, err := spec.Parse(raw)
-	if err != nil {
-		return core.SearchResult{}, nil, nil, err
-	}
-	jc.wire(ctx, &prob.Config)
+// runSpec runs a decoded problem under a copy of its config wired to the
+// job, and summarizes the result. It also returns that config, which synth
+// binds the chosen design with.
+func runSpec(ctx context.Context, prob *spec.Problem, jc JobContext) (core.SearchResult, core.Config, *EvalResult, error) {
+	cfg := prob.Config
+	jc.wire(ctx, &cfg)
 	if jc.Checkpoint != "" {
 		// Resume is unconditional: a matching log from an interrupted
 		// earlier run continues it, anything else starts fresh.
-		prob.Config.CheckpointPath = jc.Checkpoint
-		prob.Config.Resume = true
+		cfg.CheckpointPath = jc.Checkpoint
+		cfg.Resume = true
 	}
 	t0 := time.Now()
-	res, _, err := core.Run(prob.Partitioning, prob.Config, prob.Heuristic)
+	res, _, err := core.Run(prob.Partitioning, cfg, prob.Heuristic)
 	if err != nil {
-		return res, prob, nil, err
+		return res, cfg, nil, err
 	}
-	return res, prob, summarize(res, prob, jc.Stats, time.Since(t0)), nil
+	return res, cfg, summarize(res, prob, jc.Stats, time.Since(t0)), nil
 }
 
 // wire points cfg at the job's context, observability planes and fault
@@ -145,12 +150,12 @@ type SynthResult struct {
 	Verilog  []string `json:"verilog"`
 }
 
-func synthJob(ctx context.Context, raw json.RawMessage, jc JobContext) (any, error) {
-	res, prob, summary, err := runSpec(ctx, raw, jc)
+func synthJob(ctx context.Context, prob *spec.Problem, jc JobContext) (any, error) {
+	res, cfg, summary, err := runSpec(ctx, prob, jc)
 	if err != nil {
 		return nil, err
 	}
-	syn, err := cosim.Synthesize(prob.Partitioning, prob.Config, res.Best)
+	syn, err := cosim.Synthesize(prob.Partitioning, cfg, res.Best)
 	if err != nil {
 		return nil, err
 	}
@@ -174,8 +179,9 @@ type ExpResult struct {
 	Tables map[string]string `json:"tables"`
 }
 
-func expJob(n int) JobFunc {
-	return func(ctx context.Context, _ json.RawMessage, jc JobContext) (any, error) {
+// expJob regenerates one paper experiment; it ignores its spec.
+func expJob(n int) Job {
+	body := func(ctx context.Context, jc JobContext) (any, error) {
 		e := experiments.New(n)
 		jc.wire(ctx, &e.Cfg)
 		counts, err := e.PredictionCounts()
@@ -201,4 +207,5 @@ func expJob(n int) JobFunc {
 			},
 		}, nil
 	}
+	return func(json.RawMessage) (JobFunc, error) { return body, nil }
 }

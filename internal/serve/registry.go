@@ -8,11 +8,12 @@
 // the run supervisor (admission, priority queue, worker pool, lifecycle,
 // cancellation, preemption), admission.go is the multi-tenant admission
 // table (API keys, quotas, rate limits), jobs.go maps run kinds onto the
-// pipeline (eval, synth, exp1/exp2), and server.go plus handlers.go put
-// the HTTP surface on top.
+// pipeline (eval, synth, exp1/exp2), and server.go, middleware.go and
+// handlers.go put the HTTP surface on top.
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -78,19 +79,18 @@ type JobContext struct {
 	Inject *resilience.Injector
 }
 
-// JobFunc executes one run kind. The context is cancelled on run
-// cancellation, preemption and server shutdown; implementations must
-// return promptly once it is done (the core pipeline does, via
-// Config.Ctx). The returned value is serialized as the run's result JSON.
-type JobFunc func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error)
+// Job prepares one run kind: it decodes and validates a submitted spec,
+// so a malformed submission is rejected at the API boundary (400) instead
+// of surfacing as a failed run, and returns the run's body. It runs once
+// per submission; the registry runs the body it returned, again after a
+// preemption, without decoding the spec a second time.
+type Job func(spec json.RawMessage) (JobFunc, error)
 
-// Job couples execution with optional eager spec validation, so malformed
-// submissions are rejected at the API boundary (400) instead of surfacing
-// as failed runs.
-type Job struct {
-	Run      JobFunc
-	Validate func(spec json.RawMessage) error
-}
+// JobFunc is one run's body. The context is cancelled on run cancellation,
+// preemption and server shutdown; implementations must return promptly
+// once it is done (the core pipeline does, via Config.Ctx). The returned
+// value is serialized as the run's result JSON.
+type JobFunc func(ctx context.Context, jc JobContext) (any, error)
 
 // Run is one supervised unit of work. All fields are guarded by mu; the
 // HTTP layer reads through Status().
@@ -102,6 +102,7 @@ type Run struct {
 	tenant    string
 	priority  int
 	spec      json.RawMessage
+	body      JobFunc // decoded from spec at submit; kept until a terminal state
 	state     State
 	submitted time.Time
 	started   time.Time
@@ -413,10 +414,9 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownKind, kind)
 	}
-	if job.Validate != nil {
-		if err := job.Validate(spec); err != nil {
-			return nil, err
-		}
+	body, err := job(spec)
+	if err != nil {
+		return nil, err
 	}
 	checkpoint, err := r.resolveCheckpoint(opts.Checkpoint)
 	if err != nil {
@@ -465,6 +465,7 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 		tenant:     tenant,
 		priority:   priority,
 		spec:       spec,
+		body:       body,
 		state:      StateQueued,
 		submitted:  time.Now(),
 		timeout:    timeout,
@@ -664,12 +665,12 @@ func (r *Registry) CacheStats() (stats bad.CacheStats, ok bool) {
 // running run, submission order — the per-run rows of /api/v1/stats.
 func (r *Registry) ActiveRunStats() []obs.RunStatsSnapshot {
 	r.mu.Lock()
-	ids := append([]string(nil), r.order...)
-	runs := make([]*Run, len(ids))
-	for i, id := range ids {
-		runs[i] = r.runs[id]
+	runs := make([]*Run, 0, len(r.running))
+	for _, run := range r.running {
+		runs = append(runs, run)
 	}
 	r.mu.Unlock()
+	slices.SortFunc(runs, func(a, b *Run) int { return cmp.Compare(a.seq, b.seq) })
 	var out []obs.RunStatsSnapshot
 	for _, run := range runs {
 		run.mu.Lock()
@@ -706,6 +707,7 @@ func (r *Registry) CountByState() map[State]int {
 // the caller.
 func (r *Registry) finishCanceled(run *Run) {
 	run.state = StateCanceled
+	run.body = nil
 	run.finished = time.Now()
 	run.errMsg = context.Canceled.Error()
 	run.mu.Unlock()
@@ -787,6 +789,7 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 	}
 	run.state = StateRunning
 	run.started = time.Now()
+	body := run.body
 	run.mu.Unlock()
 
 	log := r.log.With("run", run.id, "kind", run.kind, "trace_id", run.trace.TraceID)
@@ -821,7 +824,7 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 				sink = obs.NewTeeSink(run.ring, r.traceSink)
 			}
 			var jerr error
-			result, jerr = r.jobs[run.kind].Run(ctx, run.spec, JobContext{
+			result, jerr = body(ctx, JobContext{
 				Tracer: obs.NewTracer(sink, obs.TracerOptions{
 					Run:     run.id,
 					Context: run.trace,
@@ -872,6 +875,7 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 
 	run.mu.Lock()
 	run.finished = time.Now()
+	run.body = nil
 	dur := run.finished.Sub(run.started)
 	switch {
 	case err == nil:

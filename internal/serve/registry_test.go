@@ -11,18 +11,26 @@ import (
 	"chop/internal/obs"
 )
 
+// rawJob makes a synthetic run kind whose body reads the raw spec it was
+// submitted with and decodes nothing.
+func rawJob(body func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error)) Job {
+	return func(spec json.RawMessage) (JobFunc, error) {
+		return func(ctx context.Context, jc JobContext) (any, error) { return body(ctx, spec, jc) }, nil
+	}
+}
+
 // blockingJobs returns a job table with one kind, "block", that signals
 // start on started and runs until its context is cancelled.
 func blockingJobs(started chan string) map[string]Job {
 	return map[string]Job{
-		"block": {Run: func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error) {
+		"block": rawJob(func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error) {
 			jc.Tracer.Span("blocked").End()
 			if started != nil {
 				started <- string(spec)
 			}
 			<-ctx.Done()
 			return nil, ctx.Err()
-		}},
+		}),
 	}
 }
 
@@ -85,7 +93,7 @@ func TestRegistryConcurrencyBound(t *testing.T) {
 	const limit = 2
 	var inFlight, maxSeen atomic.Int64
 	jobs := map[string]Job{
-		"work": {Run: func(ctx context.Context, _ json.RawMessage, _ JobContext) (any, error) {
+		"work": rawJob(func(ctx context.Context, _ json.RawMessage, _ JobContext) (any, error) {
 			n := inFlight.Add(1)
 			for {
 				m := maxSeen.Load()
@@ -96,7 +104,7 @@ func TestRegistryConcurrencyBound(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 			inFlight.Add(-1)
 			return "done", nil
-		}},
+		}),
 	}
 	r := NewRegistry(Options{MaxConcurrent: limit, QueueDepth: 32, Jobs: jobs})
 	defer r.Shutdown(context.Background())
@@ -220,8 +228,8 @@ func TestRegistryShutdownCancelsEverything(t *testing.T) {
 
 func TestRegistryRunLifecycleMetadata(t *testing.T) {
 	jobs := map[string]Job{
-		"ok":   {Run: func(context.Context, json.RawMessage, JobContext) (any, error) { return 42, nil }},
-		"fail": {Run: func(context.Context, json.RawMessage, JobContext) (any, error) { return nil, errors.New("boom") }},
+		"ok":   rawJob(func(context.Context, json.RawMessage, JobContext) (any, error) { return 42, nil }),
+		"fail": rawJob(func(context.Context, json.RawMessage, JobContext) (any, error) { return nil, errors.New("boom") }),
 	}
 	r := NewRegistry(Options{MaxConcurrent: 2, Jobs: jobs, Metrics: obs.NewMetrics()})
 	defer r.Shutdown(context.Background())
@@ -261,12 +269,12 @@ func TestRegistryRunLifecycleMetadata(t *testing.T) {
 func TestRegistryMergesRunMetrics(t *testing.T) {
 	var jobMetrics *obs.Metrics
 	jobs := map[string]Job{
-		"count": {Run: func(_ context.Context, _ json.RawMessage, jc JobContext) (any, error) {
+		"count": rawJob(func(_ context.Context, _ json.RawMessage, jc JobContext) (any, error) {
 			jobMetrics = jc.Metrics
 			jc.Metrics.Add("core.trials", 7)
 			jc.Metrics.Observe("core.integrate_us", 3)
 			return nil, nil
-		}},
+		}),
 	}
 	r := NewRegistry(Options{MaxConcurrent: 1, Jobs: jobs})
 	defer r.Shutdown(context.Background())

@@ -22,19 +22,19 @@ import (
 // survive: instant success, panic, organic error, and stall-until-cancel.
 func chaosJobs() map[string]Job {
 	return map[string]Job{
-		"instant": {Run: func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error) {
+		"instant": rawJob(func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error) {
 			return "ok", nil
-		}},
-		"explode": {Run: func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error) {
+		}),
+		"explode": rawJob(func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error) {
 			panic("job blew up")
-		}},
-		"fail": {Run: func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error) {
+		}),
+		"fail": rawJob(func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error) {
 			return nil, fmt.Errorf("organic failure")
-		}},
-		"stall": {Run: func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error) {
+		}),
+		"stall": rawJob(func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
-		}},
+		}),
 	}
 }
 
@@ -238,12 +238,12 @@ func TestCheckpointNameResolution(t *testing.T) {
 		paths []string
 	)
 	jobs := map[string]Job{
-		"record": {Run: func(_ context.Context, _ json.RawMessage, jc JobContext) (any, error) {
+		"record": rawJob(func(_ context.Context, _ json.RawMessage, jc JobContext) (any, error) {
 			mu.Lock()
 			paths = append(paths, jc.Checkpoint)
 			mu.Unlock()
 			return "ok", nil
-		}},
+		}),
 	}
 	r := NewRegistry(Options{MaxConcurrent: 1, Jobs: jobs, CheckpointDir: dir})
 	defer r.Shutdown(context.Background())

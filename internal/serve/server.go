@@ -136,13 +136,13 @@ func (s *Server) Registry() *Registry { return s.reg }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.traceRequest(name, obs.InstrumentHandler(s.metrics, name, h)))
+		mux.Handle(pattern, s.instrument(name, false, h))
 	}
 	// SSE routes hold their connection open for the run's lifetime, so they
 	// record time-to-first-byte into the request histograms and their full
-	// lifetime into serve.http.stream_us instead (see InstrumentStreamHandler).
+	// lifetime into serve.http.stream_us instead (see instrument).
 	stream := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.traceRequest(name, obs.InstrumentStreamHandler(s.metrics, name, h)))
+		mux.Handle(pattern, s.instrument(name, true, h))
 	}
 	route("POST /api/v1/runs", "submit", s.handleSubmit)
 	route("GET /api/v1/runs", "list_runs", s.handleList)
@@ -156,7 +156,7 @@ func (s *Server) Handler() http.Handler {
 	route("GET /readyz", "readyz", s.handleReadyz)
 	// pprof registers on the mux directly (its own handlers manage
 	// content types); instrumented under one shared route label.
-	mux.Handle("/debug/pprof/", s.traceRequest("pprof", obs.InstrumentHandler(s.metrics, "pprof", http.HandlerFunc(pprof.Index))))
+	mux.Handle("/debug/pprof/", s.instrument("pprof", false, http.HandlerFunc(pprof.Index)))
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)

@@ -44,86 +44,80 @@ type ShardResponse struct {
 	Trials    int                        `json:"trials"`
 }
 
-// validateShard rejects malformed shard submissions with 400 at the door.
-func validateShard(raw json.RawMessage) error {
+// shardJob decodes and checks a shard request at submission, so a
+// malformed one is rejected with 400 at the door, and returns the lease's
+// body.
+func shardJob(raw json.RawMessage) (JobFunc, error) {
 	var req ShardRequest
 	if len(raw) == 0 {
-		return fmt.Errorf("spec required for this run kind")
+		return nil, fmt.Errorf("spec required for this run kind")
 	}
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return fmt.Errorf("shard request: %w", err)
-	}
-	if len(req.Spec) == 0 {
-		return fmt.Errorf("shard request: spec required")
-	}
-	if _, err := spec.Parse(req.Spec); err != nil {
-		return err
-	}
-	if req.Shards <= 0 {
-		return fmt.Errorf("shard request: shards must be positive")
-	}
-	if len(req.Indices) == 0 {
-		return fmt.Errorf("shard request: at least one shard index required")
-	}
-	if len(req.Epochs) != 0 && len(req.Epochs) != len(req.Indices) {
-		return fmt.Errorf("shard request: epochs must parallel indices (%d vs %d)",
-			len(req.Epochs), len(req.Indices))
-	}
-	for _, si := range req.Indices {
-		if si < 0 || si >= req.Shards {
-			return fmt.Errorf("shard request: index %d out of range [0,%d)", si, req.Shards)
-		}
-	}
-	return nil
-}
-
-func shardJob(ctx context.Context, raw json.RawMessage, jc JobContext) (any, error) {
-	var req ShardRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
 		return nil, fmt.Errorf("shard request: %w", err)
+	}
+	if len(req.Spec) == 0 {
+		return nil, fmt.Errorf("shard request: spec required")
 	}
 	prob, err := spec.Parse(req.Spec)
 	if err != nil {
 		return nil, err
 	}
-	jc.wire(ctx, &prob.Config)
-	preds, err := core.PredictPartitions(prob.Partitioning, prob.Config)
-	if err != nil {
-		return nil, err
+	if req.Shards <= 0 {
+		return nil, fmt.Errorf("shard request: shards must be positive")
 	}
-	plan, err := core.PlanShards(prob.Partitioning, prob.Config, preds, prob.Heuristic, req.Shards)
-	if err != nil {
-		return nil, err
+	if len(req.Indices) == 0 {
+		return nil, fmt.Errorf("shard request: at least one shard index required")
 	}
-	if plan.Shards != req.Shards {
-		return nil, fmt.Errorf("shard: plan geometry mismatch: request says %d shards, local plan has %d",
-			req.Shards, plan.Shards)
+	if len(req.Epochs) != 0 && len(req.Epochs) != len(req.Indices) {
+		return nil, fmt.Errorf("shard request: epochs must parallel indices (%d vs %d)",
+			len(req.Epochs), len(req.Indices))
 	}
-	if req.Signature != "" && plan.Signature != req.Signature {
-		jc.Metrics.Inc("serve.shard.signature_mismatch")
-		return nil, fmt.Errorf("shard: plan signature mismatch: request %.12s.., local %.12s..",
-			req.Signature, plan.Signature)
-	}
-	done, err := core.SearchShards(prob.Partitioning, prob.Config, preds, prob.Heuristic,
-		req.Shards, req.Indices)
-	if err != nil {
-		return nil, err
-	}
-	resp := &ShardResponse{
-		Signature: plan.Signature,
-		Shards:    plan.Shards,
-		Results:   done,
-	}
-	if len(req.Epochs) == len(req.Indices) {
-		resp.Epochs = make(map[int]int64, len(req.Indices))
-		for i, si := range req.Indices {
-			resp.Epochs[si] = req.Epochs[i]
+	for _, si := range req.Indices {
+		if si < 0 || si >= req.Shards {
+			return nil, fmt.Errorf("shard request: index %d out of range [0,%d)", si, req.Shards)
 		}
 	}
-	for _, r := range done {
-		resp.Trials += r.Trials
-	}
-	jc.Log.Info("shard lease executed", "shards", len(req.Indices),
-		"of", plan.Shards, "trials", resp.Trials)
-	return resp, nil
+	return func(ctx context.Context, jc JobContext) (any, error) {
+		cfg := prob.Config
+		jc.wire(ctx, &cfg)
+		preds, err := core.PredictPartitions(prob.Partitioning, cfg)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := core.PlanShards(prob.Partitioning, cfg, preds, prob.Heuristic, req.Shards)
+		if err != nil {
+			return nil, err
+		}
+		if plan.Shards != req.Shards {
+			return nil, fmt.Errorf("shard: plan geometry mismatch: request says %d shards, local plan has %d",
+				req.Shards, plan.Shards)
+		}
+		if req.Signature != "" && plan.Signature != req.Signature {
+			jc.Metrics.Inc("serve.shard.signature_mismatch")
+			return nil, fmt.Errorf("shard: plan signature mismatch: request %.12s.., local %.12s..",
+				req.Signature, plan.Signature)
+		}
+		done, err := core.SearchShards(prob.Partitioning, cfg, preds, prob.Heuristic,
+			req.Shards, req.Indices)
+		if err != nil {
+			return nil, err
+		}
+		resp := &ShardResponse{
+			Signature: plan.Signature,
+			Shards:    plan.Shards,
+			Results:   done,
+		}
+		if len(req.Epochs) == len(req.Indices) {
+			resp.Epochs = make(map[int]int64, len(req.Indices))
+			for i, si := range req.Indices {
+				resp.Epochs[si] = req.Epochs[i]
+			}
+		}
+		for _, r := range done {
+			resp.Trials += r.Trials
+		}
+		jc.Log.Info("shard lease executed", "shards", len(req.Indices),
+			"of", plan.Shards, "trials", resp.Trials)
+		return resp, nil
+	}, nil
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"net/http"
 	"reflect"
 	"testing"
@@ -92,5 +94,44 @@ func TestServeServerStatsEndpoint(t *testing.T) {
 	}
 	if len(stats.Active) != 0 {
 		t.Fatalf("idle server reports active runs: %+v", stats.Active)
+	}
+}
+
+// TestServeServerStatsActiveRuns: the server-wide snapshot's active rows
+// are exactly the running runs, in submission order, with finished runs
+// in the registry before them.
+func TestServeServerStatsActiveRuns(t *testing.T) {
+	started := make(chan string, 2)
+	jobs := blockingJobs(started)
+	jobs["instant"] = rawJob(func(context.Context, json.RawMessage, JobContext) (any, error) {
+		return "ok", nil
+	})
+	s, ts := newTestServer(t, Options{MaxConcurrent: 2, Jobs: jobs})
+	for i := 0; i < 3; i++ {
+		run, err := s.Registry().Submit("instant", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, run, StateDone)
+	}
+	var want []string
+	for i := 0; i < 2; i++ {
+		run, err := s.Registry().Submit("block", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, run.ID())
+	}
+	<-started
+	<-started
+
+	var stats ServerStats
+	getJSON(t, ts.URL+"/api/v1/stats", &stats)
+	var got []string
+	for _, a := range stats.Active {
+		got = append(got, a.Label)
+	}
+	if !slicesEqual(got, want) {
+		t.Fatalf("active runs = %v, want %v", got, want)
 	}
 }
