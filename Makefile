@@ -54,6 +54,8 @@ fuzz:
 # chaos runs the fault-injected service-plane smoke: an in-process server
 # with ~10% injected job faults under random submissions and cancels,
 # asserting the registry drains clean (no stuck runs, no leaked goroutines).
+# CHAOS_STATS_OUT receives the /api/v1/stats payload as one JSON line a
+# second through the soak, and once more at its end.
 CHAOS_SECS ?= 30
 CHAOS_STATS_OUT ?= chaos-stats.jsonl
 chaos:

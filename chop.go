@@ -336,15 +336,6 @@ type (
 	// SlowTrial is one retained slowest-trial exemplar (duration, shard,
 	// feasibility, rejection reason).
 	SlowTrial = obs.Exemplar
-	// StatsSnapshotter samples a Metrics registry (and optionally a
-	// RunStats) on a fixed cadence into StatsRecords, returned by Tick
-	// and, when configured with a writer, appended to a JSONL time series.
-	StatsSnapshotter = obs.Snapshotter
-	// StatsSnapshotterOptions configures a StatsSnapshotter.
-	StatsSnapshotterOptions = obs.SnapshotterOptions
-	// StatsRecord is one sampled point of the telemetry time series:
-	// counter deltas over the interval, gauges, and the run fold.
-	StatsRecord = obs.StatsRecord
 )
 
 var (
@@ -386,9 +377,6 @@ var (
 	// NewRunStats allocates a per-shard search progress tracker; attach
 	// it via Config.Stats.
 	NewRunStats = obs.NewRunStats
-	// NewStatsSnapshotter builds a telemetry sampler; call Run to sample
-	// on an interval and Stop to take the final sample and flush.
-	NewStatsSnapshotter = obs.NewSnapshotter
 )
 
 // Distributed tracing (package obs): W3C trace context over process

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -9,56 +10,77 @@ import (
 	"chop/internal/obs"
 )
 
-const progressInterval = 500 * time.Millisecond
+const sampleInterval = 500 * time.Millisecond
 
-// progress prints the -progress lines, one every progressInterval and a
-// last one at finish, from one snapshot of the run's RunStats each (the
-// fold -stats-out samples; no tracer), whose phases block carries the
-// prediction counts. RunStats resets per search, so a multi-search run
-// (exp1, exp2) reports the search in flight.
-type progress struct {
-	w          io.Writer
-	stats      *obs.RunStats
-	start      time.Time
-	last       time.Time // previous line, the trial-rate window start
-	lastTrials int64
-	stop, done chan struct{}
+// sampler is a CLI run's one live record. Every sampleInterval, and once
+// more at finish, it takes one snapshot of the run's RunStats, prints it as
+// the -progress line when progress is set and appends it as one JSON line
+// to out (-stats-out) when that is set: the document GET
+// /api/v1/runs/{id}/stats serves under "stats", which chop top -f draws.
+// The snapshot's phases block carries the prediction counts, so neither
+// consumer needs a tracer. RunStats resets per search, so a multi-search
+// run (exp1, exp2) reports the search in flight.
+type sampler struct {
+	stats         *obs.RunStats
+	progress, out io.Writer // either may be nil
+	err           error     // first write error on out; later samples skip it
+	start         time.Time
+	last          time.Time // previous line, the trial-rate window start
+	lastTrials    int64
+	stop, done    chan struct{}
 }
 
-// startProgress begins printing progress lines for the run to w.
-func startProgress(w io.Writer, stats *obs.RunStats) *progress {
+// startSampler begins sampling stats to the given consumers.
+func startSampler(stats *obs.RunStats, progress, out io.Writer) *sampler {
 	now := time.Now()
-	p := &progress{w: w, stats: stats, start: now, last: now,
+	s := &sampler{stats: stats, progress: progress, out: out, start: now, last: now,
 		stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
-		defer close(p.done)
-		tick := time.NewTicker(progressInterval)
+		defer close(s.done)
+		tick := time.NewTicker(sampleInterval)
 		defer tick.Stop()
 		for {
 			select {
 			case now := <-tick.C:
-				fmt.Fprint(p.w, p.line(now))
-			case <-p.stop:
+				s.sample(now)
+			case <-s.stop:
 				return
 			}
 		}
 	}()
-	return p
+	return s
 }
 
-// finish stops the ticker and prints the final line.
-func (p *progress) finish() {
-	close(p.stop)
-	<-p.done
-	fmt.Fprint(p.w, p.line(time.Now()))
+// finish stops the ticker, takes the final sample, so a -stats-out series
+// always ends with the run's terminal fold, and returns the first write
+// error on out.
+func (s *sampler) finish() error {
+	close(s.stop)
+	<-s.done
+	s.sample(time.Now())
+	return s.err
 }
 
-// line renders the progress line at now: the stage (PredictPartitions
-// until a search starts, then Search), completed BAD predictions, trials
-// against the planned total when known, feasible trials and the trial
-// rate since the previous line.
-func (p *progress) line(now time.Time) string {
-	sn := p.stats.Snapshot()
+// sample hands one snapshot to both consumers.
+func (s *sampler) sample(now time.Time) {
+	sn := s.stats.Snapshot()
+	if s.progress != nil {
+		fmt.Fprint(s.progress, s.line(sn, now))
+	}
+	if s.out != nil && s.err == nil {
+		line, err := json.Marshal(sn)
+		if err == nil {
+			_, err = s.out.Write(append(line, '\n'))
+		}
+		s.err = err
+	}
+}
+
+// line renders the progress line for sn at now: the stage
+// (PredictPartitions until a search starts, then Search), completed BAD
+// predictions, trials against the planned total when known, feasible
+// trials and the trial rate since the previous line.
+func (s *sampler) line(sn obs.RunStatsSnapshot, now time.Time) string {
 	stage := "PredictPartitions"
 	if sn.Started {
 		stage = "Search"
@@ -78,10 +100,10 @@ func (p *progress) line(now time.Time) string {
 		trials += "/" + strconv.FormatInt(sn.Total, 10)
 	}
 	rate := ""
-	if dt := now.Sub(p.last).Seconds(); dt > 0 && sn.Trials > p.lastTrials {
-		rate = fmt.Sprintf(" (%.0f trials/s)", float64(sn.Trials-p.lastTrials)/dt)
+	if dt := now.Sub(s.last).Seconds(); dt > 0 && sn.Trials > s.lastTrials {
+		rate = fmt.Sprintf(" (%.0f trials/s)", float64(sn.Trials-s.lastTrials)/dt)
 	}
-	p.last, p.lastTrials = now, sn.Trials
+	s.last, s.lastTrials = now, sn.Trials
 	return fmt.Sprintf("chop: %-17s predictions=%d trials=%s feasible=%d%s elapsed=%s\n",
-		stage, preds, trials, sn.Feasible, rate, now.Sub(p.start).Round(time.Millisecond))
+		stage, preds, trials, sn.Feasible, rate, now.Sub(s.start).Round(time.Millisecond))
 }

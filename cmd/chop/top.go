@@ -19,12 +19,12 @@ import (
 	"chop/internal/serve"
 )
 
-// top is the live terminal dashboard over the run telemetry plane. Two
-// sources feed the same renderers:
+// top is the live terminal dashboard over the run telemetry plane. Every
+// run view reads an obs.RunStatsSnapshot, from a server or from a file:
 //
 //	chop top -addr http://host:8080            server overview (/api/v1/stats)
 //	chop top -addr http://host:8080 -run <id>  one run's shard table (/api/v1/runs/{id}/stats)
-//	chop top -f stats.jsonl                    tail a -stats-out time series
+//	chop top -f stats.jsonl                    tail a CLI run's -stats-out snapshots
 //
 // The display is plain ANSI — a home-and-clear escape between frames, no
 // terminal library — so it works in any terminal and degrades to sequential
@@ -102,27 +102,25 @@ func topServer(ctx context.Context, addr, runID string, period time.Duration, on
 	}
 }
 
-// topFile renders the newest record of a -stats-out JSONL file and keeps
-// tailing it for appended samples (the producing run may still be writing).
+// topFile renders the newest snapshot of a -stats-out JSONL file and keeps
+// tailing it for appended ones (the producing run may still be writing).
 func topFile(ctx context.Context, path string, period time.Duration, once bool) error {
-	var lastSeq int64 = -1
+	tail := statsTail{path: path}
 	for {
-		rec, n, err := lastStatsRecord(path)
+		fresh, err := tail.read()
 		if err != nil {
 			return err
 		}
-		if n == 0 {
-			if once {
-				return fmt.Errorf("top: %s holds no stats records yet", path)
-			}
-		} else if rec.Seq != lastSeq || lastSeq == -1 {
-			lastSeq = rec.Seq
-			frame := renderRecordFrame(path, rec, n)
+		if fresh {
+			frame := fmt.Sprintf("chop top — %s — %s, sample %d\n\n", path, tail.last.Label, tail.n) +
+				renderSnapshot(tail.last)
 			if once {
 				fmt.Print(frame)
 				return nil
 			}
 			fmt.Print(clearScreen + frame)
+		} else if once {
+			return fmt.Errorf("top: %s holds no stats records yet", path)
 		}
 		select {
 		case <-ctx.Done():
@@ -133,31 +131,48 @@ func topFile(ctx context.Context, path string, period time.Duration, once bool) 
 	}
 }
 
-// lastStatsRecord scans a JSONL stats file and returns its newest record
-// plus the total record count. A trailing partial line (a sample being
-// written right now) is skipped rather than treated as corruption.
-func lastStatsRecord(path string) (obs.StatsRecord, int, error) {
-	f, err := os.Open(path)
+// statsTail reads a -stats-out file incrementally: each read decodes only
+// the complete lines appended since the previous one.
+type statsTail struct {
+	path string
+	off  int64                // byte offset after the last complete line
+	last obs.RunStatsSnapshot // newest snapshot decoded
+	n    int                  // snapshots decoded since offset 0
+}
+
+// read decodes the lines appended since the last read and reports whether
+// any held a snapshot. A trailing partial line (a sample being written
+// right now) is left for the next read; a file shorter than the offset (a
+// new run truncated it) is read again from the start.
+func (t *statsTail) read() (bool, error) {
+	f, err := os.Open(t.path)
 	if err != nil {
-		return obs.StatsRecord{}, 0, err
+		return false, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var last obs.StatsRecord
-	n := 0
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec obs.StatsRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			continue
-		}
-		last, n = rec, n+1
+	fi, err := f.Stat()
+	if err != nil {
+		return false, err
 	}
-	return last, n, sc.Err()
+	if fi.Size() < t.off {
+		t.off, t.n = 0, 0
+	}
+	br := bufio.NewReader(io.NewSectionReader(f, t.off, fi.Size()-t.off))
+	fresh := false
+	for {
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			return fresh, nil
+		}
+		if err != nil {
+			return fresh, err
+		}
+		t.off += int64(len(line))
+		var sn obs.RunStatsSnapshot
+		if json.Unmarshal(line, &sn) == nil {
+			t.last, t.n, fresh = sn, t.n+1, true
+		}
+	}
 }
 
 // fetchJSON GETs a URL and decodes the JSON body.
@@ -230,40 +245,6 @@ func renderRunFrame(p serve.RunStatsPayload) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "run %s — %s %s\n\n", p.Run.ID, p.Run.Kind, p.Run.State)
 	b.WriteString(renderSnapshot(p.Stats))
-	return b.String()
-}
-
-// renderRecordFrame lays out one -stats-out sample: the sample header, the
-// hottest counter deltas, and the embedded run fold when present.
-func renderRecordFrame(path string, rec obs.StatsRecord, n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chop top — %s — sample %d (%d on file) — %s\n\n",
-		path, rec.Seq, n, time.UnixMilli(rec.T).Format(time.TimeOnly))
-	if len(rec.CounterDeltas) > 0 && rec.IntervalSec > 0 {
-		keys := make([]string, 0, len(rec.CounterDeltas))
-		for k := range rec.CounterDeltas {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if rec.CounterDeltas[keys[i]] != rec.CounterDeltas[keys[j]] {
-				return rec.CounterDeltas[keys[i]] > rec.CounterDeltas[keys[j]]
-			}
-			return keys[i] < keys[j]
-		})
-		if len(keys) > 8 {
-			keys = keys[:8]
-		}
-		b.WriteString("rates:\n")
-		for _, k := range keys {
-			fmt.Fprintf(&b, "  %-28s %10.0f/s\n", k, float64(rec.CounterDeltas[k])/rec.IntervalSec)
-		}
-		b.WriteString("\n")
-	}
-	if rec.Run != nil {
-		b.WriteString(renderSnapshot(*rec.Run))
-	} else {
-		b.WriteString("no run stats in this sample\n")
-	}
 	return b.String()
 }
 

@@ -71,36 +71,46 @@ func TestRenderServerFrame(t *testing.T) {
 	}
 }
 
-func TestRenderRecordFrame(t *testing.T) {
-	sn := sampleSnapshot()
-	rec := obs.StatsRecord{
-		T: 1700000000000, Seq: 3, IntervalSec: 0.5,
-		CounterDeltas: map[string]int64{"core.trials": 50},
-		Run:           &sn,
-	}
-	out := renderRecordFrame("stats.jsonl", rec, 3)
-	for _, want := range []string{"sample 3 (3 on file)", "core.trials", "100/s", "50/100 trials"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("record frame missing %q:\n%s", want, out)
-		}
-	}
-}
-
+// TestLastStatsRecord: the tail decodes only what was appended since its
+// last read, leaves a partial last line for the next one and starts over
+// when the file shrinks.
 func TestLastStatsRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stats.jsonl")
-	content := `{"t":1,"seq":1}
-{"t":2,"seq":2,"counterDeltas":{"core.trials":7}}
-{"t":3,"seq":3,"trunc` // trailing partial line: being written right now
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
+	write := func(flag int, s string) {
+		t.Helper()
+		f, err := os.OpenFile(path, flag|os.O_WRONLY|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(s); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rec, n, err := lastStatsRecord(path)
-	if err != nil {
-		t.Fatal(err)
+	tail := statsTail{path: path}
+	read := func(wantFresh bool, wantTrials int64, wantN int) {
+		t.Helper()
+		fresh, err := tail.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh != wantFresh || tail.last.Trials != wantTrials || tail.n != wantN {
+			t.Fatalf("read: fresh %v, trials %d, n %d; want %v, %d, %d",
+				fresh, tail.last.Trials, tail.n, wantFresh, wantTrials, wantN)
+		}
 	}
-	if n != 2 || rec.Seq != 2 || rec.CounterDeltas["core.trials"] != 7 {
-		t.Fatalf("last record = %+v (n=%d), want seq 2 of 2", rec, n)
-	}
+	// A trailing partial line is a sample being written right now.
+	write(os.O_TRUNC, "{\"trials\":1}\n\n{\"trials\":2}\n{\"trials\":3,\"tot")
+	read(true, 2, 2)
+	read(false, 2, 2)
+	// One append completes the partial line and adds a record.
+	write(os.O_APPEND, "al\":9}\n{\"trials\":4}\n")
+	read(true, 4, 4)
+	// A new run truncates the file: the tail reads it from the start.
+	write(os.O_TRUNC, "{\"trials\":7}\n")
+	read(true, 7, 1)
 }
 
 func TestBarAndETA(t *testing.T) {

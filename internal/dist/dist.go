@@ -47,6 +47,10 @@ import (
 	"chop/internal/spec"
 )
 
+// maxWorkerFailures is the run of consecutive lease failures that
+// quarantines a worker.
+const maxWorkerFailures = 3
+
 // Options configures a Coordinator.
 type Options struct {
 	// Workers are the base URLs of the chop serve fleet (required).
@@ -81,9 +85,6 @@ type Options struct {
 	// instead of being cancelled unseen. The default 0 returns
 	// immediately — stragglers' runs are abandoned.
 	DrainGrace time.Duration
-	// MaxWorkerFailures quarantines a worker after this many consecutive
-	// lease failures. Default 3.
-	MaxWorkerFailures int
 	// SubmitBudget bounds how long one lease submission rides out 429/503
 	// backpressure (Client.SubmitRetry). Default 10s.
 	SubmitBudget time.Duration
@@ -120,9 +121,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Shards <= 0 {
 		o.Shards = 4 * len(o.Workers)
-	}
-	if o.MaxWorkerFailures <= 0 {
-		o.MaxWorkerFailures = 3
 	}
 	if o.SubmitBudget <= 0 {
 		o.SubmitBudget = 10 * time.Second
@@ -406,7 +404,7 @@ func (c *Coordinator) handleOutcome(o outcome) {
 	if o.err != nil {
 		c.o.Metrics.Inc("dist.workers.failed")
 		l.worker.consecFails++
-		if l.worker.consecFails >= c.o.MaxWorkerFailures && !l.worker.quarantined {
+		if l.worker.consecFails >= maxWorkerFailures && !l.worker.quarantined {
 			l.worker.quarantined = true
 			c.o.Metrics.Inc("dist.workers.quarantined")
 			c.o.Log.Error("worker quarantined", "worker", l.worker.url,

@@ -168,7 +168,6 @@ func TestDistDeadWorkerQuarantined(t *testing.T) {
 	want := serialJSON(t, raw)
 	m := obs.NewMetrics()
 	o := fastOpts(m, w1.URL, deadURL)
-	o.SubmitBudget = 0 // fail fast on transport errors
 	got := runDist(t, raw, o)
 	if got != want {
 		t.Fatalf("result diverged from serial with a dead worker")

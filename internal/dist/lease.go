@@ -80,16 +80,10 @@ func (c *Coordinator) runLease(ctx context.Context, l *lease) {
 }
 
 func (c *Coordinator) executeLease(ctx context.Context, l *lease) (*serve.ShardResponse, error) {
-	indices := l.shards
-	epochs := make([]int64, len(indices))
-	for i, si := range indices {
-		epochs[i] = l.epochs[si]
-	}
 	body, err := json.Marshal(serve.ShardRequest{
 		Spec:      c.raw,
 		Shards:    c.plan.Shards,
-		Indices:   indices,
-		Epochs:    epochs,
+		Indices:   l.shards,
 		Signature: c.plan.Signature,
 	})
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 // workers publish into it when their recorders flush, after every shard
 // and every few thousand trials: a shard's trial and feasible counts, its
 // rejections per reason and its slowest trials. Readers (the serve /stats
-// endpoints, the Snapshotter, `chop top`, `-progress`) fold it into a
-// point-in-time snapshot on demand. It is plain fields under one mutex,
+// endpoints and the CLI's -progress and -stats-out sampler, whose output
+// `chop top` draws) fold it into a point-in-time snapshot on demand. It is plain fields under one mutex,
 // taken once per flush, per shard start and end, and per snapshot; nothing
 // is written per trial, so a live fold trails a running worker by at most
 // one flush.

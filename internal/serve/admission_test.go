@@ -244,6 +244,26 @@ func TestAdmissionBearerToken(t *testing.T) {
 	<-started
 }
 
+// TestAdmissionKeyBeforeSpec: the key is checked before the submission is
+// read, so a wrong key gets 401 bad-key whatever the kind and spec; with
+// the right key a malformed spec gets 400 bad-spec and the tenant's queued
+// reservation comes back.
+func TestAdmissionKeyBeforeSpec(t *testing.T) {
+	s, ts := newTestServer(t, Options{Tenants: []TenantConfig{{Name: "a", Key: "ka"}}})
+	badSpec := `{"kind":"eval","spec":{"graph":{"name":"x"}}}`
+	for _, body := range []string{badSpec, `{"kind":"nope"}`} {
+		if _, resp, apiErr := postRunKey(t, ts, body, "stolen"); resp.StatusCode != http.StatusUnauthorized || apiErr.Reason != "bad-key" {
+			t.Errorf("wrong key, %s: %d %q, want 401 bad-key", body, resp.StatusCode, apiErr.Reason)
+		}
+	}
+	if _, resp, apiErr := postRunKey(t, ts, badSpec, "ka"); resp.StatusCode != http.StatusBadRequest || apiErr.Reason != "bad-spec" {
+		t.Errorf("right key, bad spec: %d %q, want 400 bad-spec", resp.StatusCode, apiErr.Reason)
+	}
+	if occ := s.Registry().TenantOccupancies(); len(occ) != 1 || occ[0].Queued != 0 {
+		t.Errorf("tenant occupancy after a bad spec = %+v, want 0 queued", occ)
+	}
+}
+
 // TestAdmissionClientRoundTrip: serve.Client presents its APIKey, typed
 // *APIError carries the rejection reason and Retry-After, and the stats
 // payload reports tenant occupancy.

@@ -48,21 +48,43 @@ func TestChaosSmoke(t *testing.T) {
 			"seed=3,serve.job=panic:0.1,bad.predict=error:0.02,core.trial=stall:0.001:100ms"),
 	})
 
-	// When CHOP_CHAOS_STATS_OUT names a file, a snapshotter records the
-	// server-wide counter time series through the soak as JSONL — CI
-	// uploads it as an artifact, so a failed (or suspicious) chaos run
-	// comes with its full telemetry trajectory attached.
+	// When CHOP_CHAOS_STATS_OUT names a file, the soak appends the
+	// /api/v1/stats payload to it as one JSON line a second and once more
+	// at cleanup: runs by state, occupancy, cache, resilience counters and
+	// the active folds. CI uploads it as an artifact, so a failed (or
+	// suspicious) chaos run comes with its telemetry trajectory attached.
 	if path := os.Getenv("CHOP_CHAOS_STATS_OUT"); path != "" {
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := obs.NewSnapshotter(obs.SnapshotterOptions{Metrics: m, Out: f})
-		snap.Run(time.Second)
+		enc := json.NewEncoder(f)
+		var werr error // first write error; later lines are skipped
+		sample := func() {
+			if werr == nil {
+				werr = enc.Encode(s.serverStats())
+			}
+		}
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			tick := time.NewTicker(time.Second)
+			defer tick.Stop()
+			for {
+				select {
+				case <-tick.C:
+					sample()
+				case <-stop:
+					return
+				}
+			}
+		}()
 		t.Cleanup(func() {
-			snap.Stop()
-			if err := snap.Err(); err != nil {
-				t.Errorf("chaos stats out: %v", err)
+			close(stop)
+			<-done
+			sample()
+			if werr != nil {
+				t.Errorf("chaos stats out: %v", werr)
 			}
 			if err := f.Close(); err != nil {
 				t.Errorf("chaos stats close: %v", err)

@@ -406,22 +406,12 @@ func (r *Registry) Submit(kind string, spec json.RawMessage) (*Run, error) {
 
 // SubmitWith is Submit with per-run execution policy. Submissions pass the
 // admission gates in order — API key, rate limit, tenant queue quota —
-// then the registry-wide backpressure checks (draining, global queue
-// depth). Every rejection increments its serve.admission.rejected.*
-// counter so backpressure is observable per reason.
+// before the kind, the spec and the checkpoint name are read, so an
+// unauthenticated caller gets nothing parsed; then the registry-wide
+// backpressure checks (draining, global queue depth). Every admission
+// rejection increments its serve.admission.rejected.* counter so
+// backpressure is observable per reason.
 func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOptions) (*Run, error) {
-	job, ok := r.jobs[kind]
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownKind, kind)
-	}
-	body, err := job(spec)
-	if err != nil {
-		return nil, err
-	}
-	checkpoint, err := r.resolveCheckpoint(opts.Checkpoint)
-	if err != nil {
-		return nil, err
-	}
 	tenant, priority, err := r.adm.admit(opts.APIKey)
 	if err != nil {
 		switch {
@@ -436,13 +426,28 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 	}
 	// From here on the tenant holds one queued reservation; every failure
 	// path must return it.
-	reject := func(counter string, err error) (*Run, error) {
+	unqueue := func(err error) (*Run, error) {
 		r.adm.unqueue(tenant)
+		return nil, err
+	}
+	job, ok := r.jobs[kind]
+	if !ok {
+		return unqueue(fmt.Errorf("%w %q", ErrUnknownKind, kind))
+	}
+	body, err := job(spec)
+	if err != nil {
+		return unqueue(err)
+	}
+	checkpoint, err := r.resolveCheckpoint(opts.Checkpoint)
+	if err != nil {
+		return unqueue(err)
+	}
+	reject := func(counter string, err error) (*Run, error) {
 		r.metrics.Inc("serve.runs.rejected")
 		if counter != "" {
 			r.metrics.Inc(counter)
 		}
-		return nil, err
+		return unqueue(err)
 	}
 	if r.draining.Load() {
 		return reject("", ErrDraining)

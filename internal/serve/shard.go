@@ -26,10 +26,6 @@ type ShardRequest struct {
 	Shards int `json:"shards"`
 	// Indices are the shard indices of [0, Shards) this lease executes.
 	Indices []int `json:"indices"`
-	// Epochs are the coordinator's fencing epochs for Indices (parallel
-	// slice), echoed back verbatim so a response can be matched to the
-	// lease that requested it.
-	Epochs []int64 `json:"epochs,omitempty"`
 	// Signature is the coordinator's plan signature; execution is refused
 	// when the worker's locally recomputed signature differs.
 	Signature string `json:"signature"`
@@ -40,7 +36,6 @@ type ShardResponse struct {
 	Signature string                     `json:"signature"`
 	Shards    int                        `json:"shards"`
 	Results   map[int]*core.SearchResult `json:"results"`
-	Epochs    map[int]int64              `json:"epochs,omitempty"`
 	Trials    int                        `json:"trials"`
 }
 
@@ -67,10 +62,6 @@ func shardJob(raw json.RawMessage) (JobFunc, error) {
 	}
 	if len(req.Indices) == 0 {
 		return nil, fmt.Errorf("shard request: at least one shard index required")
-	}
-	if len(req.Epochs) != 0 && len(req.Epochs) != len(req.Indices) {
-		return nil, fmt.Errorf("shard request: epochs must parallel indices (%d vs %d)",
-			len(req.Epochs), len(req.Indices))
 	}
 	for _, si := range req.Indices {
 		if si < 0 || si >= req.Shards {
@@ -106,12 +97,6 @@ func shardJob(raw json.RawMessage) (JobFunc, error) {
 			Signature: plan.Signature,
 			Shards:    plan.Shards,
 			Results:   done,
-		}
-		if len(req.Epochs) == len(req.Indices) {
-			resp.Epochs = make(map[int]int64, len(req.Indices))
-			for i, si := range req.Indices {
-				resp.Epochs[si] = req.Epochs[i]
-			}
 		}
 		for _, r := range done {
 			resp.Trials += r.Trials

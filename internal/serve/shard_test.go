@@ -82,16 +82,13 @@ func TestShardJobExecutesAndMergesIdentical(t *testing.T) {
 		done := make(map[int]*core.SearchResult)
 		for half := 0; half < 2; half++ {
 			var indices []int
-			var epochs []int64
 			for si := 0; si < plan.Shards; si++ {
 				if si%2 == half {
 					indices = append(indices, si)
-					epochs = append(epochs, int64(7+si))
 				}
 			}
 			body, _ := json.Marshal(ShardRequest{
-				Spec: raw, Shards: plan.Shards, Indices: indices,
-				Epochs: epochs, Signature: plan.Signature,
+				Spec: raw, Shards: plan.Shards, Indices: indices, Signature: plan.Signature,
 			})
 			st, err := c.Submit(context.Background(), SubmitSpec{Kind: "shard", Spec: body})
 			if err != nil {
@@ -102,10 +99,7 @@ func TestShardJobExecutesAndMergesIdentical(t *testing.T) {
 			if resp.Signature != plan.Signature || resp.Shards != plan.Shards {
 				t.Fatalf("response geometry mismatch: %+v vs plan %+v", resp, plan)
 			}
-			for i, si := range indices {
-				if resp.Epochs[si] != epochs[i] {
-					t.Fatalf("epoch echo mismatch for shard %d: %d != %d", si, resp.Epochs[si], epochs[i])
-				}
+			for _, si := range indices {
 				if resp.Results[si] == nil {
 					t.Fatalf("missing result for shard %d", si)
 				}
@@ -165,7 +159,6 @@ func TestShardJobValidation(t *testing.T) {
 		fmt.Sprintf(`{"spec": %s, "shards": 0, "indices": [0]}`, raw),
 		fmt.Sprintf(`{"spec": %s, "shards": %d, "indices": []}`, raw, plan.Shards),
 		fmt.Sprintf(`{"spec": %s, "shards": %d, "indices": [%d]}`, raw, plan.Shards, plan.Shards),
-		fmt.Sprintf(`{"spec": %s, "shards": %d, "indices": [0], "epochs": [1, 2]}`, raw, plan.Shards),
 	}
 	for i, b := range bad {
 		body := fmt.Sprintf(`{"kind": "shard", "spec": %s}`, b)

@@ -1,36 +1,20 @@
 package chop_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	chop "chop"
 )
 
 // TestRunStatsThroughFacade runs the documented telemetry session through
-// the public API: attach a RunStats and a JSONL StatsSnapshotter to a run,
-// then check the final fold and the time series agree with the result.
+// the public API: attach a RunStats to a run, then check the final fold
+// agrees with the result.
 func TestRunStatsThroughFacade(t *testing.T) {
 	p, cfg := obsProblem()
-	cfg.Metrics = chop.NewMetrics()
 	cfg.Stats = chop.NewRunStats("facade")
-
-	var series bytes.Buffer
-	snap := chop.NewStatsSnapshotter(chop.StatsSnapshotterOptions{
-		Metrics: cfg.Metrics,
-		Stats:   cfg.Stats,
-		Out:     &series,
-	})
-
-	snap.Tick() // baseline sample: later deltas are relative to this
 
 	res, _, err := chop.Run(p, cfg, chop.Enumeration)
 	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Stop() // takes the final sample and flushes
-	if err := snap.Err(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,27 +34,5 @@ func TestRunStatsThroughFacade(t *testing.T) {
 	}
 	if perShard != fold.Trials {
 		t.Fatalf("shard table sums to %d, aggregate %d", perShard, fold.Trials)
-	}
-
-	// The JSONL series decodes as StatsRecords and its trial deltas sum to
-	// the same total the search reported.
-	var sumTrials int64
-	records := 0
-	for _, line := range bytes.Split(series.Bytes(), []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var rec chop.StatsRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("bad series line %q: %v", line, err)
-		}
-		records++
-		sumTrials += rec.CounterDeltas["core.trials"]
-	}
-	if records == 0 {
-		t.Fatal("snapshotter wrote no samples")
-	}
-	if sumTrials != int64(res.Trials) {
-		t.Fatalf("series deltas sum to %d trials, search ran %d", sumTrials, res.Trials)
 	}
 }
