@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -104,14 +106,12 @@ func (e *RetryAfterError) Error() string {
 
 func (e *RetryAfterError) Unwrap() error { return e.Err }
 
-// tenantState is one tenant's live admission accounting: occupancy plus
-// the token bucket. Guarded by admission.mu.
+// tenantState is one tenant's contract and token bucket. Guarded by
+// admission.mu.
 type tenantState struct {
-	cfg     TenantConfig
-	running int
-	queued  int
-	tokens  float64
-	last    time.Time
+	cfg    TenantConfig
+	tokens float64
+	last   time.Time
 }
 
 // refill advances the token bucket to now.
@@ -133,114 +133,55 @@ func (t *tenantState) burst() float64 {
 	return math.Max(1, math.Ceil(t.cfg.RatePerSec))
 }
 
-// admission is the tenant table: key resolution, rate limiting and quota
-// accounting. nil means open access (no -api-keys configured) — every
-// submission maps onto the anonymous tenant with no limits.
+// admission is the tenant table: key resolution and rate limiting. A
+// tenant's queued and running runs are counted by the registry, from its
+// queue and worker slots. nil means open access (no -api-keys configured)
+// — every submission maps onto the anonymous tenant with no limits.
 type admission struct {
-	mu     sync.Mutex
-	byKey  map[string]*tenantState
-	byName map[string]*tenantState
-	now    func() time.Time // injectable clock (tests)
+	mu    sync.Mutex
+	byKey map[string]*tenantState
+	now   func() time.Time // injectable clock (tests)
 }
 
 func newAdmission(tenants []TenantConfig) *admission {
 	if len(tenants) == 0 {
 		return nil
 	}
-	a := &admission{
-		byKey:  make(map[string]*tenantState, len(tenants)),
-		byName: make(map[string]*tenantState, len(tenants)),
-		now:    time.Now,
-	}
+	a := &admission{byKey: make(map[string]*tenantState, len(tenants)), now: time.Now}
 	for _, tc := range tenants {
 		ts := &tenantState{cfg: tc, last: a.now()}
 		ts.tokens = ts.burst()
 		a.byKey[tc.Key] = ts
-		a.byName[tc.Name] = ts
 	}
 	return a
 }
 
-// admit resolves the API key and charges the tenant's rate and queue
-// quotas, reserving one queued slot on success. The caller must release
-// the reservation with unqueue/startRun/etc. as the run moves through its
-// lifecycle. nil admission admits everything as the anonymous tenant.
-func (a *admission) admit(key string) (tenant string, priority int, err error) {
+// admit resolves the API key, charges the tenant's rate and returns its
+// contract. nil admission admits everything as the anonymous tenant.
+func (a *admission) admit(key string) (TenantConfig, error) {
 	if a == nil {
-		return "", 0, nil
+		return TenantConfig{}, nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ts, ok := a.byKey[key]
 	if !ok {
-		return "", 0, ErrBadKey
+		return TenantConfig{}, ErrBadKey
 	}
-	now := a.now()
-	ts.refill(now)
-	if ts.cfg.RatePerSec > 0 && ts.tokens < 1 {
-		// Time until one whole token has dripped back in.
-		wait := time.Duration((1 - ts.tokens) / ts.cfg.RatePerSec * float64(time.Second))
-		return "", 0, &RetryAfterError{Err: ErrRateLimited, RetryAfter: wait}
-	}
-	if ts.cfg.MaxQueued > 0 && ts.queued >= ts.cfg.MaxQueued {
-		// No refill schedule to predict here; hint one polling interval.
-		return "", 0, &RetryAfterError{Err: ErrOverQuota, RetryAfter: time.Second}
-	}
+	ts.refill(a.now())
 	if ts.cfg.RatePerSec > 0 {
+		if ts.tokens < 1 {
+			// Time until one whole token has dripped back in.
+			wait := time.Duration((1 - ts.tokens) / ts.cfg.RatePerSec * float64(time.Second))
+			return TenantConfig{}, &RetryAfterError{Err: ErrRateLimited, RetryAfter: wait}
+		}
 		ts.tokens--
 	}
-	ts.queued++
-	return ts.cfg.Name, ts.cfg.Priority, nil
+	return ts.cfg, nil
 }
 
-// unqueue releases a queued reservation (rejection after admit, terminal
-// cancel of a queued run, or dispatch into a running slot).
-func (a *admission) unqueue(tenant string) {
-	a.apply(tenant, func(ts *tenantState) { ts.queued-- })
-}
-
-// startRun moves one reservation from queued to running (dispatch).
-func (a *admission) startRun(tenant string) {
-	a.apply(tenant, func(ts *tenantState) { ts.queued--; ts.running++ })
-}
-
-// finishRun releases a running slot (terminal completion).
-func (a *admission) finishRun(tenant string) {
-	a.apply(tenant, func(ts *tenantState) { ts.running-- })
-}
-
-// requeue moves a preempted run's slot from running back to queued.
-func (a *admission) requeue(tenant string) {
-	a.apply(tenant, func(ts *tenantState) { ts.running--; ts.queued++ })
-}
-
-func (a *admission) apply(tenant string, f func(*tenantState)) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if ts, ok := a.byName[tenant]; ok {
-		f(ts)
-	}
-}
-
-// canRun reports whether the tenant may occupy one more running slot.
-func (a *admission) canRun(tenant string) bool {
-	if a == nil {
-		return true
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ts, ok := a.byName[tenant]
-	if !ok {
-		return true
-	}
-	return ts.cfg.MaxRunning <= 0 || ts.running < ts.cfg.MaxRunning
-}
-
-// TenantOccupancy is one tenant's live admission accounting, exposed on
-// /api/v1/stats and asserted by the chaos suites (slot-leak detection).
+// TenantOccupancy is one tenant's live admission state, exposed on
+// /api/v1/stats and asserted by the chaos suites.
 type TenantOccupancy struct {
 	Name     string  `json:"name"`
 	Running  int     `json:"running"`
@@ -249,32 +190,19 @@ type TenantOccupancy struct {
 	Tokens   float64 `json:"tokens"`
 }
 
-// occupancy snapshots every tenant, sorted by name for stable output.
+// occupancy snapshots every tenant's priority and token level, sorted by
+// name for stable output; the registry fills Running and Queued.
 func (a *admission) occupancy() []TenantOccupancy {
 	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]TenantOccupancy, 0, len(a.byName))
-	for _, ts := range a.byName {
+	out := make([]TenantOccupancy, 0, len(a.byKey))
+	for _, ts := range a.byKey {
 		ts.refill(a.now())
-		out = append(out, TenantOccupancy{
-			Name:     ts.cfg.Name,
-			Running:  ts.running,
-			Queued:   ts.queued,
-			Priority: ts.cfg.Priority,
-			Tokens:   ts.tokens,
-		})
+		out = append(out, TenantOccupancy{Name: ts.cfg.Name, Priority: ts.cfg.Priority, Tokens: ts.tokens})
 	}
-	sortOccupancy(out)
+	slices.SortFunc(out, func(x, y TenantOccupancy) int { return strings.Compare(x.Name, y.Name) })
 	return out
-}
-
-func sortOccupancy(list []TenantOccupancy) {
-	for i := 1; i < len(list); i++ {
-		for j := i; j > 0 && list[j].Name < list[j-1].Name; j-- {
-			list[j], list[j-1] = list[j-1], list[j]
-		}
-	}
 }

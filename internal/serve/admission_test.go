@@ -246,8 +246,7 @@ func TestAdmissionBearerToken(t *testing.T) {
 
 // TestAdmissionKeyBeforeSpec: the key is checked before the submission is
 // read, so a wrong key gets 401 bad-key whatever the kind and spec; with
-// the right key a malformed spec gets 400 bad-spec and the tenant's queued
-// reservation comes back.
+// the right key a malformed spec gets 400 bad-spec and queues nothing.
 func TestAdmissionKeyBeforeSpec(t *testing.T) {
 	s, ts := newTestServer(t, Options{Tenants: []TenantConfig{{Name: "a", Key: "ka"}}})
 	badSpec := `{"kind":"eval","spec":{"graph":{"name":"x"}}}`
@@ -261,6 +260,56 @@ func TestAdmissionKeyBeforeSpec(t *testing.T) {
 	}
 	if occ := s.Registry().TenantOccupancies(); len(occ) != 1 || occ[0].Queued != 0 {
 		t.Errorf("tenant occupancy after a bad spec = %+v, want 0 queued", occ)
+	}
+}
+
+// TestAdmissionQuotaAfterSpec: the queue quota is counted in the queue
+// after the spec is read. With its one queued slot taken, a tenant's
+// malformed spec still gets 400 bad-spec, and a valid one gets 429
+// over-quota and spends a rate token.
+func TestAdmissionQuotaAfterSpec(t *testing.T) {
+	started := make(chan string, 1)
+	jobs := blockingJobs(started)
+	jobs["eval"] = DefaultJobs()["eval"]
+	s, ts := newTestServer(t, Options{
+		MaxConcurrent: 1,
+		Jobs:          jobs,
+		Tenants: []TenantConfig{
+			{Name: "a", Key: "ka", MaxQueued: 1, RatePerSec: 0.001, Burst: 10},
+			{Name: "b", Key: "kb"},
+		},
+	})
+	// Tenant b occupies the only worker; tenant a fills its queued slot.
+	if _, resp, _ := postRunKey(t, ts, `{"kind":"block"}`, "kb"); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("occupy submit = %d", resp.StatusCode)
+	}
+	<-started
+	if _, resp, _ := postRunKey(t, ts, `{"kind":"block"}`, "ka"); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("queue submit = %d", resp.StatusCode)
+	}
+	tokens := func() float64 {
+		for _, occ := range s.Registry().TenantOccupancies() {
+			if occ.Name == "a" {
+				return occ.Tokens
+			}
+		}
+		t.Fatal("tenant a missing from occupancy")
+		return 0
+	}
+	badSpec := `{"kind":"eval","spec":{"graph":{"name":"x"}}}`
+	if _, resp, apiErr := postRunKey(t, ts, badSpec, "ka"); resp.StatusCode != http.StatusBadRequest || apiErr.Reason != "bad-spec" {
+		t.Errorf("bad spec over quota: %d %q, want 400 bad-spec", resp.StatusCode, apiErr.Reason)
+	}
+	before := tokens()
+	if _, resp, apiErr := postRunKey(t, ts, `{"kind":"block"}`, "ka"); resp.StatusCode != http.StatusTooManyRequests || apiErr.Reason != "over-quota" {
+		t.Errorf("valid spec over quota: %d %q, want 429 over-quota", resp.StatusCode, apiErr.Reason)
+	}
+	// The bucket refills at 0.001 a second: well under 0.01 in this test.
+	if spent := before - tokens(); spent < 0.99 || spent > 1 {
+		t.Errorf("over-quota submit spent %v tokens, want 1", spent)
+	}
+	if occ := s.Registry().TenantOccupancies(); occ[0].Queued != 1 || occ[0].Running != 0 || occ[1].Running != 1 {
+		t.Errorf("occupancy = %+v, want a 1 queued, b 1 running", occ)
 	}
 }
 
@@ -671,9 +720,10 @@ func TestAdmissionChaos(t *testing.T) {
 	if qn := r.QueueLen(); qn != 0 {
 		t.Errorf("queue not empty after drain: %d", qn)
 	}
-	if g := m.Gauge("serve.runs_in_flight"); g != 0 {
-		t.Errorf("runs_in_flight gauge = %v after drain", g)
+	if n := r.CountByState()[StateRunning]; n != 0 {
+		t.Errorf("%d runs counted as running after drain", n)
 	}
+	checkCountByState(t, r)
 	for _, occ := range r.TenantOccupancies() {
 		if occ.Running != 0 || occ.Queued != 0 {
 			t.Errorf("tenant %s leaked admission slots: running=%d queued=%d",

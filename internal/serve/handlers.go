@@ -98,7 +98,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "bad-request", fmt.Errorf("decode body: %w", err))
 		return
 	}
-	if !s.ready.Load() {
+	if s.reg.Draining() {
 		writeError(w, r, http.StatusServiceUnavailable, "draining", ErrDraining)
 		return
 	}
@@ -182,18 +182,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteProm(w)
 }
 
+// handleHealthz answers 200 while the process serves requests at all.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !s.healthy.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "unhealthy"})
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz reports 503 once draining starts, so load balancers stop
 // routing while in-flight requests complete.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() || s.reg.Draining() {
+	if s.reg.Draining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}

@@ -125,6 +125,7 @@ type Run struct {
 
 	timeout    time.Duration // wall-clock deadline (0: registry default)
 	checkpoint string        // search checkpoint path (empty: none)
+	maxRunning int           // the tenant's running quota (0: none)
 	// trace is the run's distributed-trace identity: the trace ID the run's
 	// spans carry (adopted from the caller's context or minted at submit)
 	// and, when submitted over HTTP, the request span the run's root span
@@ -255,14 +256,17 @@ type Registry struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signalled on enqueue, slot release, shutdown
 
-	runs  map[string]*Run
-	order []string
+	runs map[string]*Run
 	// pending is the dispatch queue, kept sorted by (priority desc, seq
-	// asc); running tracks in-flight runs; preempting marks victims whose
-	// preemption was requested but has not requeued yet, so one submission
-	// burst does not displace more runs than it needs.
+	// asc); running holds the runs in worker slots. The two are the one
+	// record of where a live run is: tenant quotas and state counts are
+	// read from them. finished tallies by terminal state the runs that
+	// left both for good. preempting marks victims whose preemption was
+	// requested but has not requeued yet, so one submission burst does not
+	// displace more runs than it needs.
 	pending    []*Run
 	running    map[string]*Run
+	finished   map[State]int
 	preempting map[string]bool
 
 	nextID     atomic.Int64
@@ -309,6 +313,7 @@ func NewRegistry(opts Options) *Registry {
 	r := &Registry{
 		runs:       make(map[string]*Run),
 		running:    make(map[string]*Run),
+		finished:   make(map[State]int),
 		preempting: make(map[string]bool),
 		jobs:       opts.Jobs,
 		adm:        newAdmission(opts.Tenants),
@@ -345,11 +350,28 @@ func (r *Registry) QueueLen() int {
 	return len(r.pending)
 }
 
-// TenantOccupancies snapshots the live admission accounting of every
-// configured tenant (nil on an open-access registry). The chaos suites
-// assert all running/queued slots return to zero after a drain.
+// TenantOccupancies snapshots every configured tenant (nil on an
+// open-access registry): its runs in the queue and in worker slots, and
+// its token level. The chaos suites assert both counts return to zero
+// after a drain.
 func (r *Registry) TenantOccupancies() []TenantOccupancy {
-	return r.adm.occupancy()
+	occ := r.adm.occupancy()
+	if occ == nil {
+		return nil
+	}
+	byName := make(map[string]*TenantOccupancy, len(occ))
+	for i := range occ {
+		byName[occ[i].Name] = &occ[i]
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, run := range r.pending {
+		byName[run.tenant].Queued++
+	}
+	for _, run := range r.running {
+		byName[run.tenant].Running++
+	}
+	return occ
 }
 
 // SubmitOptions carries per-run execution policy alongside the spec.
@@ -405,49 +427,42 @@ func (r *Registry) Submit(kind string, spec json.RawMessage) (*Run, error) {
 }
 
 // SubmitWith is Submit with per-run execution policy. Submissions pass the
-// admission gates in order — API key, rate limit, tenant queue quota —
-// before the kind, the spec and the checkpoint name are read, so an
-// unauthenticated caller gets nothing parsed; then the registry-wide
-// backpressure checks (draining, global queue depth). Every admission
-// rejection increments its serve.admission.rejected.* counter so
-// backpressure is observable per reason.
+// admission gates — API key, then rate limit — before the kind, the spec
+// and the checkpoint name are read, so an unauthenticated caller gets
+// nothing parsed; then the tenant's queue quota and the registry-wide
+// backpressure checks (draining, global queue depth), under the lock that
+// enqueues. Every admission rejection increments its
+// serve.admission.rejected.* counter so backpressure is observable per
+// reason.
 func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOptions) (*Run, error) {
-	tenant, priority, err := r.adm.admit(opts.APIKey)
+	tenant, err := r.adm.admit(opts.APIKey)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrBadKey):
 			r.metrics.Inc("serve.admission.rejected.bad_key")
 		case errors.Is(err, ErrRateLimited):
 			r.metrics.Inc("serve.admission.rejected.rate_limited")
-		case errors.Is(err, ErrOverQuota):
-			r.metrics.Inc("serve.admission.rejected.over_quota")
 		}
-		return nil, err
-	}
-	// From here on the tenant holds one queued reservation; every failure
-	// path must return it.
-	unqueue := func(err error) (*Run, error) {
-		r.adm.unqueue(tenant)
 		return nil, err
 	}
 	job, ok := r.jobs[kind]
 	if !ok {
-		return unqueue(fmt.Errorf("%w %q", ErrUnknownKind, kind))
+		return nil, fmt.Errorf("%w %q", ErrUnknownKind, kind)
 	}
 	body, err := job(spec)
 	if err != nil {
-		return unqueue(err)
+		return nil, err
 	}
 	checkpoint, err := r.resolveCheckpoint(opts.Checkpoint)
 	if err != nil {
-		return unqueue(err)
+		return nil, err
 	}
 	reject := func(counter string, err error) (*Run, error) {
 		r.metrics.Inc("serve.runs.rejected")
 		if counter != "" {
 			r.metrics.Inc(counter)
 		}
-		return unqueue(err)
+		return nil, err
 	}
 	if r.draining.Load() {
 		return reject("", ErrDraining)
@@ -467,8 +482,9 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 	}
 	run := &Run{
 		kind:       kind,
-		tenant:     tenant,
-		priority:   priority,
+		tenant:     tenant.Name,
+		priority:   tenant.Priority,
+		maxRunning: tenant.MaxRunning,
 		spec:       spec,
 		body:       body,
 		state:      StateQueued,
@@ -486,6 +502,12 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 		r.mu.Unlock()
 		return reject("", ErrDraining)
 	}
+	if r.queueFullLocked(tenant) {
+		r.mu.Unlock()
+		r.metrics.Inc("serve.admission.rejected.over_quota")
+		// No refill schedule to predict here; hint one polling interval.
+		return nil, &RetryAfterError{Err: ErrOverQuota, RetryAfter: time.Second}
+	}
 	if len(r.pending) >= r.queueDepth {
 		r.mu.Unlock()
 		return reject("serve.admission.rejected.queue_full", ErrQueueFull)
@@ -500,14 +522,13 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 	run.accepted = run.Status(false)
 	r.enqueueLocked(run)
 	r.runs[run.id] = run
-	r.order = append(r.order, run.id)
 	r.maybePreemptLocked()
 	queued := len(r.pending)
 	r.mu.Unlock()
 	r.metrics.Inc("serve.runs.submitted")
 	r.metrics.Inc("serve.admission.admitted")
-	r.log.Info("run submitted", "run", run.id, "kind", kind, "tenant", tenant,
-		"priority", priority, "trace_id", run.trace.TraceID, "queue", queued)
+	r.log.Info("run submitted", "run", run.id, "kind", kind, "tenant", run.tenant,
+		"priority", run.priority, "trace_id", run.trace.TraceID, "queue", queued)
 	return run, nil
 }
 
@@ -529,17 +550,46 @@ func (r *Registry) enqueueLocked(run *Run) {
 	r.cond.Broadcast()
 }
 
+// queueFullLocked reports whether the tenant's queue quota is used up,
+// counted in the queue. Caller holds mu.
+func (r *Registry) queueFullLocked(tenant TenantConfig) bool {
+	if tenant.MaxQueued <= 0 {
+		return false
+	}
+	n := 0
+	for _, run := range r.pending {
+		if run.tenant == tenant.Name {
+			n++
+		}
+	}
+	return n >= tenant.MaxQueued
+}
+
+// canRunLocked reports whether run's tenant is under its running quota,
+// counted in the worker slots. Caller holds mu.
+func (r *Registry) canRunLocked(run *Run) bool {
+	if run.maxRunning <= 0 {
+		return true
+	}
+	n := 0
+	for _, other := range r.running {
+		if other.tenant == run.tenant {
+			n++
+		}
+	}
+	return n < run.maxRunning
+}
+
 // dispatchLocked pops the first dispatchable pending run — highest
 // priority whose tenant is under its running quota — or nil when nothing
 // is eligible. Caller holds mu.
 func (r *Registry) dispatchLocked() *Run {
 	for i, run := range r.pending {
-		if !r.adm.canRun(run.tenant) {
+		if !r.canRunLocked(run) {
 			continue
 		}
 		r.pending = append(r.pending[:i], r.pending[i+1:]...)
 		r.running[run.id] = run
-		r.adm.startRun(run.tenant)
 		return run
 	}
 	return nil
@@ -558,7 +608,7 @@ func (r *Registry) maybePreemptLocked() {
 	}
 	var want *Run // pending is sorted: the first dispatchable is the best
 	for _, run := range r.pending {
-		if r.adm.canRun(run.tenant) {
+		if r.canRunLocked(run) {
 			want = run
 			break
 		}
@@ -596,12 +646,12 @@ func (r *Registry) Get(id string) (*Run, bool) {
 // List returns every run's status in submission order.
 func (r *Registry) List() []RunStatus {
 	r.mu.Lock()
-	ids := append([]string(nil), r.order...)
-	runs := make([]*Run, len(ids))
-	for i, id := range ids {
-		runs[i] = r.runs[id]
+	runs := make([]*Run, 0, len(r.runs))
+	for _, run := range r.runs {
+		runs = append(runs, run)
 	}
 	r.mu.Unlock()
+	slices.SortFunc(runs, bySeq)
 	out := make([]RunStatus, len(runs))
 	for i, run := range runs {
 		out[i] = run.Status(false)
@@ -637,7 +687,7 @@ func (r *Registry) Cancel(id string) (bool, error) {
 		// Finalize in place: pull it out of pending so it neither occupies
 		// a queue slot nor waits on tenant eligibility to die.
 		r.pending = slices.Delete(r.pending, i, i+1)
-		r.adm.unqueue(run.tenant)
+		r.finished[StateCanceled]++
 		r.mu.Unlock()
 		r.finishCanceled(run)
 		r.log.Info("run canceled while queued", "run", run.id)
@@ -675,7 +725,7 @@ func (r *Registry) ActiveRunStats() []obs.RunStatsSnapshot {
 		runs = append(runs, run)
 	}
 	r.mu.Unlock()
-	slices.SortFunc(runs, func(a, b *Run) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(runs, bySeq)
 	var out []obs.RunStatsSnapshot
 	for _, run := range runs {
 		run.mu.Lock()
@@ -688,16 +738,23 @@ func (r *Registry) ActiveRunStats() []obs.RunStatsSnapshot {
 	return out
 }
 
-// CountByState tallies runs per lifecycle state, for the /metrics gauges.
+// bySeq orders runs by submission.
+func bySeq(a, b *Run) int { return cmp.Compare(a.seq, b.seq) }
+
+// CountByState tallies runs per lifecycle state, for the /metrics gauges:
+// the queue's runs, the state of each run in a worker slot, and the tally
+// of finished runs. States with no run are left out.
 func (r *Registry) CountByState() map[State]int {
 	r.mu.Lock()
-	runs := make([]*Run, 0, len(r.runs))
-	for _, run := range r.runs {
-		runs = append(runs, run)
-	}
-	r.mu.Unlock()
+	defer r.mu.Unlock()
 	out := make(map[State]int, 5)
-	for _, run := range runs {
+	for state, n := range r.finished {
+		out[state] = n
+	}
+	if n := len(r.pending); n > 0 {
+		out[StateQueued] = n
+	}
+	for _, run := range r.running {
 		run.mu.Lock()
 		out[run.state]++
 		run.mu.Unlock()
@@ -708,7 +765,7 @@ func (r *Registry) CountByState() map[State]int {
 // finishCanceled ends a run that will not execute (again) as canceled. The
 // caller holds run.mu, and finishCanceled releases it: the terminal state is
 // published before the ring closes, so a client that sees the SSE done event
-// never reads a non-terminal run. Tenant accounting and logging stay with
+// never reads a non-terminal run. The finished tally and logging stay with
 // the caller.
 func (r *Registry) finishCanceled(run *Run) {
 	run.state = StateCanceled
@@ -737,38 +794,38 @@ func (r *Registry) worker() {
 			r.cond.Wait()
 		}
 		r.mu.Unlock()
-		requeued := r.execute(run)
+		state := r.execute(run)
 		r.mu.Lock()
 		delete(r.running, run.id)
 		delete(r.preempting, run.id)
 		switch {
-		case requeued && !r.draining.Load():
+		case state == StateQueued && !r.draining.Load():
 			// draining is re-checked under mu: Shutdown flips it (and
 			// flushes pending) under the same lock, so a preempted run
 			// either re-enters pending before the flush or is finalized
 			// below — never re-enqueued behind an exiting worker pool.
-			r.adm.requeue(run.tenant)
 			r.enqueueLocked(run)
-		case requeued:
-			r.adm.finishRun(run.tenant)
+		case state == StateQueued:
 			run.mu.Lock()
 			r.finishCanceled(run)
+			r.finished[StateCanceled]++
 		default:
-			r.adm.finishRun(run.tenant)
+			r.finished[state]++
 		}
 		r.cond.Broadcast() // a slot freed: re-evaluate eligibility
 		r.mu.Unlock()
 	}
 }
 
-// execute drives one run through its lifecycle. It reports true when the
-// run was preempted and must be requeued instead of finalized.
-func (r *Registry) execute(run *Run) (requeued bool) {
+// execute drives one run through its lifecycle and returns the state it
+// left the run in: StateQueued when the run was preempted and must be
+// requeued, otherwise the terminal state.
+func (r *Registry) execute(run *Run) State {
 	run.mu.Lock()
 	if run.cancelled || r.baseCtx.Err() != nil {
 		r.finishCanceled(run)
 		r.log.Info("run canceled before start", "run", run.id)
-		return false
+		return StateCanceled
 	}
 	// The run's context layers the wall-clock deadline (when one applies)
 	// over a preemption layer over the registry-wide cancellation. Each
@@ -799,7 +856,6 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 
 	log := r.log.With("run", run.id, "kind", run.kind, "trace_id", run.trace.TraceID)
 	log.Info("run started")
-	r.metrics.AddGauge("serve.runs_in_flight", 1)
 
 	// The job body runs under the panic guard: a panicking pipeline (or an
 	// injected "serve.job" panic) fails this run with a structured error
@@ -846,8 +902,6 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 		}, countPanic)
 	}, "run", run.id, "kind", run.kind, "trace", run.trace.TraceID)
 
-	r.metrics.AddGauge("serve.runs_in_flight", -1)
-
 	// A run only counts as timed out when the expired deadline actually
 	// failed it — a job that completes successfully just as the deadline
 	// fires stays Done and must not skew the timeout metric.
@@ -875,7 +929,7 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 		run.mu.Unlock()
 		r.metrics.Inc("serve.admission.preempted")
 		log.Info("run preempted, requeued", "preemptions", n, "checkpoint", run.checkpoint)
-		return true
+		return StateQueued
 	}
 
 	run.mu.Lock()
@@ -918,7 +972,7 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 	r.metrics.Inc("serve.runs." + string(state))
 	r.metrics.Observe("serve.run_duration_us", float64(dur.Nanoseconds())/1e3)
 	log.Info("run finished", "state", string(state), "duration", dur, "err", err)
-	return false
+	return state
 }
 
 // Shutdown drains the registry: no new submissions, queued runs are
@@ -942,7 +996,7 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 		run.mu.Lock()
 		run.cancelled = true
 		r.finishCanceled(run)
-		r.adm.unqueue(run.tenant)
+		r.finished[StateCanceled]++
 	}
 	r.cond.Broadcast() // wake idle workers so they observe shutdown
 	r.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,6 +51,52 @@ func waitState(t *testing.T, run *Run, want State) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("run %s never reached %s (now %s)", run.ID(), want, run.Status(false).State)
+}
+
+// checkCountByState checks CountByState against a tally of List, zero
+// entries aside.
+func checkCountByState(t *testing.T, r *Registry) {
+	t.Helper()
+	want := map[State]int{}
+	for _, st := range r.List() {
+		want[st.State]++
+	}
+	got := r.CountByState()
+	maps.DeleteFunc(got, func(_ State, n int) bool { return n == 0 })
+	if !maps.Equal(got, want) {
+		t.Errorf("CountByState = %v, List tallies %v", got, want)
+	}
+}
+
+// TestCountByStateSkipsFinishedRuns: the state count reads the queue, the
+// worker slots and the tally of finished runs, so a scrape never waits on
+// the lock of a run that finished.
+func TestCountByStateSkipsFinishedRuns(t *testing.T) {
+	started := make(chan string, 1)
+	jobs := blockingJobs(started)
+	jobs["instant"] = chaosJobs()["instant"]
+	r := NewRegistry(Options{MaxConcurrent: 1, Jobs: jobs})
+	defer r.Shutdown(context.Background())
+	finished, err := r.Submit("instant", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Submit("block", nil); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the one worker is done with the first run
+	finished.mu.Lock()
+	defer finished.mu.Unlock()
+	counts := make(chan map[State]int, 1)
+	go func() { counts <- r.CountByState() }()
+	select {
+	case got := <-counts:
+		if got[StateDone] != 1 || got[StateRunning] != 1 {
+			t.Errorf("CountByState = %v, want 1 done and 1 running", got)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("CountByState waits on the lock of a finished run")
+	}
 }
 
 func TestRegistryUnknownKind(t *testing.T) {

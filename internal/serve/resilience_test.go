@@ -280,8 +280,8 @@ func TestCheckpointNameResolution(t *testing.T) {
 // of concurrent submissions across every failure shape — panics, organic
 // errors, injected faults, stalls under short deadlines — races a mid-burst
 // drain. Afterward the registry must be fully consistent: every accepted
-// run terminal, no stuck queue entries, no leaked goroutines, in-flight
-// gauge at zero, and the state counters adding up.
+// run terminal, no stuck queue entries, no leaked goroutines, no run
+// counted as running, and the state counts adding up.
 func TestChaosRegistryConsistency(t *testing.T) {
 	leakCheck(t)
 	m := obs.NewMetrics()
@@ -348,9 +348,10 @@ func TestChaosRegistryConsistency(t *testing.T) {
 	if total != len(accepted) {
 		t.Errorf("state counts %v do not cover %d accepted runs", counts, len(accepted))
 	}
-	if g := m.Gauge("serve.runs_in_flight"); g != 0 {
-		t.Errorf("runs_in_flight gauge = %v after drain", g)
+	if n := r.CountByState()[StateRunning]; n != 0 {
+		t.Errorf("%d runs counted as running after drain", n)
 	}
+	checkCountByState(t, r)
 	t.Logf("chaos: %d accepted %v, panics=%d timeouts=%d",
 		len(accepted), counts, m.Counter("resilience.panic_recovered"),
 		m.Counter("serve.runs.timeout"))

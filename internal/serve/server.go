@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync/atomic"
 	"time"
 
 	"chop/internal/obs"
@@ -79,12 +78,10 @@ type Server struct {
 	reg        *Registry
 	traceSink  obs.Sink
 	sampleRate float64
-	ready      atomic.Bool
-	healthy    atomic.Bool
 }
 
 // New builds a Server and starts its worker pool. The server is
-// immediately ready; it reports live on /healthz and ready on /readyz
+// immediately ready; it reports live on /healthz, and ready on /readyz
 // until Drain.
 func New(opts Options) *Server {
 	if opts.Addr == "" {
@@ -112,8 +109,6 @@ func New(opts Options) *Server {
 	s := &Server{opts: opts, log: opts.Log, metrics: opts.Metrics,
 		traceSink: opts.TraceSink, sampleRate: rate}
 	s.reg = NewRegistry(opts)
-	s.ready.Store(true)
-	s.healthy.Store(true)
 	return s
 }
 
@@ -169,7 +164,6 @@ func (s *Server) Handler() http.Handler {
 // in-flight run contexts are cancelled, and the worker pool is awaited up
 // to the shutdown grace. Idempotent; safe without ListenAndServe.
 func (s *Server) Drain(ctx context.Context) error {
-	s.ready.Store(false)
 	s.log.Info("draining", "grace", s.opts.ShutdownGrace)
 	dctx, cancel := context.WithTimeout(ctx, s.opts.ShutdownGrace)
 	defer cancel()
