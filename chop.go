@@ -518,9 +518,9 @@ var (
 	MergeShardResults = core.MergeShardResults
 )
 
-// Fault-tolerance types (package resilience): panic isolation, retries
-// with backoff and the fault-injection harness. Config.Inject wires them
-// into the search pipeline (Config.CheckpointPath/Resume its shard log),
+// Fault-tolerance types (package resilience): panic isolation and the
+// fault-injection harness. Config.Inject wires them into the search
+// pipeline (Config.CheckpointPath/Resume its shard log),
 // ServeOptions.DefaultJobTimeout and ServeOptions.Inject into the service
 // plane.
 type (
@@ -531,9 +531,6 @@ type (
 	PanicError = resilience.PanicError
 	// InjectedError marks a fault produced by an Injector.
 	InjectedError = resilience.InjectedError
-	// RetryPolicy shapes Retry: attempts, capped exponential backoff,
-	// deterministic jitter.
-	RetryPolicy = resilience.RetryPolicy
 	// SubmitOptions carries per-run policy (deadline, checkpoint name —
 	// resolved inside the registry's CheckpointDir) into
 	// ServeRegistry.SubmitWith.
@@ -545,11 +542,6 @@ var (
 	GuardPanics = resilience.Guard
 	// IsPanic extracts the *PanicError from an error chain.
 	IsPanic = resilience.IsPanic
-	// Retry runs fn under a RetryPolicy until success, a Permanent error,
-	// context cancellation, or exhaustion.
-	Retry = resilience.Retry
-	// PermanentError marks an error as non-retryable for Retry.
-	PermanentError = resilience.Permanent
 	// IsInjectedFault reports whether an error came from an Injector.
 	IsInjectedFault = resilience.IsInjected
 	// ParseInjector parses a fault-injection spec such as

@@ -35,7 +35,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -468,9 +467,7 @@ func (o *obsFlags) attach(cfg *core.Config) (func() error, error) {
 		if promFile != nil {
 			// Retried with truncate-and-rewrite semantics, so a transient
 			// write failure cannot leave a half-written exposition behind.
-			keep(resilience.Retry(context.Background(), resilience.RetryPolicy{
-				Attempts: 3, BaseDelay: 5 * time.Millisecond, Seed: 1,
-			}, func() error {
+			keep(resilience.Retry(func() error {
 				if err := promFile.Truncate(0); err != nil {
 					return err
 				}

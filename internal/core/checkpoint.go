@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,7 +11,6 @@ import (
 	"io/fs"
 	"os"
 	"sync"
-	"time"
 
 	"chop/internal/bad"
 	"chop/internal/obs"
@@ -57,10 +55,6 @@ type shardLogRecord struct {
 	Result *SearchResult `json:"result"`
 }
 
-// shardLogRetry absorbs transient I/O failures and injected
-// "checkpoint.save" faults.
-var shardLogRetry = resilience.RetryPolicy{Attempts: 3, BaseDelay: 5 * time.Millisecond, Seed: 1}
-
 // ShardLog is the append-only checkpoint of one sharded search. All methods
 // are nil-safe, so callers use a nil log when checkpointing is off.
 // Appends are best-effort: a failure is counted in
@@ -97,7 +91,7 @@ func OpenShardLog(cfg Config, signature string, shards int, sp *obs.Span) (*Shar
 	header, err := json.Marshal(want)
 	if err == nil {
 		header = append(header, '\n')
-		err = resilience.Retry(context.Background(), shardLogRetry, func() error { return l.start(header) })
+		err = resilience.Retry(func() error { return l.start(header) })
 	}
 	if err != nil {
 		// Without a header no record can be appended: search on without.
@@ -197,7 +191,7 @@ func (l *ShardLog) Append(si int, res *SearchResult) error {
 	}
 	rec = append(rec, '\n')
 	l.mu.Lock()
-	err = resilience.Retry(context.Background(), shardLogRetry, func() error { return l.write(rec) })
+	err = resilience.Retry(func() error { return l.write(rec) })
 	shards := l.shards
 	l.mu.Unlock()
 	if err != nil {

@@ -1,14 +1,12 @@
 // Package resilience is CHOP's fault-tolerance layer: panic isolation,
-// context-aware retries with capped exponential backoff, and a
-// deterministic fault injector for chaos testing. Search checkpoints live
-// in core (ShardLog), which retries its appends through Retry.
+// retries with capped exponential backoff, and a deterministic fault
+// injector for chaos testing. Search checkpoints live in core (ShardLog),
+// which retries its appends through Retry.
 //
 // The package is deliberately dependency-free (stdlib only) so every other
 // layer — core's search workers, bad's predictor, the serve registry, obs
-// sinks — can use it without import cycles. All entry points are nil-safe:
-// a nil *Injector never fires, and Guard/Retry work with zero-value
-// policies, so the happy path costs nothing when resilience is not
-// configured.
+// sinks — can use it without import cycles. A nil *Injector never fires,
+// so the happy path costs nothing when fault injection is not configured.
 package resilience
 
 import (

@@ -1,66 +1,10 @@
 package resilience
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 )
-
-// RetryPolicy parameterizes Retry. The zero value selects the defaults:
-// 3 attempts starting at 10ms, doubling, capped at 1s, with jitter.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (default 3). 1 disables
-	// retrying: the first failure is final.
-	Attempts int
-	// BaseDelay is the wait before the second attempt (default 10ms);
-	// each subsequent wait doubles, capped at MaxDelay (default 1s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Jitter scales each wait by a uniform factor in [1-Jitter, 1+Jitter]
-	// (default 0.2; 0 after explicit Attempts/BaseDelay still applies the
-	// default — set a negative value to disable jitter entirely).
-	Jitter float64
-	// Seed, when non-zero, makes the jitter sequence deterministic —
-	// chaos tests assert exact schedules. 0 uses a time-derived seed.
-	Seed int64
-	// Sleep overrides the waiting primitive (tests). Nil waits on a timer
-	// honoring ctx cancellation.
-	Sleep func(ctx context.Context, d time.Duration) error
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 3
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Second
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
-	} else if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	if p.Sleep == nil {
-		p.Sleep = sleepCtx
-	}
-	return p
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
 
 // Backoff produces a capped exponential wait sequence with optional
 // deterministic jitter: base, 2*base, 4*base, ... clamped at max, each
@@ -118,58 +62,26 @@ func (b *Backoff) Next() time.Duration {
 	return wait
 }
 
-// Permanent marks an error as non-retryable: Retry returns it immediately
-// without burning the remaining attempts.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return permanentError{err}
-}
+// retryAttempts is how many times Retry calls its function at most.
+const retryAttempts = 3
 
-type permanentError struct{ err error }
+// retryBackoff is Retry's wait schedule: 5ms, then 10ms, each within ±20%,
+// seeded so a run's waits repeat.
+func retryBackoff() *Backoff { return NewBackoff(5*time.Millisecond, time.Second, 0.2, 1) }
 
-func (p permanentError) Error() string { return p.err.Error() }
-func (p permanentError) Unwrap() error { return p.err }
-
-// Retry runs fn up to p.Attempts times, waiting between attempts with
-// capped exponential backoff and jitter. It stops early when ctx is
-// cancelled, when fn succeeds, or when fn returns a Permanent error or a
-// context error (both mean retrying cannot help). The returned error is the
-// last attempt's, wrapped with the attempt count when every try failed.
-func Retry(ctx context.Context, p RetryPolicy, fn func() error) error {
-	p = p.withDefaults()
-	backoff := NewBackoff(p.BaseDelay, p.MaxDelay, p.Jitter, p.Seed)
-	var err error
+// Retry calls fn until it succeeds, at most three times, waiting between
+// attempts on retryBackoff's schedule. When every attempt fails it returns
+// the last attempt's error wrapped with the attempt count.
+func Retry(fn func() error) error {
+	backoff := retryBackoff()
 	for attempt := 1; ; attempt++ {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				if err != nil {
-					return fmt.Errorf("retry canceled after %d attempt(s): %w", attempt-1, err)
-				}
-				return cerr
-			}
-		}
-		err = fn()
+		err := fn()
 		if err == nil {
 			return nil
 		}
-		var perm permanentError
-		if errors.As(err, &perm) {
-			return perm.err
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		if attempt >= p.Attempts {
+		if attempt == retryAttempts {
 			return fmt.Errorf("retry exhausted after %d attempt(s): %w", attempt, err)
 		}
-		sctx := ctx
-		if sctx == nil {
-			sctx = context.Background()
-		}
-		if serr := p.Sleep(sctx, backoff.Next()); serr != nil {
-			return fmt.Errorf("retry canceled after %d attempt(s): %w", attempt, err)
-		}
+		time.Sleep(backoff.Next())
 	}
 }
