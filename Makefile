@@ -52,8 +52,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzPredictCacheKey -fuzztime=$(FUZZTIME) ./internal/bad
 
 # chaos runs the fault-injected service-plane smoke: an in-process server
-# with ~10% injected job faults under random submissions and cancels,
-# asserting the registry drains clean (no stuck runs, no leaked goroutines).
+# with ~10% injected job faults under random submissions and cancels from
+# two tenants, asserting that quotas and preemption fired and that the
+# registry drains clean (no stuck runs, no leaked goroutines, no tenant
+# holding a run).
 # CHAOS_STATS_OUT receives the /api/v1/stats payload as one JSON line a
 # second through the soak, and once more at its end.
 CHAOS_SECS ?= 30
